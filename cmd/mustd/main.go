@@ -59,9 +59,7 @@ func main() {
 		fsyncInterval = flag.Duration("fsync-interval", 50*time.Millisecond, "background fsync period under -fsync interval")
 
 		maxBatch     = flag.Int("max-batch", 64, "largest coalesced engine batch")
-		batchDelay   = flag.Duration("batch-delay", time.Millisecond, "longest a search waits for batch companions")
-		batchWorkers = flag.Int("batch-workers", 0, "engine workers per batch (0 = GOMAXPROCS)")
-		noBatch      = flag.Bool("no-batch", false, "serve each search with a direct engine call (per-request dispatch)")
+		batchWorkers = flag.Int("batch-workers", 0, "engine slots searches are dispatched onto; requests coalesce only while all are busy (0 = GOMAXPROCS)")
 
 		cacheSize    = flag.Int("cache", 4096, "result-cache capacity in responses (negative disables)")
 		maxInFlight  = flag.Int("max-in-flight", 256, "admitted search requests before shedding 429s")
@@ -90,9 +88,7 @@ func main() {
 		must.AdmissionOptions{MaxPendingWrites: *maxPendingWrites, DebtWatermark: *debtWatermark},
 		server.Config{
 			MaxBatch:          *maxBatch,
-			BatchDelay:        *batchDelay,
 			BatchWorkers:      *batchWorkers,
-			DisableBatching:   *noBatch,
 			CacheSize:         *cacheSize,
 			MaxInFlight:       *maxInFlight,
 			MaxInFlightWrites: *maxInFlightW,
@@ -243,8 +239,8 @@ func run(addr, schemaSpec, load, snapshot string, snapEvery time.Duration, gamma
 	for _, m := range eng.Schema() {
 		names = append(names, fmt.Sprintf("%s:%d", m.Name, m.Dim))
 	}
-	log.Printf("mustd listening on %s (schema %s, %d objects, batching=%v)",
-		ln.Addr(), strings.Join(names, ","), eng.Len(), !cfg.DisableBatching)
+	log.Printf("mustd listening on %s (schema %s, %d objects)",
+		ln.Addr(), strings.Join(names, ","), eng.Len())
 
 	// Periodic snapshots run alongside serving; Engine.SaveTo holds only
 	// a read lock, so searches keep flowing during a snapshot.

@@ -1,5 +1,5 @@
 // Package server is the mustd serving tier: HTTP/JSON handlers over a
-// must.Engine with dynamic request batching, an epoch-invalidated
+// must.Service with work-conserving request batching, an epoch-invalidated
 // result cache, admission control, Prometheus-text metrics, and a
 // graceful drain path. It holds all daemon logic so cmd/mustd stays a
 // thin flag-parsing shell and everything here is unit-testable
@@ -53,10 +53,13 @@ type SearchResponse struct {
 	EngineTimeMS float64 `json:"engine_time_ms"`
 	// Cached reports the response was served from the result cache.
 	Cached bool `json:"cached,omitempty"`
-	// BatchSize is how many concurrent requests rode in the coalesced
-	// engine batch that served this one (1 = alone; 0 when cached or
-	// batching is disabled).
+	// BatchSize is how many requests shared the engine batch that served
+	// this one: 1 when an engine slot was free on arrival, more when the
+	// request queued behind busy slots (absent when cached).
 	BatchSize int `json:"batch_size,omitempty"`
+	// QueueMS is the time this request queued in the batcher, enqueue to
+	// dispatch, in milliseconds (absent when cached).
+	QueueMS float64 `json:"queue_ms,omitempty"`
 	// Partial reports a degraded sharded search: matches cover only the
 	// shards that answered before the deadline; ShardErrors lists the
 	// rest. Partial responses are never served from (or stored in) the

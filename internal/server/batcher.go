@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -14,27 +15,28 @@ import (
 // began shutting down.
 var ErrDraining = errors.New("server draining")
 
-// batcher coalesces concurrent search requests into engine batches: the
-// first request to arrive opens a batch, which dispatches when either
-// maxBatch requests have joined or maxDelay has passed. One SearchEach
-// call then serves the whole batch — the read lock is taken once, each
-// worker keeps one pooled searcher hot across its stride, and the fused
-// kernel amortizes across requests — which is what turns 64 concurrent
-// HTTP requests into a handful of engine calls instead of 64
-// lock/pool round-trips racing each other.
+// ErrOverloaded is returned when the batch queue is full.
+var ErrOverloaded = errors.New("server overloaded")
+
+// batcher is a work-conserving dispatcher of searches onto a fixed
+// number of engine slots. A request that arrives while a slot is free
+// is dispatched at once; requests coalesce only while every slot is
+// busy, and the batch that forms is whatever queued (FIFO, up to
+// maxBatch) until a slot freed. No clock is involved: an idle server
+// adds one channel hand-off to Engine.Search, and a saturated one turns
+// its backlog into a few SearchEach calls — one read lock and one
+// pooled searcher per worker for a whole batch, never more workers in
+// flight than slots — instead of as many lock/pool round-trips racing
+// each other.
 type batcher struct {
 	eng      must.Service
 	maxBatch int
-	maxDelay time.Duration
-	workers  int
-	// onBatch observes each dispatched batch's size (metrics hook).
-	onBatch func(size int)
-	// onPanic observes each recovered dispatch panic (metrics hook).
-	onPanic func()
+	metrics  *Metrics
 
-	in   chan *pending
-	stop chan struct{}
-	done chan struct{}
+	in    chan *pending
+	slots chan struct{} // semaphore: a send takes an engine slot, a receive returns it
+	stop  chan struct{}
+	wg    sync.WaitGroup // the dispatcher and every batch in the engine
 
 	mu     sync.RWMutex
 	closed bool
@@ -43,145 +45,155 @@ type batcher struct {
 type pending struct {
 	ctx context.Context
 	q   must.Query
-	// out is buffered (capacity 1) so the dispatcher never blocks on a
+	// out is buffered (capacity 1) so a dispatch never blocks on a
 	// caller that gave up waiting.
 	out chan batchResult
 }
 
 type batchResult struct {
-	resp *must.Response
-	size int
-	err  error
+	resp  *must.Response
+	batch *batchInfo // shared by the answers of one engine call; nil if dead before it
+	err   error
 }
 
-// newBatcher starts the dispatcher goroutine. maxBatch ≤ 0 defaults to
-// 64, maxDelay ≤ 0 to 1ms; workers ≤ 0 lets the engine pick.
-func newBatcher(eng must.Service, maxBatch int, maxDelay time.Duration, workers int, onBatch func(int), onPanic func()) *batcher {
-	if maxBatch <= 0 {
-		maxBatch = 64
-	}
-	if maxDelay <= 0 {
-		maxDelay = time.Millisecond
+type batchInfo struct {
+	size       int // live queries in the engine call
+	dispatched time.Time
+}
+
+// newBatcher starts the dispatcher goroutine; slots ≤ 0 means GOMAXPROCS.
+func newBatcher(eng must.Service, maxBatch, slots int, metrics *Metrics) *batcher {
+	if slots <= 0 {
+		slots = runtime.GOMAXPROCS(0)
 	}
 	b := &batcher{
 		eng:      eng,
 		maxBatch: maxBatch,
-		maxDelay: maxDelay,
-		workers:  workers,
-		onBatch:  onBatch,
-		onPanic:  onPanic,
-		in:       make(chan *pending, 4*maxBatch),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		metrics:  metrics,
+		// Four full batches may queue before Search sheds; admission
+		// control upstream should make that rare.
+		in:    make(chan *pending, 4*maxBatch),
+		slots: make(chan struct{}, slots),
+		stop:  make(chan struct{}),
 	}
+	b.wg.Add(1)
 	go b.run()
 	return b
 }
 
-// Search submits one query and waits for its slot of the coalesced
-// batch. It returns the engine response, the size of the batch the
-// query rode in, and an error. Cancellation of ctx returns promptly
-// even while the batch is still computing; the abandoned slot is
-// discarded by the dispatcher without blocking it.
-func (b *batcher) Search(ctx context.Context, q must.Query) (*must.Response, int, error) {
-	p := &pending{ctx: ctx, q: q, out: make(chan batchResult, 1)}
-	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
-		return nil, 0, ErrDraining
-	}
-	// Submitting under the read lock pairs with Close's write lock:
-	// once closed is set, no new pending can enter b.in, so the final
-	// drain below cannot strand a request.
-	select {
-	case b.in <- p:
-		b.mu.RUnlock()
-	default:
-		b.mu.RUnlock()
-		// Queue full: the server is past its coalescing capacity.
-		// Admission control upstream should make this rare; fail fast
-		// rather than block the client behind an unbounded queue.
-		return nil, 0, ErrOverloaded
+// Search submits one query and waits for its answer. It returns the
+// engine response, the number of queries in the engine call that served
+// it, how long it queued before that call was dispatched, and an error.
+// Cancellation of ctx returns promptly even while the query is queued
+// or in the engine; the abandoned answer is dropped without blocking
+// anyone.
+func (b *batcher) Search(ctx context.Context, q must.Query) (*must.Response, int, time.Duration, error) {
+	enqueued := time.Now()
+	p, err := b.submit(ctx, q)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	select {
 	case r := <-p.out:
-		return r.resp, r.size, r.err
+		if r.err != nil {
+			return nil, 0, 0, r.err
+		}
+		queued := r.batch.dispatched.Sub(enqueued)
+		b.metrics.ObserveQueueWait(queued)
+		return r.resp, r.batch.size, queued, nil
 	case <-ctx.Done():
-		return nil, 0, ctx.Err()
+		return nil, 0, 0, ctx.Err()
 	}
 }
 
-// ErrOverloaded is returned when the batch queue is full.
-var ErrOverloaded = errors.New("server overloaded")
+// submit enqueues one query without waiting for it. A full queue fails
+// fast with ErrOverloaded rather than block the client behind an
+// unbounded one.
+func (b *batcher) submit(ctx context.Context, q must.Query) (*pending, error) {
+	p := &pending{ctx: ctx, q: q, out: make(chan batchResult, 1)}
+	// Submitting under the read lock pairs with Close's write lock:
+	// once closed is set, no new pending can enter b.in, so the final
+	// drain cannot strand a request.
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if b.closed {
+		return nil, ErrDraining
+	}
+	select {
+	case b.in <- p:
+		return p, nil
+	default:
+		return nil, ErrOverloaded
+	}
+}
 
 // Close stops accepting requests, serves everything already queued, and
-// waits for the dispatcher to exit. Safe to call once.
+// waits for the dispatcher and its batches to finish. Safe to call more
+// than once.
 func (b *batcher) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
+	if !b.closed {
+		b.closed = true
+		close(b.stop)
 	}
-	b.closed = true
 	b.mu.Unlock()
-	close(b.stop)
-	<-b.done
+	b.wg.Wait()
 }
 
 func (b *batcher) run() {
-	defer close(b.done)
+	defer b.wg.Done()
 	for {
 		var first *pending
 		select {
 		case first = <-b.in:
 		case <-b.stop:
-			b.drain()
-			return
+			// Closed: nothing more can enter b.in, so serve what is there.
+			select {
+			case first = <-b.in:
+			default:
+				return
+			}
 		}
-		batch := make([]*pending, 1, b.maxBatch)
-		batch[0] = first
-		timer := time.NewTimer(b.maxDelay)
+		// Waiting here for a slot is the only place requests coalesce:
+		// with a slot free it returns at once and first runs alone.
+		b.slots <- struct{}{}
+		batch := append(make([]*pending, 0, min(1+len(b.in), b.maxBatch)), first)
 	collect:
 		for len(batch) < b.maxBatch {
 			select {
 			case p := <-b.in:
 				batch = append(batch, p)
-			case <-timer.C:
-				break collect
-			case <-b.stop:
-				break collect
-			}
-		}
-		timer.Stop()
-		b.dispatch(batch)
-	}
-}
-
-// drain serves whatever was queued before Close flipped the flag.
-func (b *batcher) drain() {
-	for {
-		batch := make([]*pending, 0, b.maxBatch)
-		for len(batch) < b.maxBatch {
-			select {
-			case p := <-b.in:
-				batch = append(batch, p)
 			default:
-				goto flush
+				break collect
 			}
 		}
-	flush:
-		if len(batch) == 0 {
-			return
+		// A backlog spreads over every slot that happens to be free.
+		workers := 1
+	take:
+		for workers < min(len(batch), cap(b.slots)) {
+			select {
+			case b.slots <- struct{}{}:
+				workers++
+			default:
+				break take
+			}
 		}
-		b.dispatch(batch)
+		b.wg.Add(1)
+		go b.dispatch(batch, workers)
 	}
 }
 
-// dispatch answers one coalesced batch with a single SearchEach call.
-// Requests whose context is already dead are answered immediately and
-// excluded, so one cancelled client neither wastes engine work nor
-// poisons the rest of the batch.
-func (b *batcher) dispatch(batch []*pending) {
+// dispatch answers one batch with a single SearchEach call on the
+// workers slots it holds, and returns them. Requests whose context is
+// already dead are answered immediately and excluded, so one cancelled
+// client neither wastes engine work nor poisons the rest of the batch.
+func (b *batcher) dispatch(batch []*pending, workers int) {
+	defer b.wg.Done()
+	defer func() {
+		for ; workers > 0; workers-- {
+			<-b.slots
+		}
+	}()
 	live := batch[:0]
 	for _, p := range batch {
 		if err := p.ctx.Err(); err != nil {
@@ -193,30 +205,29 @@ func (b *batcher) dispatch(batch []*pending) {
 	if len(live) == 0 {
 		return
 	}
-	if b.onBatch != nil {
-		b.onBatch(len(live))
-	}
+	b.metrics.ObserveBatch(len(live))
+	info := &batchInfo{size: len(live), dispatched: time.Now()}
+	// Not reused across batches: a sharded engine's straggler shards may
+	// still read the slice after SearchEach has returned.
 	queries := make([]must.Query, len(live))
 	for i, p := range live {
 		queries[i] = p.q
 	}
-	resps, errs := b.searchRecovered(queries)
+	resps, errs := b.searchRecovered(queries, workers)
 	for i, p := range live {
-		p.out <- batchResult{resp: resps[i], size: len(live), err: errs[i]}
+		p.out <- batchResult{resp: resps[i], batch: info, err: errs[i]}
 	}
 }
 
 // searchRecovered runs the engine call for one batch, converting a
 // panic into a per-request error. Without the recover, one poisoned
-// query (or engine bug) in a coalesced batch would kill the whole
-// daemon from the dispatcher goroutine; with it, only this batch's
-// requests see a 500 and the dispatcher keeps serving.
-func (b *batcher) searchRecovered(queries []must.Query) (resps []*must.Response, errs []error) {
+// query (or engine bug) in a batch would kill the whole daemon; with
+// it, only this batch's requests see a 500 and the dispatcher keeps
+// serving.
+func (b *batcher) searchRecovered(queries []must.Query, workers int) (resps []*must.Response, errs []error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if b.onPanic != nil {
-				b.onPanic()
-			}
+			b.metrics.ObserveBatchPanic()
 			err := fmt.Errorf("batch dispatch panicked: %v", r)
 			resps = make([]*must.Response, len(queries))
 			errs = make([]error, len(queries))
@@ -233,5 +244,5 @@ func (b *batcher) searchRecovered(queries []must.Query) (resps []*must.Response,
 	// is a backstop, not a tuning knob.
 	bctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	return b.eng.SearchEach(bctx, queries, b.workers)
+	return b.eng.SearchEach(bctx, queries, workers)
 }

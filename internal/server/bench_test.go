@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"must"
 )
@@ -26,10 +25,9 @@ func benchSetup(b *testing.B) (*must.Engine, []must.Query) {
 }
 
 // BenchmarkServePipeline measures the serving hot path at high offered
-// concurrency: direct is one engine call per request (the -no-batch
-// daemon mode); batched coalesces concurrent requests through the
-// dynamic batcher exactly as mustd serves them. ns/op is per served
-// query.
+// concurrency: direct is one engine call per request, with nothing
+// bounding how many run at once; batched goes through the batcher
+// exactly as mustd serves searches. ns/op is per served query.
 func BenchmarkServePipeline(b *testing.B) {
 	eng, queries := benchSetup(b)
 
@@ -51,7 +49,7 @@ func BenchmarkServePipeline(b *testing.B) {
 	})
 
 	b.Run("batched", func(b *testing.B) {
-		bat := newBatcher(eng, 64, time.Millisecond, 0, nil, nil)
+		bat := newBatcher(eng, 64, 0, NewMetrics())
 		defer bat.Close()
 		b.SetParallelism(64)
 		b.ReportAllocs()
@@ -61,7 +59,7 @@ func BenchmarkServePipeline(b *testing.B) {
 			for pb.Next() {
 				q := queries[i%len(queries)]
 				i++
-				if _, _, err := bat.Search(context.Background(), q); err != nil {
+				if _, _, _, err := bat.Search(context.Background(), q); err != nil {
 					b.Error(err)
 					return
 				}

@@ -92,9 +92,10 @@ func (c *resultCache) Get(key string, epoch uint64) (*must.Response, bool) {
 		return nil, false
 	}
 	sh.ll.MoveToFront(el)
+	resp := ent.resp // Put replaces it in place under the lock
 	sh.mu.Unlock()
 	c.hits.Add(1)
-	return ent.resp, true
+	return resp, true
 }
 
 // Put stores a response computed at the given engine epoch. If the

@@ -8,21 +8,24 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"must"
 )
 
 // Metrics is a dependency-free Prometheus registry scoped to what mustd
 // exports: request counters by endpoint and status code, latency
-// histograms by endpoint, the batch-size histogram, cache and admission
-// counters, and engine gauges sampled at scrape time. All increments
-// are atomic; the only lock guards lazy counter creation.
+// histograms by endpoint, the batch-size and batch-queue-wait
+// histograms, cache and admission counters, and engine gauges sampled
+// at scrape time. All increments are atomic; the only lock guards lazy
+// counter creation.
 type Metrics struct {
 	mu       sync.Mutex
 	requests map[requestKey]*atomic.Uint64
 	latency  map[string]*histogram
 
 	batchSize      *histogram
+	queueWait      *histogram
 	batches        atomic.Uint64
 	batchedQueries atomic.Uint64
 
@@ -93,6 +96,7 @@ func NewMetrics() *Metrics {
 		requests:  make(map[requestKey]*atomic.Uint64),
 		latency:   make(map[string]*histogram),
 		batchSize: newHistogram(batchBuckets),
+		queueWait: newHistogram(latencyBuckets),
 	}
 }
 
@@ -108,6 +112,10 @@ func (m *Metrics) ObserveBatch(size int) {
 	m.batchedQueries.Add(uint64(size))
 	m.batchSize.observe(float64(size))
 }
+
+// ObserveQueueWait records how long one query queued in the batcher
+// between enqueue and its batch's dispatch.
+func (m *Metrics) ObserveQueueWait(d time.Duration) { m.queueWait.observe(d.Seconds()) }
 
 func (m *Metrics) requestCounter(endpoint string, code int) *atomic.Uint64 {
 	key := requestKey{endpoint, code}
@@ -190,6 +198,9 @@ func (m *Metrics) WritePrometheus(w io.Writer, eng must.Service, cache *resultCa
 	fmt.Fprintln(w, "# HELP mustd_batch_size Coalesced queries per dispatched engine batch.")
 	fmt.Fprintln(w, "# TYPE mustd_batch_size histogram")
 	writeHistogram(w, "mustd_batch_size", "", m.batchSize)
+	fmt.Fprintln(w, "# HELP must_batch_queue_seconds Time a search queued in the batcher before its batch was dispatched.")
+	fmt.Fprintln(w, "# TYPE must_batch_queue_seconds histogram")
+	writeHistogram(w, "must_batch_queue_seconds", "", m.queueWait)
 
 	hits, misses := cache.Counters()
 	fmt.Fprintln(w, "# HELP mustd_cache_hits_total Result-cache hits.")

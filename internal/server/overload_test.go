@@ -15,7 +15,7 @@ import (
 // the HTTP surface: once maintenance debt crosses the watermark, writes
 // get 429 + Retry-After while searches keep returning 200.
 func TestEngineOverloadMapsTo429(t *testing.T) {
-	s, ts, queries, ids := testServer(t, Config{DisableBatching: true, CacheSize: -1})
+	s, ts, queries, ids := testServer(t, Config{CacheSize: -1})
 	if err := s.eng.SetAdmission(must.AdmissionOptions{DebtWatermark: 0.10}); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestEngineOverloadMapsTo429(t *testing.T) {
 // budgets must be independent.
 func TestWriteAdmissionSeparateFromRead(t *testing.T) {
 	eng, queries, _ := testEngine(t, 200)
-	s := New(eng, Config{DisableBatching: true, CacheSize: -1, MaxInFlightWrites: 2})
+	s := New(eng, Config{CacheSize: -1, MaxInFlightWrites: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
@@ -112,7 +112,7 @@ func TestWriteAdmissionSeparateFromRead(t *testing.T) {
 // in /v1/stats (maintenance block) and /metrics (rebuild counters).
 func TestStatsAndMetricsMaintenanceBlock(t *testing.T) {
 	eng, _, ids := testEngine(t, 200)
-	s := New(eng, Config{DisableBatching: true, CacheSize: -1})
+	s := New(eng, Config{CacheSize: -1})
 	m := must.StartMaintenance(eng, must.MaintenanceOptions{
 		Interval:           2 * time.Millisecond,
 		MinRebuildGap:      time.Millisecond,

@@ -26,14 +26,6 @@ func markPartial(out []*must.Response) {
 	}
 }
 
-func (p *partialService) Search(ctx context.Context, q must.Query) (*must.Response, error) {
-	r, err := p.Service.Search(ctx, q)
-	if err == nil {
-		markPartial([]*must.Response{r})
-	}
-	return r, err
-}
-
 func (p *partialService) SearchEach(ctx context.Context, queries []must.Query, workers int) ([]*must.Response, []error) {
 	out, errs := p.Service.SearchEach(ctx, queries, workers)
 	markPartial(out)
@@ -51,61 +43,53 @@ func (p *panickyService) SearchEach(ctx context.Context, queries []must.Query, w
 }
 
 func TestServerPartialResponse(t *testing.T) {
-	for _, batching := range []bool{true, false} {
-		name := "batched"
-		if !batching {
-			name = "direct"
-		}
-		t.Run(name, func(t *testing.T) {
-			eng, queries, _ := testEngine(t, 200)
-			s := New(&partialService{eng}, Config{DisableBatching: !batching})
-			ts := httptest.NewServer(s.Handler())
-			defer func() { ts.Close(); s.Close() }()
+	eng, queries, _ := testEngine(t, 200)
+	s := New(&partialService{eng}, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
 
-			resp, data := postJSON(t, ts.URL+"/v1/search", searchBody(queries[0]))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("degraded search must still be 200, got %d %s", resp.StatusCode, data)
-			}
-			var sr SearchResponse
-			if err := json.Unmarshal(data, &sr); err != nil {
-				t.Fatal(err)
-			}
-			if !sr.Partial {
-				t.Fatalf("partial flag not plumbed to JSON: %s", data)
-			}
-			if len(sr.ShardErrors) != 1 || sr.ShardErrors[0].Shard != 2 || sr.ShardErrors[0].Err != "injected shard failure" {
-				t.Fatalf("shard_errors = %+v", sr.ShardErrors)
-			}
-			if len(sr.Matches) == 0 {
-				t.Fatal("no matches in partial response")
-			}
+	resp, data := postJSON(t, ts.URL+"/v1/search", searchBody(queries[0]))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("degraded search must still be 200, got %d %s", resp.StatusCode, data)
+	}
+	var sr SearchResponse
+	if err := json.Unmarshal(data, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if !sr.Partial {
+		t.Fatalf("partial flag not plumbed to JSON: %s", data)
+	}
+	if len(sr.ShardErrors) != 1 || sr.ShardErrors[0].Shard != 2 || sr.ShardErrors[0].Err != "injected shard failure" {
+		t.Fatalf("shard_errors = %+v", sr.ShardErrors)
+	}
+	if len(sr.Matches) == 0 {
+		t.Fatal("no matches in partial response")
+	}
 
-			// Partial responses must not be cached: the same request again
-			// is re-answered by the engine, not the cache.
-			resp2, data2 := postJSON(t, ts.URL+"/v1/search", searchBody(queries[0]))
-			var sr2 SearchResponse
-			if err := json.Unmarshal(data2, &sr2); err != nil {
-				t.Fatal(err)
-			}
-			if resp2.StatusCode != http.StatusOK || sr2.Cached {
-				t.Fatalf("partial response was cached (status %d, cached=%v)", resp2.StatusCode, sr2.Cached)
-			}
+	// Partial responses must not be cached: the same request again
+	// is re-answered by the engine, not the cache.
+	resp2, data2 := postJSON(t, ts.URL+"/v1/search", searchBody(queries[0]))
+	var sr2 SearchResponse
+	if err := json.Unmarshal(data2, &sr2); err != nil {
+		t.Fatal(err)
+	}
+	if resp2.StatusCode != http.StatusOK || sr2.Cached {
+		t.Fatalf("partial response was cached (status %d, cached=%v)", resp2.StatusCode, sr2.Cached)
+	}
 
-			// The counter and stats surface both report the two degraded
-			// answers.
-			_, metrics := getBody(t, ts.URL+"/metrics")
-			if !strings.Contains(string(metrics), "must_partial_results_total 2") {
-				t.Fatalf("metrics missing must_partial_results_total 2:\n%s", metrics)
-			}
-			_, stats := getBody(t, ts.URL+"/v1/stats")
-			var st StatsResponse
-			if err := json.Unmarshal(stats, &st); err != nil {
-				t.Fatal(err)
-			}
-			if st.Server.PartialResults != 2 {
-				t.Fatalf("stats partial_results = %d, want 2", st.Server.PartialResults)
-			}
-		})
+	// The counter and stats surface both report the two degraded
+	// answers.
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	if !strings.Contains(string(metrics), "must_partial_results_total 2") {
+		t.Fatalf("metrics missing must_partial_results_total 2:\n%s", metrics)
+	}
+	_, stats := getBody(t, ts.URL+"/v1/stats")
+	var st StatsResponse
+	if err := json.Unmarshal(stats, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Server.PartialResults != 2 {
+		t.Fatalf("stats partial_results = %d, want 2", st.Server.PartialResults)
 	}
 }
 

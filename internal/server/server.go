@@ -13,19 +13,16 @@ import (
 )
 
 // Config tunes the serving tier; the zero value gets production-shaped
-// defaults (batching on, 64×1ms coalescing, 4096-entry cache, 256
-// in-flight requests, 2s default / 30s max per-request timeout).
+// defaults (batches of up to 64 on GOMAXPROCS engine slots, 4096-entry
+// cache, 256 in-flight requests, 2s default / 30s max per-request
+// timeout).
 type Config struct {
 	// MaxBatch is the largest coalesced engine batch (default 64).
 	MaxBatch int
-	// BatchDelay is the longest a request waits for companions before
-	// its batch dispatches anyway (default 1ms).
-	BatchDelay time.Duration
-	// BatchWorkers bounds the engine workers per batch (0 = GOMAXPROCS).
+	// BatchWorkers is the number of engine slots searches are dispatched
+	// onto: a request runs at once while one is free and coalesces with
+	// its neighbours only while all are busy (0 = GOMAXPROCS).
 	BatchWorkers int
-	// DisableBatching serves every search with a direct engine call —
-	// the per-request dispatch path the load driver compares against.
-	DisableBatching bool
 	// CacheSize is the result-cache capacity in responses (default
 	// 4096; negative disables the cache).
 	CacheSize int
@@ -46,9 +43,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.BatchDelay <= 0 {
-		c.BatchDelay = time.Millisecond
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
@@ -114,9 +108,7 @@ func New(eng must.Service, cfg Config) *Server {
 	for i, m := range s.schema {
 		s.byName[m.Name] = i
 	}
-	if !cfg.DisableBatching {
-		s.batcher = newBatcher(eng, cfg.MaxBatch, cfg.BatchDelay, cfg.BatchWorkers, s.metrics.ObserveBatch, s.metrics.ObserveBatchPanic)
-	}
+	s.batcher = newBatcher(eng, cfg.MaxBatch, cfg.BatchWorkers, s.metrics)
 	mux := http.NewServeMux()
 	mux.Handle("/v1/search", s.endpoint("search", http.MethodPost, admitRead, s.handleSearch))
 	mux.Handle("/v1/insert", s.endpoint("insert", http.MethodPost, admitWrite, s.handleInsert))
@@ -149,11 +141,7 @@ func (s *Server) StartDraining() { s.draining.Store(true) }
 
 // Close stops the batcher after serving everything it already
 // accepted. Call after http.Server.Shutdown has drained the handlers.
-func (s *Server) Close() {
-	if s.batcher != nil {
-		s.batcher.Close()
-	}
-}
+func (s *Server) Close() { s.batcher.Close() }
 
 // validateSearch checks a request against the schema so malformed
 // requests fail 400 deterministically before touching the engine.
@@ -217,24 +205,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	epoch := s.eng.Epoch()
 	if !req.NoCache {
 		if resp, ok := s.cache.Get(key, epoch); ok {
-			writeJSON(w, s.searchResponse(resp, start, 0, true))
+			writeJSON(w, s.searchResponse(resp, start, 0, 0, true))
 			return
 		}
 	}
 
-	var (
-		resp *must.Response
-		size int
-		err  error
-	)
-	if s.batcher != nil {
-		resp, size, err = s.batcher.Search(ctx, q)
-	} else {
-		resp, err = s.eng.Search(ctx, q)
-		if err == nil {
-			size = 1
-		}
-	}
+	resp, size, queued, err := s.batcher.Search(ctx, q)
 	if err != nil {
 		s.writeSearchError(w, err)
 		return
@@ -247,11 +223,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.cache.Put(key, epoch, resp)
 	}
-	writeJSON(w, s.searchResponse(resp, start, size, false))
+	writeJSON(w, s.searchResponse(resp, start, size, queued, false))
 }
 
 // searchResponse converts an engine response into the wire shape.
-func (s *Server) searchResponse(resp *must.Response, start time.Time, batchSize int, cached bool) *SearchResponse {
+func (s *Server) searchResponse(resp *must.Response, start time.Time, batchSize int, queued time.Duration, cached bool) *SearchResponse {
 	matches := make([]SearchMatch, len(resp.Matches))
 	for i, m := range resp.Matches {
 		matches[i] = SearchMatch{ID: m.ID, Similarity: m.Similarity, ByModality: m.ByModality}
@@ -262,6 +238,7 @@ func (s *Server) searchResponse(resp *must.Response, start time.Time, batchSize 
 		EngineTimeMS: float64(resp.Latency) / float64(time.Millisecond),
 		Cached:       cached,
 		BatchSize:    batchSize,
+		QueueMS:      float64(queued) / float64(time.Millisecond),
 		Partial:      resp.Partial,
 		ShardErrors:  resp.ShardErrors,
 		Stats: SearchWork{

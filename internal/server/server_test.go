@@ -89,6 +89,10 @@ func TestServerSearchEndToEnd(t *testing.T) {
 	if sr.Stats.Hops == 0 {
 		t.Fatal("routing stats missing")
 	}
+	if sr.BatchSize != 1 || sr.QueueMS <= 0 || sr.QueueMS > sr.QueryTimeMS {
+		t.Fatalf("lone search on an idle server: batch_size %d, queue_ms %v of query_time_ms %v",
+			sr.BatchSize, sr.QueueMS, sr.QueryTimeMS)
+	}
 
 	// Second identical request: served from cache.
 	resp, data = postJSON(t, ts.URL+"/v1/search", searchBody(queries[0]))
@@ -99,8 +103,8 @@ func TestServerSearchEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(data, &sr2); err != nil {
 		t.Fatal(err)
 	}
-	if !sr2.Cached {
-		t.Fatal("identical request missed the cache")
+	if !sr2.Cached || sr2.BatchSize != 0 || sr2.QueueMS != 0 {
+		t.Fatalf("identical request missed the cache or reports a batch: %s", data)
 	}
 	if sr2.Matches[0].ID != sr.Matches[0].ID {
 		t.Fatal("cached response differs")
@@ -295,6 +299,7 @@ func TestServerStatsAndMetrics(t *testing.T) {
 		"mustd_cache_hits_total 1",
 		"mustd_engine_objects 500",
 		"mustd_batch_size_sum",
+		"must_batch_queue_seconds_count 1\n", // the cache hit never queued
 		"mustd_in_flight_requests",
 	} {
 		if !strings.Contains(text, want) {
@@ -355,54 +360,52 @@ func TestServerValidationAndMethods(t *testing.T) {
 }
 
 func TestServerAdmissionControl(t *testing.T) {
-	// MaxInFlight 2 with a slow batch window: hammer with concurrent
-	// requests and require at least one 429 with Retry-After, while
-	// admitted requests succeed.
-	_, ts, queries, _ := testServer(t, Config{
-		MaxInFlight: 2,
-		BatchDelay:  20 * time.Millisecond,
-		CacheSize:   -1, // cache off so every request takes the slow path
+	// MaxInFlight 2 over an engine the test holds: once two searches are
+	// inside the engine, both admission slots are taken, so every further
+	// request is shed with 429 + Retry-After while the admitted two still
+	// succeed.
+	eng, queries, _ := testEngine(t, 500)
+	svc := newHeldService(eng)
+	s := New(svc, Config{
+		MaxInFlight:  2,
+		BatchWorkers: 2,  // both admitted requests reach the engine
+		CacheSize:    -1, // every request reaches the batcher
 	})
-	const clients = 16
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
+
 	var wg sync.WaitGroup
-	codes := make([]int, clients)
-	retryAfter := make([]string, clients)
-	for c := 0; c < clients; c++ {
+	admitted := make([]int, 2)
+	for c := range admitted {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			raw, _ := json.Marshal(searchBody(queries[c%len(queries)]))
+			raw, _ := json.Marshal(searchBody(queries[c]))
 			resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(raw))
 			if err != nil {
-				codes[c] = -1
+				t.Error(err)
 				return
 			}
-			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			codes[c] = resp.StatusCode
-			retryAfter[c] = resp.Header.Get("Retry-After")
+			admitted[c] = resp.StatusCode
 		}(c)
+		<-svc.entered // in the engine, holding an admission slot
 	}
-	wg.Wait()
-	ok, shed := 0, 0
-	for c, code := range codes {
-		switch code {
-		case http.StatusOK:
-			ok++
-		case http.StatusTooManyRequests:
-			shed++
-			if retryAfter[c] == "" {
-				t.Error("429 without Retry-After")
-			}
-		default:
-			t.Errorf("client %d: unexpected status %d", c, code)
+	for c := 2; c < 6; c++ {
+		resp, data := postJSON(t, ts.URL+"/v1/search", searchBody(queries[c]))
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("request %d beyond MaxInFlight=2: %d %s, want 429", c, resp.StatusCode, data)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Error("429 without Retry-After")
 		}
 	}
-	if ok == 0 {
-		t.Error("no request was admitted")
-	}
-	if shed == 0 {
-		t.Error("no request was shed despite MaxInFlight=2 and 16 clients")
+	close(svc.release)
+	wg.Wait()
+	for c, code := range admitted {
+		if code != http.StatusOK {
+			t.Errorf("admitted request %d: status %d", c, code)
+		}
 	}
 }
 

@@ -51,6 +51,9 @@ out=$(curl -sf -X POST "http://$addr/v1/search" -d "$search")
 echo "$out" | grep -q '"matches"' || fail "search returned no matches: $out"
 echo "$out" | grep -q '"by_modality"' || fail "per-modality breakdown missing: $out"
 echo "$out" | grep -q '"query_time_ms"' || fail "query_time_ms missing: $out"
+# A lone search on an idle daemon finds an engine slot free: it is
+# dispatched by itself, with no coalescing wait.
+echo "$out" | grep -q '"batch_size":1[,}]' || fail "lone search on an idle daemon did not run alone: $out"
 
 # The identical repeat must come from the result cache.
 curl -sf -X POST "http://$addr/v1/search" -d "$search" | grep -q '"cached":true' \
