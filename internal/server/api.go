@@ -53,6 +53,9 @@ type SearchResponse struct {
 	EngineTimeMS float64 `json:"engine_time_ms"`
 	// Cached reports the response was served from the result cache.
 	Cached bool `json:"cached,omitempty"`
+	// DecodeMS is the time spent reading and parsing the request body,
+	// in milliseconds; on a cache hit it is most of QueryTimeMS.
+	DecodeMS float64 `json:"decode_ms,omitempty"`
 	// BatchSize is how many requests shared the engine batch that served
 	// this one: 1 when an engine slot was free on arrival, more when the
 	// request queued behind busy slots (absent when cached).

@@ -1,7 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -66,4 +71,104 @@ func BenchmarkServePipeline(b *testing.B) {
 			}
 		})
 	})
+}
+
+// clipFixture is a small engine on the CLIP-scale schema of the ladder
+// (image:512,text:256) and one search body for it as json.Marshal
+// writes it, ~10 KB: request decode cost scales with the embedding
+// dimension, not with the corpus, so 256 objects are enough.
+var (
+	clipOnce sync.Once
+	clipEng  *must.Engine
+	clipBody []byte
+)
+
+func clipSetup(b *testing.B) (*must.Engine, []byte) {
+	b.Helper()
+	clipOnce.Do(func() {
+		rng := rand.New(rand.NewSource(7))
+		eng, err := must.NewEngine(must.Schema{
+			{Name: "image", Dim: 512},
+			{Name: "text", Dim: 256},
+		}, must.EngineOptions{Build: must.BuildOptions{Gamma: 12, Seed: 5}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 256; i++ {
+			if _, err := eng.Insert(must.NamedVectors{"image": randVec(rng, 512), "text": randVec(rng, 256)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := eng.Build(); err != nil {
+			b.Fatal(err)
+		}
+		q, err := eng.Object(3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		clipEng = eng
+		if clipBody, err = json.Marshal(SearchRequest{Vectors: q, K: 10, L: 160}); err != nil {
+			b.Fatal(err)
+		}
+	})
+	return clipEng, clipBody
+}
+
+// BenchmarkDecodeSearchRequest is the parse alone, on a body already in
+// memory: the fast scan against the encoding/json decoder it falls back
+// to.
+func BenchmarkDecodeSearchRequest(b *testing.B) {
+	_, body := clipSetup(b)
+	b.Run("fast", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			if _, ok := scanSearch(body); !ok {
+				b.Fatal("fast scan declined a json.Marshal body")
+			}
+		}
+	})
+	b.Run("std", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			var req SearchRequest
+			if err := decodeStd(body, &req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkHandleSearch is one /v1/search through the whole handler
+// stack on a recorder (no socket): hit is answered from the result
+// cache, so it is body read + decode + cache key + response encode;
+// miss has the cache disabled and adds the batcher and the engine.
+func BenchmarkHandleSearch(b *testing.B) {
+	eng, body := clipSetup(b)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"hit", Config{}},
+		{"miss", Config{CacheSize: -1}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			s := New(eng, tc.cfg)
+			defer s.Close()
+			h := s.Handler()
+			serve := func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("search: %d %s", rec.Code, rec.Body)
+				}
+			}
+			serve() // fills the cache for hit
+			b.ReportAllocs()
+			for b.Loop() {
+				serve()
+			}
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -149,29 +150,34 @@ func (c *resultCache) Counters() (hits, misses uint64) {
 // scalar parameters, then weight overrides sorted by name, then vectors
 // sorted by name with raw IEEE-754 bits. Two requests that search
 // identically always produce the same key; any parameter that changes
-// results changes the key. Requests that cannot be canonicalized (none
-// today) would return ok=false.
+// results changes the key. The key (~3 KB at 768 dimensions) is computed
+// on every search, hit or miss, so it is written once into a builder
+// grown to its exact size: no regrowth and no []byte-to-string copy.
 func cacheKey(req *SearchRequest) string {
 	names := make([]string, 0, len(req.Vectors))
-	for name := range req.Vectors {
+	size := 6 * 4 // k, l, patience, flags, two counts
+	for name, v := range req.Vectors {
 		names = append(names, name)
+		size += 4 + len(name) + 4 + 4*len(v)
 	}
 	sort.Strings(names)
-
-	size := 16
-	for _, name := range names {
-		size += len(name) + 8 + 4*len(req.Vectors[name])
+	wnames := make([]string, 0, len(req.Weights))
+	for name := range req.Weights {
+		wnames = append(wnames, name)
+		size += 4 + len(name) + 4
 	}
-	b := make([]byte, 0, size+16*len(req.Weights))
-	var scratch [8]byte
+	sort.Strings(wnames)
 
+	var b strings.Builder
+	b.Grow(size)
+	var scratch [4]byte
 	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		b = append(b, scratch[:4]...)
+		binary.LittleEndian.PutUint32(scratch[:], v)
+		b.Write(scratch[:])
 	}
 	str := func(s string) {
 		u32(uint32(len(s)))
-		b = append(b, s...)
+		b.WriteString(s)
 	}
 
 	u32(uint32(req.K))
@@ -183,11 +189,6 @@ func cacheKey(req *SearchRequest) string {
 	}
 	u32(flags)
 
-	wnames := make([]string, 0, len(req.Weights))
-	for name := range req.Weights {
-		wnames = append(wnames, name)
-	}
-	sort.Strings(wnames)
 	u32(uint32(len(wnames)))
 	for _, name := range wnames {
 		str(name)
@@ -203,5 +204,5 @@ func cacheKey(req *SearchRequest) string {
 			u32(math.Float32bits(x))
 		}
 	}
-	return string(b)
+	return b.String()
 }

@@ -15,10 +15,10 @@ import (
 
 // Metrics is a dependency-free Prometheus registry scoped to what mustd
 // exports: request counters by endpoint and status code, latency
-// histograms by endpoint, the batch-size and batch-queue-wait
-// histograms, cache and admission counters, and engine gauges sampled
-// at scrape time. All increments are atomic; the only lock guards lazy
-// counter creation.
+// histograms by endpoint, the batch-size, batch-queue-wait and
+// body-decode histograms, cache and admission counters, and engine
+// gauges sampled at scrape time. All increments are atomic; the only
+// lock guards lazy counter creation.
 type Metrics struct {
 	mu       sync.Mutex
 	requests map[requestKey]*atomic.Uint64
@@ -28,6 +28,13 @@ type Metrics struct {
 	queueWait      *histogram
 	batches        atomic.Uint64
 	batchedQueries atomic.Uint64
+
+	// decodeFast and decodeStd count request bodies by the decoder that
+	// produced the verdict: the fast scan, or encoding/json after the
+	// scan declined. decodeTime is body read + parse for either.
+	decodeFast atomic.Uint64
+	decodeStd  atomic.Uint64
+	decodeTime *histogram
 
 	inFlight atomic.Int64
 	rejected atomic.Uint64
@@ -54,6 +61,10 @@ var latencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
+
+// decodeBuckets start at 10µs: the fast scan decodes a 768-d body in
+// ~50µs, inside the first latency bucket.
+var decodeBuckets = append([]float64{0.00001, 0.000025, 0.00005}, latencyBuckets...)
 
 // batchBuckets are upper bounds on the coalesced batch size.
 var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
@@ -93,10 +104,11 @@ func (h *histogram) sum() float64 { return math.Float64frombits(h.sumBits.Load()
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		requests:  make(map[requestKey]*atomic.Uint64),
-		latency:   make(map[string]*histogram),
-		batchSize: newHistogram(batchBuckets),
-		queueWait: newHistogram(latencyBuckets),
+		requests:   make(map[requestKey]*atomic.Uint64),
+		latency:    make(map[string]*histogram),
+		batchSize:  newHistogram(batchBuckets),
+		queueWait:  newHistogram(latencyBuckets),
+		decodeTime: newHistogram(decodeBuckets),
 	}
 }
 
@@ -116,6 +128,17 @@ func (m *Metrics) ObserveBatch(size int) {
 // ObserveQueueWait records how long one query queued in the batcher
 // between enqueue and its batch's dispatch.
 func (m *Metrics) ObserveQueueWait(d time.Duration) { m.queueWait.observe(d.Seconds()) }
+
+// ObserveDecode records one request body read and parsed in d; fast
+// says the fast scan accepted it, otherwise encoding/json decided.
+func (m *Metrics) ObserveDecode(fast bool, d time.Duration) {
+	if fast {
+		m.decodeFast.Add(1)
+	} else {
+		m.decodeStd.Add(1)
+	}
+	m.decodeTime.observe(d.Seconds())
+}
 
 func (m *Metrics) requestCounter(endpoint string, code int) *atomic.Uint64 {
 	key := requestKey{endpoint, code}
@@ -201,6 +224,14 @@ func (m *Metrics) WritePrometheus(w io.Writer, eng must.Service, cache *resultCa
 	fmt.Fprintln(w, "# HELP must_batch_queue_seconds Time a search queued in the batcher before its batch was dispatched.")
 	fmt.Fprintln(w, "# TYPE must_batch_queue_seconds histogram")
 	writeHistogram(w, "must_batch_queue_seconds", "", m.queueWait)
+
+	fmt.Fprintln(w, "# HELP must_decode_total Request bodies decoded, by path: the fast scan, or encoding/json after the scan declined.")
+	fmt.Fprintln(w, "# TYPE must_decode_total counter")
+	fmt.Fprintf(w, "must_decode_total{path=\"fast\"} %d\n", m.decodeFast.Load())
+	fmt.Fprintf(w, "must_decode_total{path=\"std\"} %d\n", m.decodeStd.Load())
+	fmt.Fprintln(w, "# HELP must_decode_seconds Time to read and parse a request body.")
+	fmt.Fprintln(w, "# TYPE must_decode_seconds histogram")
+	writeHistogram(w, "must_decode_seconds", "", m.decodeTime)
 
 	hits, misses := cache.Counters()
 	fmt.Fprintln(w, "# HELP mustd_cache_hits_total Result-cache hits.")

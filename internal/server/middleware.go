@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"time"
 )
@@ -84,27 +83,6 @@ func (s *Server) endpoint(name, method string, class admitClass, h http.HandlerF
 		h(rec, r)
 	})
 }
-
-// maxBodyBytes bounds request bodies (a 1M-object bulk insert belongs
-// in the bulk-load CLI, not one HTTP request).
-const maxBodyBytes = 32 << 20
-
-// decodeJSON strictly decodes one JSON document from the request body:
-// unknown fields and trailing garbage are errors, so client typos fail
-// loudly instead of silently searching with defaults.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errTrailingBody
-	}
-	return nil
-}
-
-var errTrailingBody = errors.New("request body has trailing data after the JSON document")
 
 // writeError emits the uniform JSON error body.
 func writeError(w http.ResponseWriter, code int, msg string) {

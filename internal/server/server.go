@@ -171,9 +171,8 @@ func (s *Server) validateSearch(req *SearchRequest) error {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req SearchRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	req, decoded, ok := decodeRequest(s, w, r, scanSearch)
+	if !ok {
 		return
 	}
 	if err := s.validateSearch(&req); err != nil {
@@ -205,7 +204,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	epoch := s.eng.Epoch()
 	if !req.NoCache {
 		if resp, ok := s.cache.Get(key, epoch); ok {
-			writeJSON(w, s.searchResponse(resp, start, 0, 0, true))
+			writeJSON(w, s.searchResponse(resp, start, decoded, 0, 0, true))
 			return
 		}
 	}
@@ -223,11 +222,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.cache.Put(key, epoch, resp)
 	}
-	writeJSON(w, s.searchResponse(resp, start, size, queued, false))
+	writeJSON(w, s.searchResponse(resp, start, decoded, size, queued, false))
 }
 
 // searchResponse converts an engine response into the wire shape.
-func (s *Server) searchResponse(resp *must.Response, start time.Time, batchSize int, queued time.Duration, cached bool) *SearchResponse {
+func (s *Server) searchResponse(resp *must.Response, start time.Time, decoded time.Duration, batchSize int, queued time.Duration, cached bool) *SearchResponse {
 	matches := make([]SearchMatch, len(resp.Matches))
 	for i, m := range resp.Matches {
 		matches[i] = SearchMatch{ID: m.ID, Similarity: m.Similarity, ByModality: m.ByModality}
@@ -237,6 +236,7 @@ func (s *Server) searchResponse(resp *must.Response, start time.Time, batchSize 
 		QueryTimeMS:  float64(time.Since(start)) / float64(time.Millisecond),
 		EngineTimeMS: float64(resp.Latency) / float64(time.Millisecond),
 		Cached:       cached,
+		DecodeMS:     float64(decoded) / float64(time.Millisecond),
 		BatchSize:    batchSize,
 		QueueMS:      float64(queued) / float64(time.Millisecond),
 		Partial:      resp.Partial,
@@ -275,9 +275,8 @@ func (s *Server) writeSearchError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	var req InsertRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	req, _, ok := decodeRequest(s, w, r, scanInsert)
+	if !ok {
 		return
 	}
 	objects := req.Objects
@@ -313,9 +312,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req DeleteRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	req, _, ok := decodeRequest(s, w, r, scanDelete)
+	if !ok {
 		return
 	}
 	if len(req.IDs) == 0 {

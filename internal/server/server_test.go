@@ -93,6 +93,9 @@ func TestServerSearchEndToEnd(t *testing.T) {
 		t.Fatalf("lone search on an idle server: batch_size %d, queue_ms %v of query_time_ms %v",
 			sr.BatchSize, sr.QueueMS, sr.QueryTimeMS)
 	}
+	if sr.DecodeMS <= 0 || sr.DecodeMS+sr.QueueMS > sr.QueryTimeMS {
+		t.Fatalf("decode_ms %v (+ queue_ms %v) of query_time_ms %v", sr.DecodeMS, sr.QueueMS, sr.QueryTimeMS)
+	}
 
 	// Second identical request: served from cache.
 	resp, data = postJSON(t, ts.URL+"/v1/search", searchBody(queries[0]))
@@ -108,6 +111,10 @@ func TestServerSearchEndToEnd(t *testing.T) {
 	}
 	if sr2.Matches[0].ID != sr.Matches[0].ID {
 		t.Fatal("cached response differs")
+	}
+	// A hit skips the batcher but not the decoder.
+	if sr2.DecodeMS <= 0 || sr2.DecodeMS > sr2.QueryTimeMS {
+		t.Fatalf("cache hit: decode_ms %v of query_time_ms %v", sr2.DecodeMS, sr2.QueryTimeMS)
 	}
 }
 
@@ -300,6 +307,9 @@ func TestServerStatsAndMetrics(t *testing.T) {
 		"mustd_engine_objects 500",
 		"mustd_batch_size_sum",
 		"must_batch_queue_seconds_count 1\n", // the cache hit never queued
+		"must_decode_seconds_count 2\n",      // but its body was decoded
+		`must_decode_total{path="fast"} 2`,
+		`must_decode_total{path="std"} 0`,
 		"mustd_in_flight_requests",
 	} {
 		if !strings.Contains(text, want) {

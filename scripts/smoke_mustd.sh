@@ -70,6 +70,25 @@ echo "$metrics" | grep -q 'mustd_engine_objects 8' || fail "metrics missing engi
   || fail "mustload run failed: $(cat "$workdir/load.log")"
 grep -q 'errors 0' "$workdir/load.log" || fail "load run saw errors: $(cat "$workdir/load.log")"
 
+# Request decoding: everything sent so far (curl bodies above, mustload's
+# json.Marshal bodies) was in the plain grammar the fast scan takes, and
+# so is a body spelled the way Python's json.dumps spells it. The same
+# query with an escaped key ("\u0069mage" is "image") is outside it:
+# encoding/json decodes that one, to the same answer.
+decoded() { curl -sf "http://$addr/metrics" | sed -n "s/^must_decode_total{path=\"$1\"} //p"; }
+matches() { echo "$1" | grep -o '"matches":\[[^]]*\]'; }
+fast0=$(decoded fast)
+[ "$(decoded std)" = 0 ] || fail "a smoke or mustload body missed the fast decoder: std=$(decoded std)"
+py='{"vectors": {"image": [0, 1, 0.0, 0, 0, 0, 0, 1e-05], "text": [0, 1.0, 0, 0]}, "k": 2, "no_cache": true}'
+out_py=$(curl -sf -X POST "http://$addr/v1/search" -d "$py") || fail "json.dumps-style search failed"
+[ "$(decoded fast)" = $((fast0 + 1)) ] && [ "$(decoded std)" = 0 ] \
+  || fail "json.dumps-style body was not decoded by the fast scan"
+out_esc=$(curl -sf -X POST "http://$addr/v1/search" -d "${py/\"image\"/\"\\u0069mage\"}") \
+  || fail "search with an escaped key failed"
+[ "$(decoded std)" = 1 ] || fail "escaped key did not go through encoding/json"
+[ -n "$(matches "$out_py")" ] && [ "$(matches "$out_py")" = "$(matches "$out_esc")" ] \
+  || fail "escaped-key search answered differently: $out_py vs $out_esc"
+
 # Graceful drain: SIGTERM → clean exit, 503 health during drain is
 # timing-dependent so only the exit path and snapshot are asserted.
 kill -TERM "$daemon_pid"
