@@ -187,6 +187,17 @@ func run(addr, schemaSpec, load, snapshot string, snapEvery time.Duration, gamma
 		eng = ds
 		log.Printf("wal open at %s (fsync=%s): replayed %d records in %v, %d objects",
 			walDir, fsyncPolicy, replayed, time.Since(start).Round(time.Millisecond), eng.Len())
+		// The operator's signal for a failed log: said once here, then in
+		// every write's 503, "poisoned" in /v1/stats and must_wal_poisoned.
+		walWatchStop := make(chan struct{})
+		defer close(walWatchStop)
+		go func() {
+			select {
+			case <-ds.Failed():
+				log.Printf("ERROR: %v — writes get 503 and searches keep serving; restart mustd to replay the log", ds.Err())
+			case <-walWatchStop:
+			}
+		}()
 	}
 	// A v5 snapshot restores already quantized; -sq8 additionally covers
 	// fresh engines and (re)pins the re-rank depth, which is a serving

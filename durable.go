@@ -2,6 +2,7 @@ package must
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -13,29 +14,37 @@ import (
 )
 
 // DurableService wraps any Service with a write-ahead log: every insert,
-// delete, and (re)build is applied to the engine and then logged (and,
-// under wal.SyncAlways, fsynced) before the call returns. After a crash,
-// OpenDurable replays the log on top of the newest snapshot, restoring
-// exactly the acked state.
+// delete, and (re)build is applied to the engine and logged, and the
+// call returns — the ack — only once its record is on stable storage
+// (under wal.SyncAlways; the other policies ack after the write). After
+// a crash, OpenDurable replays the log on top of the newest snapshot,
+// restoring exactly the acked state.
 //
 // Records carry the engine's mutation epoch after the record applied,
 // and snapshots (MUSTEG2) persist their epoch — so replay skips records
 // the snapshot already captured, and stale WAL segments left behind by a
 // failed truncation are harmless.
 //
-// A mutation whose WAL append fails is NOT acked and poisons the
-// service: all further mutations are rejected until restart. This is
-// what keeps "acked" and "recoverable" the same set — the in-memory
-// engine may be one un-acked mutation ahead of the log, and accepting
-// more writes on top would let replay diverge (ID assignment is
-// positional).
+// A mutation applies and writes its record under one internal mutex, so
+// log order is apply order is ID order (IDs are positional); it waits
+// for the fsync after releasing it. The fsync is a group commit
+// (wal.Log.Commit): while one writer's fsync is in flight the next
+// writers apply and log, and a single fsync then covers all of them —
+// writers never queue behind each other's disk flush. Snapshots take
+// the same mutex, which is what makes a snapshot's epoch exact;
+// searches are untouched and run concurrently. Weight changes
+// (SetWeights, LearnWeights) and EnableQuantization are serialized but
+// NOT logged — they become durable at the next snapshot, matching their
+// role as control-plane settings rather than corpus mutations.
 //
-// Mutations, snapshots, and (re)builds serialize on one internal mutex
-// so log order always matches apply order; searches are untouched and
-// run concurrently. Weight changes (SetWeights, LearnWeights) and
-// EnableQuantization are serialized but NOT logged — they become
-// durable at the next snapshot, matching their role as control-plane
-// settings rather than corpus mutations.
+// A mutation whose WAL write or fsync fails is NOT acked and poisons the
+// service: it, every mutation still waiting for its fsync, and every
+// later one fail with an error wrapping ErrWALFailed until restart.
+// This is what keeps the acked set inside the recoverable one — the
+// acked mutations are always a prefix of the durable log. The in-memory
+// engine may be ahead of that prefix by the mutations in flight when the
+// disk failed (one per concurrent writer), which is why nothing more is
+// accepted on top: replay would diverge.
 type DurableService struct {
 	Service // reads and searches delegate to the wrapped engine
 
@@ -44,7 +53,14 @@ type DurableService struct {
 	mu       sync.Mutex
 	log      *wal.Log
 	poisoned error
+	failed   chan struct{} // closed when poisoned is set
 }
+
+// ErrWALFailed is wrapped by every error a poisoned DurableService
+// returns: the log could not be written or fsynced, so the service
+// rejects writes until it is restarted and the log replayed. It is the
+// server's fault, not the caller's.
+var ErrWALFailed = errors.New("must: wal append failed")
 
 // DurableOptions configures OpenDurable.
 type DurableOptions struct {
@@ -106,7 +122,7 @@ func OpenDurable(svc Service, dir string, dopts DurableOptions) (*DurableService
 	if fs == nil {
 		fs = faultfs.OS
 	}
-	return &DurableService{Service: svc, fs: fs, log: l}, replayed, nil
+	return &DurableService{Service: svc, fs: fs, log: l, failed: make(chan struct{})}, replayed, nil
 }
 
 // applyRecord re-applies one logged mutation during recovery.
@@ -145,84 +161,124 @@ func applyRecord(svc Service, rec wal.Record) error {
 	return fmt.Errorf("must: unknown wal op %d", rec.Op)
 }
 
-// logRecord appends one record for a mutation that just applied. Caller
-// holds d.mu, so Epoch() is exactly the post-apply epoch.
-func (d *DurableService) logRecord(op wal.Op, data []byte) error {
-	err := d.log.Append(wal.Record{Op: op, Epoch: d.Service.Epoch(), Data: data})
-	if err != nil {
-		d.poisoned = fmt.Errorf("must: wal append failed; rejecting writes until restart: %w", err)
+// mutate runs one logged mutation: poison check, apply and WAL write
+// under d.mu — Epoch() there is exactly the post-apply epoch — then the
+// wait for the fsync with d.mu released, so the next writer applies and
+// logs while this one's fsync is in flight and shares the one after it.
+func (d *DurableService) mutate(op wal.Op, data []byte, apply func() error) error {
+	d.mu.Lock()
+	if d.poisoned != nil {
+		d.mu.Unlock()
 		return d.poisoned
+	}
+	if err := apply(); err != nil {
+		d.mu.Unlock()
+		return err
+	}
+	lsn, err := d.log.Write(wal.Record{Op: op, Epoch: d.Service.Epoch(), Data: data})
+	if err != nil {
+		err = d.poisonLocked(err)
+	}
+	d.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err := d.log.Commit(lsn); err != nil {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.poisonLocked(err)
 	}
 	return nil
 }
 
-func (d *DurableService) Insert(v NamedVectors) (int64, error) {
-	data := encodeNamed(d.Service.Schema(), v)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.poisoned != nil {
-		return 0, d.poisoned
+// poisonLocked records the first WAL failure and returns the poison
+// error. Caller holds d.mu.
+func (d *DurableService) poisonLocked(cause error) error {
+	if d.poisoned == nil {
+		d.poisoned = fmt.Errorf("%w; rejecting writes until restart: %w", ErrWALFailed, cause)
+		close(d.failed)
 	}
-	id, err := d.Service.Insert(v)
-	if err != nil {
-		return 0, err
-	}
-	return id, d.logRecord(wal.OpInsert, data)
+	return d.poisoned
 }
 
-func (d *DurableService) InsertObject(o Object) (int64, error) {
-	data := encodeObject(o)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.poisoned != nil {
-		return 0, d.poisoned
+// Failed returns a channel that is closed when the service poisons
+// itself; Err then reports the cause.
+func (d *DurableService) Failed() <-chan struct{} { return d.failed }
+
+// Err returns the poison error, or nil while the service accepts writes.
+// It takes no lock, so a stats scrape never waits behind a rebuild.
+func (d *DurableService) Err() error {
+	select {
+	case <-d.failed:
+		return d.poisoned // written once, before failed was closed
+	default:
+		return nil
 	}
-	id, err := d.Service.InsertObject(o)
-	if err != nil {
-		return 0, err
+}
+
+// WALStats is the write-ahead log's block of /v1/stats and /metrics.
+type WALStats struct {
+	// Records is the number of records logged since the log was opened.
+	Records uint64
+	// Fsyncs is the number of fsyncs of log data; under Fsync "always"
+	// Records/Fsyncs is the mean number of writes one fsync acked.
+	Fsyncs uint64
+	// FsyncSeconds is the total time spent in those fsyncs.
+	FsyncSeconds float64
+	// FsyncBounds are latency-bucket upper bounds in seconds and
+	// FsyncBuckets the (non-cumulative) fsync count in each.
+	FsyncBounds  []float64
+	FsyncBuckets []uint64
+	// Poisoned reports that a WAL failure has made the service reject
+	// writes until restart.
+	Poisoned bool
+}
+
+// WALStats reports the log's counters.
+func (d *DurableService) WALStats() WALStats {
+	st := d.log.Stats()
+	return WALStats{
+		Records:      st.Records,
+		Fsyncs:       st.Fsyncs,
+		FsyncSeconds: st.FsyncSeconds,
+		FsyncBounds:  st.FsyncBounds,
+		FsyncBuckets: st.FsyncBuckets,
+		Poisoned:     d.Err() != nil,
 	}
-	return id, d.logRecord(wal.OpInsert, data)
+}
+
+func (d *DurableService) Insert(v NamedVectors) (id int64, err error) {
+	data := encodeNamed(d.Service.Schema(), v)
+	err = d.mutate(wal.OpInsert, data, func() (err error) {
+		id, err = d.Service.Insert(v)
+		return err
+	})
+	return id, err
+}
+
+func (d *DurableService) InsertObject(o Object) (id int64, err error) {
+	err = d.mutate(wal.OpInsert, encodeObject(o), func() (err error) {
+		id, err = d.Service.InsertObject(o)
+		return err
+	})
+	return id, err
 }
 
 func (d *DurableService) Delete(id int64) error {
 	var data [8]byte
 	binary.LittleEndian.PutUint64(data[:], uint64(id))
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.poisoned != nil {
-		return d.poisoned
-	}
-	if err := d.Service.Delete(id); err != nil {
-		return err
-	}
-	return d.logRecord(wal.OpDelete, data[:])
+	return d.mutate(wal.OpDelete, data[:], func() error { return d.Service.Delete(id) })
 }
 
 // Build logs an OpRebuild record so that recovery can replay later
 // deletes (which require a built index) and reproduce the graph — builds
 // are bit-deterministic for a given corpus, weights, and seed.
 func (d *DurableService) Build() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.poisoned != nil {
-		return d.poisoned
-	}
-	if err := d.Service.Build(); err != nil {
-		return err
-	}
-	return d.logRecord(wal.OpRebuild, nil)
+	return d.mutate(wal.OpRebuild, nil, d.Service.Build)
 }
 
 func (d *DurableService) Rebuild() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.poisoned != nil {
-		return d.poisoned
-	}
-	if err := d.Service.Rebuild(); err != nil {
-		return err
-	}
-	return d.logRecord(wal.OpRebuild, nil)
+	return d.mutate(wal.OpRebuild, nil, d.Service.Rebuild)
 }
 
 // ShardCount reports the wrapped service's shard count, or 1 when it is
@@ -255,15 +311,7 @@ func (d *DurableService) RebuildShard(j int) error {
 	}
 	var data [4]byte
 	binary.LittleEndian.PutUint32(data[:], uint32(j))
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.poisoned != nil {
-		return d.poisoned
-	}
-	if err := sr.RebuildShard(j); err != nil {
-		return err
-	}
-	return d.logRecord(wal.OpRebuildShard, data[:])
+	return d.mutate(wal.OpRebuildShard, data[:], func() error { return sr.RebuildShard(j) })
 }
 
 func (d *DurableService) SetWeights(w Weights) error {
@@ -288,7 +336,9 @@ func (d *DurableService) LearnWeights(queries []NamedVectors, positives []int64,
 // parent-dir fsync) and then truncates the WAL — every record logged so
 // far has epoch ≤ the snapshot's, so they would be skipped on replay
 // anyway; dropping them just keeps recovery fast. Mutations block for
-// the duration, which is what makes the snapshot's epoch exact.
+// the duration, which is what makes the snapshot's epoch exact. Writers
+// still waiting for their fsync are acked by the truncation, which
+// settles the log first; their records are in the snapshot as well.
 //
 // A truncation failure after a successful snapshot is returned wrapped
 // so the caller can log-and-continue: the snapshot IS durable and stale

@@ -163,3 +163,61 @@ func TestFaultyRepeat(t *testing.T) {
 		t.Fatalf("after Clear: %v", err)
 	}
 }
+
+func TestFaultyHold(t *testing.T) {
+	dir := t.TempDir()
+	ffs := Wrap(OS)
+	boom := errors.New("held, then failed")
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{{"proceeds", nil}, {"fails", boom}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := ffs.Create(filepath.Join(dir, tc.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			hold := make(chan struct{})
+			before := len(ffs.Fired())
+			ffs.Inject(Fault{Op: OpSync, PathContains: tc.name, Hold: hold, Err: tc.err})
+			done := make(chan error, 1)
+			go func() { done <- f.Sync() }()
+			ffs.AwaitFired(before + 1) // Sync has matched the rule and is parked on hold
+			select {
+			case err := <-done:
+				t.Fatalf("held Sync returned %v before the hold was released", err)
+			default:
+			}
+			close(hold)
+			if err := <-done; !errors.Is(err, tc.err) {
+				t.Fatalf("released Sync = %v, want %v", err, tc.err)
+			}
+		})
+	}
+}
+
+func TestFaultyRuleWithoutErrOnlyCounts(t *testing.T) {
+	dir := t.TempDir()
+	ffs := Wrap(OS)
+	ffs.Inject(Fault{Op: OpWrite, Repeat: true})
+	path := filepath.Join(dir, "a")
+	f, err := ffs.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if n, err := f.Write([]byte("xy")); n != 2 || err != nil {
+			t.Fatalf("write %d = %d, %v", i, n, err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "xyxyxy" {
+		t.Fatalf("file holds %q, %v: a rule with neither Err nor Short must let writes through", got, err)
+	}
+	if fired := ffs.Fired(); len(fired) != 3 {
+		t.Fatalf("fired %d times, want 3: %v", len(fired), fired)
+	}
+}

@@ -29,12 +29,18 @@ const (
 // first match). Once a rule fires it is spent unless Repeat is set.
 //
 // What firing does depends on the fields:
+//   - Hold != nil: the operation first blocks until the channel is
+//     closed, then goes on as the other fields say — a slow disk a test
+//     releases when it chooses, so "what happens while an fsync is in
+//     flight" needs no sleeps.
 //   - Err != nil: the operation fails with Err. For OpWrite with
 //     Short > 0, the first Short bytes are written before the error —
 //     a torn write.
 //   - Err == nil and Short > 0 on OpWrite: the write persists only the
 //     first Short bytes but REPORTS full success — a lying kernel, the
 //     nastiest torn-write variant.
+//   - Neither: the operation proceeds normally; the rule only delays
+//     (Hold) or counts (Fired) it.
 //
 // Faults on OpWrite/OpSync/OpClose apply to files whose path matched at
 // open time.
@@ -45,6 +51,15 @@ type Fault struct {
 	Err          error
 	Short        int
 	Repeat       bool
+	Hold         chan struct{}
+}
+
+// fire applies a matched rule's Hold and returns its Err.
+func (r *Fault) fire() error {
+	if r.Hold != nil {
+		<-r.Hold
+	}
+	return r.Err
 }
 
 // Faulty wraps an FS and injects faults per a rule list. Safe for
@@ -54,13 +69,16 @@ type Faulty struct {
 
 	mu    sync.Mutex
 	rules []*Fault
-	log   []string // fired-rule descriptions, for test assertions
+	log   []string   // fired-rule descriptions, for test assertions
+	fired *sync.Cond // signalled on every append to log
 }
 
 // Wrap returns a Faulty over inner with no rules (pure passthrough
 // until Inject is called).
 func Wrap(inner FS) *Faulty {
-	return &Faulty{inner: inner}
+	f := &Faulty{inner: inner}
+	f.fired = sync.NewCond(&f.mu)
+	return f
 }
 
 // Inject adds a rule. The same *Fault can be inspected afterwards; a
@@ -88,6 +106,17 @@ func (f *Faulty) Fired() []string {
 	return out
 }
 
+// AwaitFired blocks until at least n rules have fired. A rule counts as
+// fired before its Hold is waited on, so this is how a test learns that
+// an operation has reached the point where it is being held.
+func (f *Faulty) AwaitFired(n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for len(f.log) < n {
+		f.fired.Wait()
+	}
+}
+
 // match finds the first live rule for (op, path), decrements its
 // countdown, and if it fires returns it (removing it unless Repeat).
 func (f *Faulty) match(op Op, path string) *Fault {
@@ -105,6 +134,7 @@ func (f *Faulty) match(op Op, path string) *Fault {
 			return nil
 		}
 		f.log = append(f.log, fmt.Sprintf("%s %s", op, path))
+		f.fired.Broadcast()
 		if !r.Repeat {
 			f.rules = append(f.rules[:i], f.rules[i+1:]...)
 		}
@@ -113,9 +143,18 @@ func (f *Faulty) match(op Op, path string) *Fault {
 	return nil
 }
 
+// fault runs the rule match fires for (op, path), if any: it waits out
+// the rule's Hold and returns its Err.
+func (f *Faulty) fault(op Op, path string) error {
+	if r := f.match(op, path); r != nil {
+		return r.fire()
+	}
+	return nil
+}
+
 func (f *Faulty) Create(name string) (File, error) {
-	if r := f.match(OpCreate, name); r != nil {
-		return nil, r.Err
+	if err := f.fault(OpCreate, name); err != nil {
+		return nil, err
 	}
 	fl, err := f.inner.Create(name)
 	if err != nil {
@@ -125,8 +164,8 @@ func (f *Faulty) Create(name string) (File, error) {
 }
 
 func (f *Faulty) Open(name string) (File, error) {
-	if r := f.match(OpOpen, name); r != nil {
-		return nil, r.Err
+	if err := f.fault(OpOpen, name); err != nil {
+		return nil, err
 	}
 	fl, err := f.inner.Open(name)
 	if err != nil {
@@ -136,8 +175,8 @@ func (f *Faulty) Open(name string) (File, error) {
 }
 
 func (f *Faulty) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	if r := f.match(OpOpenFile, name); r != nil {
-		return nil, r.Err
+	if err := f.fault(OpOpenFile, name); err != nil {
+		return nil, err
 	}
 	fl, err := f.inner.OpenFile(name, flag, perm)
 	if err != nil {
@@ -147,15 +186,15 @@ func (f *Faulty) OpenFile(name string, flag int, perm os.FileMode) (File, error)
 }
 
 func (f *Faulty) Rename(oldpath, newpath string) error {
-	if r := f.match(OpRename, newpath); r != nil {
-		return r.Err
+	if err := f.fault(OpRename, newpath); err != nil {
+		return err
 	}
 	return f.inner.Rename(oldpath, newpath)
 }
 
 func (f *Faulty) Remove(name string) error {
-	if r := f.match(OpRemove, name); r != nil {
-		return r.Err
+	if err := f.fault(OpRemove, name); err != nil {
+		return err
 	}
 	return f.inner.Remove(name)
 }
@@ -168,15 +207,15 @@ func (f *Faulty) ReadDir(name string) ([]os.DirEntry, error) { return f.inner.Re
 func (f *Faulty) Stat(name string) (os.FileInfo, error)      { return f.inner.Stat(name) }
 
 func (f *Faulty) Truncate(name string, size int64) error {
-	if r := f.match(OpTruncate, name); r != nil {
-		return r.Err
+	if err := f.fault(OpTruncate, name); err != nil {
+		return err
 	}
 	return f.inner.Truncate(name, size)
 }
 
 func (f *Faulty) SyncDir(dir string) error {
-	if r := f.match(OpSyncDir, dir); r != nil {
-		return r.Err
+	if err := f.fault(OpSyncDir, dir); err != nil {
+		return err
 	}
 	return f.inner.SyncDir(dir)
 }
@@ -189,40 +228,45 @@ type faultyFile struct {
 }
 
 func (ff *faultyFile) Write(p []byte) (int, error) {
-	if r := ff.fs.match(OpWrite, ff.path); r != nil {
-		short := r.Short
-		if short > len(p) {
-			short = len(p)
-		}
-		n := 0
-		if short > 0 {
-			var err error
-			n, err = ff.File.Write(p[:short])
-			if err != nil {
-				return n, err
-			}
-		}
-		if r.Err != nil {
-			return n, r.Err
-		}
-		// Short write reported as success: the caller thinks len(p)
-		// bytes landed but only n did.
-		return len(p), nil
+	r := ff.fs.match(OpWrite, ff.path)
+	if r == nil {
+		return ff.File.Write(p)
 	}
-	return ff.File.Write(p)
+	ferr := r.fire()
+	if ferr == nil && r.Short <= 0 {
+		return ff.File.Write(p)
+	}
+	short := r.Short
+	if short > len(p) {
+		short = len(p)
+	}
+	n := 0
+	if short > 0 {
+		var err error
+		n, err = ff.File.Write(p[:short])
+		if err != nil {
+			return n, err
+		}
+	}
+	if ferr != nil {
+		return n, ferr
+	}
+	// Short write reported as success: the caller thinks len(p) bytes
+	// landed but only n did.
+	return len(p), nil
 }
 
 func (ff *faultyFile) Sync() error {
-	if r := ff.fs.match(OpSync, ff.path); r != nil {
-		return r.Err
+	if err := ff.fs.fault(OpSync, ff.path); err != nil {
+		return err
 	}
 	return ff.File.Sync()
 }
 
 func (ff *faultyFile) Close() error {
-	if r := ff.fs.match(OpClose, ff.path); r != nil {
+	if err := ff.fs.fault(OpClose, ff.path); err != nil {
 		_ = ff.File.Close()
-		return r.Err
+		return err
 	}
 	return ff.File.Close()
 }

@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // neighborsFunc resolves a vertex's out-neighbor list. Build-time code
 // passes a view over its working [][]int32 adjacency; post-seal code
 // (incremental inserts) passes Graph.Neighbors.
@@ -12,85 +10,116 @@ func sliceNeighbors(adj [][]int32) neighborsFunc {
 	return func(v int32) []int32 { return adj[v] }
 }
 
-// beamSearchVertex runs a greedy beam search over adj from start toward
-// the stored vertex target, returning the visited vertices in visit order.
-// It is the build-time routing primitive used by NSG-style candidate
+// RouteScratch is the reusable state of the routing beam search: the
+// epoch-stamped seen marks (the design search.Searcher uses), the beam
+// and the visit-order buffer. One scratch serves one search at a time;
+// the zero value is ready to use. index.Fused owns one for incremental
+// inserts (serialized by the engine's write lock) and each build worker
+// owns one through its candScratch.
+type RouteScratch struct {
+	// marks[v] == gen means v's IP has been computed this search; gen
+	// advances per search, so the array resets without being touched.
+	marks []uint32
+	gen   uint32
+	pool  []beamEntry
+	visit []int32
+}
+
+// beamEntry is one entry of the beam, which is kept sorted by
+// descending IP.
+type beamEntry struct {
+	id      int32
+	ip      float32
+	visited bool
+}
+
+// vertex routes over a builder's working adjacency from start toward the
+// stored vertex target — the build-time primitive of NSG-style candidate
 // acquisition and Vamana's construction passes. beam is the working-set
 // size (NSG's L / Vamana's L).
-func beamSearchVertex(s *Space, adj [][]int32, start, target int32, beam int) []int32 {
-	return beamSearch(s, sliceNeighbors(adj), start, s.Vector(target), beam)
+func (r *RouteScratch) vertex(s *Space, adj [][]int32, start, target int32, beam int) []int32 {
+	return r.beamSearch(s, sliceNeighbors(adj), len(adj), start, s.Vector(target), beam)
 }
 
-// beamSearchVector is beamSearchVertex for an arbitrary query vector of
-// the space's dimension.
-func beamSearchVector(s *Space, adj [][]int32, start int32, query []float32, beam int) []int32 {
-	return beamSearch(s, sliceNeighbors(adj), start, query, beam)
+// graph routes over a sealed Graph (CSR core plus overlay) — the §IX
+// incremental-insert path.
+func (r *RouteScratch) graph(s *Space, g *Graph, start int32, query []float32, beam int) []int32 {
+	return r.beamSearch(s, g.Neighbors, g.NumVertices(), start, query, beam)
 }
 
-// beamSearchGraph routes over a sealed Graph (CSR core plus overlay) —
-// the §IX incremental-insert path.
-func beamSearchGraph(s *Space, g *Graph, start int32, query []float32, beam int) []int32 {
-	return beamSearch(s, g.Neighbors, start, query, beam)
-}
-
-func beamSearch(s *Space, neighbors neighborsFunc, start int32, query []float32, beam int) []int32 {
+// beamSearch runs a greedy beam search over n vertices from start toward
+// query and returns the visited vertices in visit order. The returned
+// slice is the scratch's own buffer, valid until its next search.
+func (r *RouteScratch) beamSearch(s *Space, neighbors neighborsFunc, n int, start int32, query []float32, beam int) []int32 {
 	if beam < 1 {
 		beam = 1
 	}
-	type entry struct {
-		id      int32
-		ip      float32
-		visited bool
+	if len(r.marks) < n {
+		r.marks = append(r.marks, make([]uint32, n-len(r.marks))...)
 	}
-	// pool is the candidate beam kept sorted by descending IP.
-	pool := make([]entry, 0, beam+1)
-	seen := map[int32]struct{}{start: {}}
-	pool = append(pool, entry{start, s.IPTo(start, query), false})
-	visitOrder := make([]int32, 0, beam*2)
+	r.gen++
+	if r.gen == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(r.marks)
+		r.gen = 1
+	}
+	marks, gen := r.marks, r.gen
+	if cap(r.pool) < beam {
+		r.pool = make([]beamEntry, 0, beam)
+	}
+	pool := r.pool[:0]
+	visit := r.visit[:0]
+	// cursor is the lowest index that may hold an unvisited entry:
+	// everything before it is visited, so the per-hop "best unvisited"
+	// lookup resumes from it instead of rescanning the beam.
+	cursor := 0
 
 	insert := func(id int32, ip float32) {
 		if len(pool) == beam && ip <= pool[len(pool)-1].ip {
 			return
 		}
-		pos := sort.Search(len(pool), func(i int) bool { return pool[i].ip < ip })
+		// First entry with a smaller IP, so equal IPs keep arrival order.
+		lo, hi := 0, len(pool)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if pool[mid].ip < ip {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		pos := lo
 		if len(pool) < beam {
-			pool = append(pool, entry{})
+			pool = append(pool, beamEntry{})
 		} else {
 			pos = min(pos, beam-1)
 		}
 		copy(pool[pos+1:], pool[pos:])
-		pool[pos] = entry{id, ip, false}
+		pool[pos] = beamEntry{id: id, ip: ip}
+		if pos < cursor {
+			cursor = pos
+		}
 	}
 
+	marks[start] = gen
+	insert(start, s.IPTo(start, query))
 	for {
-		// Find the best unvisited entry.
-		idx := -1
-		for i := range pool {
-			if !pool[i].visited {
-				idx = i
-				break
-			}
+		for cursor < len(pool) && pool[cursor].visited {
+			cursor++
 		}
-		if idx == -1 {
+		if cursor == len(pool) {
 			break
 		}
-		pool[idx].visited = true
-		v := pool[idx].id
-		visitOrder = append(visitOrder, v)
+		pool[cursor].visited = true
+		v := pool[cursor].id
+		visit = append(visit, v)
 		for _, u := range neighbors(v) {
-			if _, ok := seen[u]; ok {
+			if marks[u] == gen {
 				continue
 			}
-			seen[u] = struct{}{}
+			marks[u] = gen
 			insert(u, s.IPTo(u, query))
 		}
 	}
-	return visitOrder
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	r.pool, r.visit = pool[:0], visit
+	return visit
 }

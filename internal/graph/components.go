@@ -228,8 +228,9 @@ func (r RandomInit) Init(s *Space, gamma int) [][]int32 {
 
 // candScratch holds reusable per-worker buffers for candidate expansion.
 type candScratch struct {
-	seen map[int32]struct{}
-	out  []int32
+	seen  map[int32]struct{}
+	out   []int32
+	route RouteScratch // SearchCandidates' beam search
 }
 
 func newCandScratch() *candScratch {
@@ -293,7 +294,7 @@ func (c SearchCandidates) Candidates(s *Space, adj [][]int32, v int32, scratch *
 	if seed < 0 {
 		seed = 0
 	}
-	visited := beamSearchVertex(s, adj, seed, v, c.Beam)
+	visited := scratch.route.vertex(s, adj, seed, v, c.Beam)
 	scratch.reset()
 	for _, u := range visited {
 		if u != v {
@@ -329,10 +330,9 @@ func (MRNG) Select(s *Space, v int32, cands []int32, gamma int) []int32 {
 		if len(out) >= gamma {
 			break
 		}
-		ipVC := s.IP(v, c.id)
 		occluded := false
 		for _, u := range out {
-			if s.IP(u, c.id) >= ipVC {
+			if s.IP(u, c.id) >= c.ip {
 				occluded = true
 				break
 			}

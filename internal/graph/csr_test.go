@@ -117,7 +117,7 @@ func TestInsertThenCompactOverCSR(t *testing.T) {
 	s.Release()
 	for k := 0; k < 20; k++ {
 		id := int32(st.AppendMulti(vec.Multi{vec.RandUnit(rng, 12), vec.RandUnit(rng, 6)}))
-		Insert(s, g, id, 10, 40)
+		Insert(s, g, id, 10, 40, new(RouteScratch))
 	}
 	if g.OverlayVertices() == 0 {
 		t.Fatal("inserts did not populate the overlay")
@@ -141,7 +141,7 @@ func TestInsertThenCompactOverCSR(t *testing.T) {
 	// Every inserted vertex stays routable on the compacted graph.
 	for id := int32(300); id < int32(g.NumVertices()); id++ {
 		found := false
-		for _, u := range beamSearchGraph(s, g, g.Seed, s.Vector(id), 40) {
+		for _, u := range new(RouteScratch).graph(s, g, g.Seed, s.Vector(id), 40) {
 			if u == id {
 				found = true
 				break

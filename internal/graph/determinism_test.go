@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -123,5 +125,83 @@ func TestSetBuildWorkersRoundTrip(t *testing.T) {
 	SetBuildWorkers(-5) // negative clamps to the default
 	if got := SetBuildWorkers(0); got != 0 {
 		t.Errorf("negative worker count stored as %d, want 0", got)
+	}
+}
+
+// graphHash folds a graph's seed and every adjacency list, in vertex
+// order, into one FNV-1a value.
+func graphHash(g *Graph) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	put := func(x uint32) {
+		binary.LittleEndian.PutUint32(b[:], x)
+		_, _ = h.Write(b[:])
+	}
+	put(uint32(g.Seed))
+	put(uint32(g.NumVertices()))
+	for v := 0; v < g.NumVertices(); v++ {
+		nbrs := g.Neighbors(int32(v))
+		put(uint32(len(nbrs)))
+		for _, u := range nbrs {
+			put(uint32(u))
+		}
+	}
+	return h.Sum64()
+}
+
+// The hashes below were recorded at commit a8a95de, before MRNG.Select
+// reused the inner products sortByIP had already computed and before the
+// routing beam search moved from a per-call map to an epoch-stamped
+// scratch. Both are output-identical rewrites: the same seeded builds and
+// the same insert sequence must still produce these exact edges. A change
+// that alters the graphs on purpose re-records them.
+func TestPinnedGraphHashes(t *testing.T) {
+	space := determinismFixture(t, 600, 51)
+	ours, err := Ours(14, 3, 52).Build(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nsg, err := NSGAssembly(14, 3, 28, 52).Build(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vamana := BuildVamana(space, VamanaConfig{Gamma: 14, Beam: 28, Seed: 52})
+
+	// A fixed insert sequence over a released store-backed space: the §IX
+	// path, routed through CSR core, overlay lists and appended vertices.
+	rng := rand.New(rand.NewSource(61))
+	objs := make([]vec.Multi, 300)
+	for i := range objs {
+		objs[i] = vec.Multi{vec.RandUnit(rng, 12), vec.RandUnit(rng, 6)}
+	}
+	st := vec.FlatFromMulti(objs)
+	s := NewFusedSpaceFromStore(st, vec.Weights{0.8, 0.6})
+	inserted, err := Ours(10, 3, 62).Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Release()
+	var sc RouteScratch
+	for k := 0; k < 120; k++ {
+		id := int32(st.AppendMulti(vec.Multi{vec.RandUnit(rng, 12), vec.RandUnit(rng, 6)}))
+		Insert(s, inserted, id, 10, 40, &sc)
+		if k == 60 {
+			inserted.Compact() // later inserts route over a re-sealed core
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		want uint64
+	}{
+		{"Ours", ours, 0x28e16a60a3ac4ef4},
+		{"NSG", nsg, 0x995c8ace077d25de},
+		{"Vamana", vamana, 0x19f19ae35094ada0},
+		{"Ours+120 inserts", inserted, 0x1d9af42c6b1e423b},
+	} {
+		if got := graphHash(tc.g); got != tc.want {
+			t.Errorf("%s: graph hash %#x, want %#x", tc.name, got, tc.want)
+		}
 	}
 }

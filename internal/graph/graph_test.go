@@ -285,7 +285,7 @@ func TestAssembliesBuildAndAreSearchable(t *testing.T) {
 		}
 		// The beam search over the built graph should find a vertex's own
 		// position: route toward vertex 7 and expect to visit it.
-		visited := beamSearchGraph(s, g, g.Seed, s.Vector(7), 20)
+		visited := new(RouteScratch).graph(s, g, g.Seed, s.Vector(7), 20)
 		found := false
 		for _, u := range visited {
 			if u == 7 {
@@ -491,12 +491,12 @@ func TestInsertOnReleasedSpace(t *testing.T) {
 	for k := 0; k < 10; k++ {
 		nv := vec.Multi{vec.RandUnit(rng, 12), vec.RandUnit(rng, 6)}
 		id := int32(st.AppendMulti(nv))
-		Insert(s, g, id, 10, 40)
+		Insert(s, g, id, 10, 40, new(RouteScratch))
 		if g.Degree(id) == 0 {
 			t.Fatalf("inserted vertex %d has no out-edges", id)
 		}
 		found := false
-		for _, u := range beamSearchGraph(s, g, g.Seed, s.Vector(id), 40) {
+		for _, u := range new(RouteScratch).graph(s, g, g.Seed, s.Vector(id), 40) {
 			if u == id {
 				found = true
 				break
@@ -505,5 +505,31 @@ func TestInsertOnReleasedSpace(t *testing.T) {
 		if !found {
 			t.Fatalf("beam search cannot reach inserted vertex %d", id)
 		}
+	}
+}
+
+// BenchmarkGraphInsert measures one §IX incremental insert — store
+// append, beam search, MRNG selection, reverse edges — on a released
+// store-backed 96-d space, the shape the engine inserts through. The
+// graph keeps its overlay (the index layer decides when to compact).
+func BenchmarkGraphInsert(b *testing.B) {
+	rng := rand.New(rand.NewSource(71))
+	objs := make([]vec.Multi, 2000)
+	for i := range objs {
+		objs[i] = vec.Multi{vec.RandUnit(rng, 64), vec.RandUnit(rng, 32)}
+	}
+	st := vec.FlatFromMulti(objs)
+	s := NewFusedSpaceFromStore(st, vec.Weights{0.8, 0.6})
+	g, err := Ours(16, 3, 72).Build(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Release()
+	var sc RouteScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := int32(st.AppendMulti(vec.Multi{vec.RandUnit(rng, 64), vec.RandUnit(rng, 32)}))
+		Insert(s, g, id, 16, 64, &sc)
 	}
 }

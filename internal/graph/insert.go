@@ -36,22 +36,17 @@ func (s *Space) Append(v []float32) int32 {
 // Insert links an already-appended vertex id into the graph: it routes a
 // beam search toward the vertex from the seed, selects up to gamma diverse
 // neighbors with the MRNG rule, and installs reverse edges capped at
-// gamma (re-selected when they overflow). It returns the vertex id.
-func Insert(s *Space, g *Graph, id int32, gamma, beam int) int32 {
+// gamma (re-selected when they overflow). It returns the vertex id. The
+// beam search runs in r, which the caller reuses across inserts.
+func Insert(s *Space, g *Graph, id int32, gamma, beam int, r *RouteScratch) int32 {
 	if beam < gamma {
 		beam = gamma
 	}
 	// Grow the vertex set up to the space size (supports callers that
 	// appended several vectors before linking).
 	g.EnsureVertices(s.Len())
-	visited := beamSearchGraph(s, g, g.Seed, s.Vector(id), beam)
-	cands := make([]int32, 0, len(visited))
-	for _, u := range visited {
-		if u != id {
-			cands = append(cands, u)
-		}
-	}
-	neighbors := MRNG{}.Select(s, id, cands, gamma)
+	// sortByIP skips id itself, so the visit order is the candidate list.
+	neighbors := MRNG{}.Select(s, id, r.graph(s, g, g.Seed, s.Vector(id), beam), gamma)
 	g.SetNeighbors(id, neighbors)
 	for _, u := range neighbors {
 		lst := g.Neighbors(u)

@@ -70,10 +70,11 @@ func BuildVamana(s *Space, cfg VamanaConfig) *Graph {
 	}
 
 	order := rng.Perm(n)
+	var route RouteScratch
 	pass := func(a float32) {
 		for _, vi := range order {
 			v := int32(vi)
-			visited := beamSearchVertex(s, adj, medoid, v, beam)
+			visited := route.vertex(s, adj, medoid, v, beam)
 			cands := make([]int32, 0, len(visited)+len(adj[v]))
 			for _, u := range visited {
 				if u != v {

@@ -42,6 +42,9 @@ type Fused struct {
 	// Its fused buffer is released after construction; after that it
 	// computes weighted similarities from Store rows on demand.
 	space *graph.Space
+	// route is the beam-search scratch Insert reuses; inserts are
+	// serialized by the owner (the engine's write lock).
+	route graph.RouteScratch
 }
 
 // BuildFusedStore constructs the fused index over the rows of the shared
@@ -180,7 +183,7 @@ func (f *Fused) Insert(id, gamma, beam int) error {
 		// no fused buffer is ever materialized for inserts.
 		f.space = graph.StoreView(f.Store, f.Weights)
 	}
-	graph.Insert(f.space, f.Graph, int32(id), gamma, beam)
+	graph.Insert(f.space, f.Graph, int32(id), gamma, beam, &f.route)
 	// Fold the append-overlay back into the frozen CSR core once it
 	// covers more than a quarter of the graph: inserts stay O(1)
 	// amortized, and steady state always returns to the flat form.

@@ -156,6 +156,22 @@ type StatsResponse struct {
 	// Maintenance reports the background maintenance loop; omitted when
 	// maintenance is disabled.
 	Maintenance *must.MaintStats `json:"maintenance,omitempty"`
+	// WAL reports the write-ahead log; omitted when the service is not
+	// durable.
+	WAL *WALStats `json:"wal,omitempty"`
+}
+
+// WALStats is the write-ahead-log block of /v1/stats.
+type WALStats struct {
+	// Records and Fsyncs count logged records and log-data fsyncs since
+	// the daemon started; RecordsPerFsync is their ratio, the mean number
+	// of writes one group commit acked (1 with a single writer).
+	Records         uint64  `json:"records"`
+	Fsyncs          uint64  `json:"fsyncs"`
+	RecordsPerFsync float64 `json:"records_per_fsync"`
+	// Poisoned is true once a WAL write or fsync has failed: every write
+	// is answered 503 until the daemon is restarted.
+	Poisoned bool `json:"poisoned"`
 }
 
 // ErrorResponse is the body of every non-2xx reply.

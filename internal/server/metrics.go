@@ -277,6 +277,33 @@ func (m *Metrics) WritePrometheus(w io.Writer, eng must.Service, cache *resultCa
 		fmt.Fprintf(w, "must_maintenance_debt %d\n", st.Debt)
 	}
 
+	if wr, ok := eng.(walReporter); ok {
+		st := wr.WALStats()
+		fmt.Fprintln(w, "# HELP must_wal_records_total Records written to the write-ahead log.")
+		fmt.Fprintln(w, "# TYPE must_wal_records_total counter")
+		fmt.Fprintf(w, "must_wal_records_total %d\n", st.Records)
+		fmt.Fprintln(w, "# HELP must_wal_fsyncs_total Fsyncs of write-ahead-log data; records/fsyncs is the mean commit-group size.")
+		fmt.Fprintln(w, "# TYPE must_wal_fsyncs_total counter")
+		fmt.Fprintf(w, "must_wal_fsyncs_total %d\n", st.Fsyncs)
+		fmt.Fprintln(w, "# HELP must_wal_fsync_seconds Write-ahead-log fsync latency.")
+		fmt.Fprintln(w, "# TYPE must_wal_fsync_seconds histogram")
+		cum := uint64(0)
+		for i, b := range st.FsyncBounds {
+			cum += st.FsyncBuckets[i]
+			fmt.Fprintf(w, "must_wal_fsync_seconds_bucket{le=%q} %d\n", strconv.FormatFloat(b, 'g', -1, 64), cum)
+		}
+		fmt.Fprintf(w, "must_wal_fsync_seconds_bucket{le=\"+Inf\"} %d\n", st.Fsyncs)
+		fmt.Fprintf(w, "must_wal_fsync_seconds_sum %g\n", st.FsyncSeconds)
+		fmt.Fprintf(w, "must_wal_fsync_seconds_count %d\n", st.Fsyncs)
+		poisoned := 0
+		if st.Poisoned {
+			poisoned = 1
+		}
+		fmt.Fprintln(w, "# HELP must_wal_poisoned 1 once a write-ahead-log failure has made the service reject writes until restart.")
+		fmt.Fprintln(w, "# TYPE must_wal_poisoned gauge")
+		fmt.Fprintf(w, "must_wal_poisoned %d\n", poisoned)
+	}
+
 	// Engine gauges, sampled at scrape time.
 	fmt.Fprintln(w, "# HELP mustd_engine_objects Live (non-tombstoned) objects.")
 	fmt.Fprintln(w, "# TYPE mustd_engine_objects gauge")

@@ -90,6 +90,13 @@ type Server struct {
 	schema must.Schema
 }
 
+// walReporter is the optional write-ahead-log statistics surface of a
+// service (must.DurableService has it); detected the way
+// must.ShardRebuilder is.
+type walReporter interface {
+	WALStats() must.WALStats
+}
+
 // New assembles a Server over an engine (which may be empty and
 // unbuilt: inserts accumulate and /v1/rebuild triggers the first
 // build).
@@ -274,6 +281,17 @@ func (s *Server) writeSearchError(w http.ResponseWriter, err error) {
 	}
 }
 
+// writeFailureStatus is the status of a write the engine refused:
+// fallback, unless the write-ahead log failed — that is the server's
+// fault and a restart cures it, so it is 503 rather than a 4xx that
+// blames the request.
+func writeFailureStatus(err error, fallback int) int {
+	if errors.Is(err, must.ErrWALFailed) {
+		return http.StatusServiceUnavailable
+	}
+	return fallback
+}
+
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	req, _, ok := decodeRequest(s, w, r, scanInsert)
 	if !ok {
@@ -302,7 +320,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			}
 			// Inserts before the failure stay inserted; report both so
 			// the client can reconcile.
-			writeError(w, http.StatusBadRequest,
+			writeError(w, writeFailureStatus(err, http.StatusBadRequest),
 				fmt.Sprintf("object %d: %v (inserted %d of %d)", i, err, len(ids), len(objects)))
 			return
 		}
@@ -333,7 +351,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, must.ErrNotBuilt) {
 				code = http.StatusConflict
 			}
-			writeError(w, code, fmt.Sprintf("id %d: %v (deleted %d of %d)", id, err, deleted, len(req.IDs)))
+			writeError(w, writeFailureStatus(err, code), fmt.Sprintf("id %d: %v (deleted %d of %d)", id, err, deleted, len(req.IDs)))
 			return
 		}
 		deleted++
@@ -354,7 +372,7 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 		err = s.eng.Build()
 	}
 	if err != nil {
-		writeError(w, http.StatusConflict, err.Error())
+		writeError(w, writeFailureStatus(err, http.StatusConflict), err.Error())
 		return
 	}
 	writeJSON(w, RebuildResponse{
@@ -393,6 +411,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := s.maint.Stats()
 		maintStats = &st
 	}
+	var walStats *WALStats
+	if wr, ok := s.eng.(walReporter); ok {
+		st := wr.WALStats()
+		walStats = &WALStats{Records: st.Records, Fsyncs: st.Fsyncs, Poisoned: st.Poisoned}
+		if st.Fsyncs > 0 {
+			walStats.RecordsPerFsync = float64(st.Records) / float64(st.Fsyncs)
+		}
+	}
 	writeJSON(w, StatsResponse{
 		Schema:  schema,
 		Objects: s.eng.Len(),
@@ -416,6 +442,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		Shards:      shards,
 		Maintenance: maintStats,
+		WAL:         walStats,
 	})
 }
 

@@ -321,6 +321,48 @@ func TestServerStatsAndMetrics(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}
+
+	// The write-ahead log reports only when there is one.
+	if st.WAL != nil || strings.Contains(text, "must_wal_") {
+		t.Errorf("a non-durable engine reports a wal: %+v", st.WAL)
+	}
+	eng, _, _ := testEngine(t, 50)
+	ds, _, err := must.OpenDurable(eng, t.TempDir(), must.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	ds2 := New(ds, Config{})
+	defer ds2.Close()
+	dts := httptest.NewServer(ds2.Handler())
+	defer dts.Close()
+	obj, err := eng.Object(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, data := postJSON(t, dts.URL+"/v1/insert", &InsertRequest{Vectors: obj}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("durable insert: %d %s", resp.StatusCode, data)
+	}
+	_, data = getBody(t, dts.URL+"/v1/stats")
+	var dst StatsResponse
+	if err := json.Unmarshal(data, &dst); err != nil {
+		t.Fatal(err)
+	}
+	if w := dst.WAL; w == nil || w.Records != 1 || w.Fsyncs != 1 || w.RecordsPerFsync != 1 || w.Poisoned {
+		t.Errorf("wal block after one acked insert = %+v in %s", w, data)
+	}
+	_, data = getBody(t, dts.URL+"/metrics")
+	for _, want := range []string{
+		"must_wal_records_total 1\n",
+		"must_wal_fsyncs_total 1\n",
+		`must_wal_fsync_seconds_bucket{le="+Inf"} 1`,
+		"must_wal_fsync_seconds_count 1\n",
+		"must_wal_poisoned 0\n",
+	} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("durable metrics output missing %q", want)
+		}
+	}
 }
 
 func TestServerValidationAndMethods(t *testing.T) {

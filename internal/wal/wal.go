@@ -147,24 +147,84 @@ const (
 // castagnoli is the CRC32C table (same polynomial iSCSI/ext4 use).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Log is an append-only WAL over a directory of segments. Append is
-// safe for concurrent use; Close stops the background flusher.
+// Log is an append-only WAL over a directory of segments, safe for
+// concurrent use.
+//
+// Logging a record has two steps. Write frames it onto the current
+// segment (page cache only) and returns its log sequence number; Commit
+// returns once that record is on stable storage. Under SyncAlways the
+// fsync is a group commit: the first Commit caller to find no fsync in
+// flight becomes the syncer, drops the mutex, fsyncs, and publishes
+// every record written before its fsync began as durable; callers that
+// arrive meanwhile wait for it and are covered by the next one — so N
+// concurrent writers share one fsync instead of queueing N, with no
+// timer or batch window. Append is Write followed by Commit for callers
+// with nothing to overlap.
+//
+// The first write or fsync failure is sticky: durability of anything
+// not yet committed is unknown, so every later Write and every waiting
+// Commit fails. Rotation, Truncate and Close settle the log first (wait
+// out the fsync in flight, fsync what is still pending), so a record is
+// never stranded in a segment nobody will sync again.
 type Log struct {
 	dir  string
 	opts Options
 
-	mu      sync.Mutex
-	seg     faultfs.File // current segment, opened for append
-	segSeq  uint64       // sequence number of the current segment
-	segSize int64
-	dirty   bool // unsynced appends under SyncInterval
-	closed  bool
+	mu sync.Mutex
+	// syncDone is signalled whenever syncing drops or synced advances.
+	syncDone *sync.Cond
+	seg      faultfs.File // current segment, opened for append
+	segSeq   uint64       // sequence number of the current segment
+	segSize  int64
+	closed   bool
+
+	written uint64 // LSN of the newest record written
+	synced  uint64 // records with LSN <= synced are on stable storage
+	syncing bool   // a Commit caller is fsyncing seg outside mu
+	err     error  // first write or fsync failure; sticky
+
+	fsyncs       uint64
+	fsyncSeconds float64
+	fsyncHist    [len(fsyncBounds)]uint64
 
 	flushStop chan struct{}
 	flushDone chan struct{}
-	// flushErr holds the first background-sync failure; surfaced on the
-	// next Append so callers learn their earlier acks may not be durable.
-	flushErr error
+}
+
+// fsyncBounds are the upper bounds, in seconds, of the fsync latency
+// buckets: 50µs (a page-cache-speed virtual disk) to 1s.
+var fsyncBounds = [...]float64{
+	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
+	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1,
+}
+
+// Stats is a snapshot of a log's counters since Open.
+type Stats struct {
+	// Records is the number of records written.
+	Records uint64
+	// Fsyncs is the number of segment-data fsyncs; Records/Fsyncs is the
+	// mean commit-group size under SyncAlways.
+	Fsyncs uint64
+	// FsyncSeconds is the total time spent in those fsyncs.
+	FsyncSeconds float64
+	// FsyncBounds are bucket upper bounds in seconds and FsyncBuckets the
+	// (non-cumulative) number of fsyncs that fell at or under each; the
+	// ones slower than the last bound are counted in Fsyncs only.
+	FsyncBounds  []float64
+	FsyncBuckets []uint64
+}
+
+// Stats returns the log's counters.
+func (l *Log) Stats() Stats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return Stats{
+		Records:      l.written,
+		Fsyncs:       l.fsyncs,
+		FsyncSeconds: l.fsyncSeconds,
+		FsyncBounds:  fsyncBounds[:],
+		FsyncBuckets: append([]uint64(nil), l.fsyncHist[:]...),
+	}
 }
 
 func segName(seq uint64) string {
@@ -216,6 +276,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		next = seqs[n-1] + 1
 	}
 	l := &Log{dir: dir, opts: opts, flushStop: make(chan struct{}), flushDone: make(chan struct{})}
+	l.syncDone = sync.NewCond(&l.mu)
 	if err := l.openSegmentLocked(next); err != nil {
 		return nil, err
 	}
@@ -227,8 +288,9 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// openSegmentLocked creates segment seq and makes it current. Caller
-// holds l.mu (or is the constructor).
+// openSegmentLocked creates segment seq and makes it current, closing
+// the previous one. Caller holds l.mu (or is the constructor) and has
+// settled the log.
 func (l *Log) openSegmentLocked(seq uint64) error {
 	path := filepath.Join(l.dir, segName(seq))
 	f, err := l.opts.FS.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
@@ -268,42 +330,136 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 // durable; a non-nil error means durability is unknown and the caller
 // must NOT ack the mutation.
 func (l *Log) Append(rec Record) error {
+	lsn, err := l.Write(rec)
+	if err != nil {
+		return err
+	}
+	return l.Commit(lsn)
+}
+
+// Write appends one record to the current segment — page cache only —
+// and returns its log sequence number for Commit. Records reach the log
+// in the order Write calls acquire the log's mutex; a caller that needs
+// log order to match some other order serializes its Write calls.
+func (l *Log) Write(rec Record) (lsn uint64, err error) {
 	frame := encodeFrame(rec)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return errors.New("wal: appending to closed log")
+		return 0, errors.New("wal: appending to closed log")
 	}
-	if err := l.flushErr; err != nil {
-		return fmt.Errorf("wal: earlier background sync failed: %w", err)
+	if l.err != nil {
+		return 0, fmt.Errorf("wal: log failed earlier: %w", l.err)
 	}
 	if l.segSize >= l.opts.SegmentBytes {
-		if err := l.openSegmentLocked(l.segSeq + 1); err != nil {
-			return err
+		if err := l.settleLocked(); err != nil {
+			return 0, err
+		}
+		// Settling can wait with mu dropped; another Write may have
+		// rotated meanwhile.
+		if l.segSize >= l.opts.SegmentBytes {
+			if err := l.openSegmentLocked(l.segSeq + 1); err != nil {
+				return 0, err
+			}
 		}
 	}
 	if _, err := l.seg.Write(frame); err != nil {
-		return err
+		// A torn frame may sit at the tail now; appending after it would
+		// turn a recoverable torn tail into mid-log corruption.
+		return 0, l.failLocked(err)
 	}
 	l.segSize += int64(len(frame))
-	switch l.opts.Policy {
-	case SyncAlways:
-		return l.seg.Sync()
-	case SyncInterval:
-		l.dirty = true
+	l.written++
+	return l.written, nil
+}
+
+// Commit returns once record lsn is on stable storage under SyncAlways;
+// under the other policies it returns at once (the flusher or the OS
+// owns durability). A non-nil error means durability is unknown.
+func (l *Log) Commit(lsn uint64) error {
+	if l.opts.Policy != SyncAlways {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.synced < lsn {
+		switch {
+		case l.err != nil:
+			return l.err
+		case l.seg == nil: // closed, and Close covers every record written
+			return errors.New("wal: committing an unwritten record on a closed log")
+		case l.syncing:
+			// The fsync in flight may have begun before lsn was written;
+			// wait it out and look again.
+			l.syncDone.Wait()
+		default:
+			// Become the syncer for everything written so far. Rotation
+			// and Close wait for syncing to drop, so seg stays open.
+			l.syncing = true
+			seg, target := l.seg, l.written
+			l.mu.Unlock()
+			start := time.Now()
+			err := seg.Sync()
+			took := time.Since(start)
+			l.mu.Lock()
+			l.syncing = false
+			_ = l.fsyncedLocked(target, took, err) // the loop sees l.err
+		}
 	}
 	return nil
 }
 
-// Sync forces unsynced appends to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed || l.seg == nil {
+// failLocked records the log's first failure and returns the sticky one.
+func (l *Log) failLocked(err error) error {
+	if l.err == nil {
+		l.err = err
+	}
+	return l.err
+}
+
+// fsyncedLocked books one finished segment fsync that began when target
+// was the newest record: counters, then either the sticky failure or
+// synced = target, and a wake-up for everyone waiting on the outcome.
+func (l *Log) fsyncedLocked(target uint64, took time.Duration, err error) error {
+	sec := took.Seconds()
+	l.fsyncs++
+	l.fsyncSeconds += sec
+	for i, b := range fsyncBounds {
+		if sec <= b {
+			l.fsyncHist[i]++
+			break
+		}
+	}
+	if err != nil {
+		err = l.failLocked(err)
+	} else {
+		l.synced = target
+	}
+	l.syncDone.Broadcast()
+	return err
+}
+
+// settleLocked makes every record written so far durable (SyncOff
+// excepted) and releases the Commit callers waiting on them: it waits
+// out the fsync in flight — dropping mu meanwhile — then fsyncs whatever
+// that one did not cover. Called before the current segment is retired
+// or closed.
+func (l *Log) settleLocked() error {
+	for l.syncing {
+		l.syncDone.Wait()
+	}
+	if l.err != nil {
+		return l.err
+	}
+	if l.seg == nil {
+		return errors.New("wal: log closed")
+	}
+	if l.opts.Policy == SyncOff || l.synced == l.written {
 		return nil
 	}
-	l.dirty = false
-	return l.seg.Sync()
+	start := time.Now()
+	err := l.seg.Sync()
+	return l.fsyncedLocked(l.written, time.Since(start), err)
 }
 
 func (l *Log) flushLoop() {
@@ -314,11 +470,10 @@ func (l *Log) flushLoop() {
 		select {
 		case <-t.C:
 			l.mu.Lock()
-			if l.dirty && !l.closed {
-				l.dirty = false
-				if err := l.seg.Sync(); err != nil && l.flushErr == nil {
-					l.flushErr = err
-				}
+			if !l.closed {
+				// A failure is sticky and surfaces on the next Write, so
+				// callers learn their earlier acks may not be durable.
+				_ = l.settleLocked()
 			}
 			l.mu.Unlock()
 		case <-l.flushStop:
@@ -338,6 +493,9 @@ func (l *Log) Truncate() error {
 	defer l.mu.Unlock()
 	if l.closed {
 		return errors.New("wal: truncating closed log")
+	}
+	if err := l.settleLocked(); err != nil {
+		return err
 	}
 	old := l.segSeq
 	if err := l.openSegmentLocked(l.segSeq + 1); err != nil {
@@ -362,29 +520,21 @@ func (l *Log) Truncate() error {
 	return firstErr
 }
 
-// Close syncs and closes the current segment.
+// Close makes every written record durable, releasing the Commit
+// callers waiting on them, and closes the current segment.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil
 	}
-	l.closed = true
+	l.closed = true // no new Write or Truncate; the flusher stands down
+	syncErr := l.settleLocked()
+	closeErr := l.seg.Close()
+	l.seg = nil
 	l.mu.Unlock()
 	close(l.flushStop)
 	<-l.flushDone
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.seg == nil {
-		return nil
-	}
-	syncErr := error(nil)
-	if l.opts.Policy != SyncOff {
-		syncErr = l.seg.Sync()
-	}
-	closeErr := l.seg.Close()
-	l.seg = nil
 	if syncErr != nil {
 		return syncErr
 	}
@@ -394,15 +544,15 @@ func (l *Log) Close() error {
 // Dir returns the WAL directory.
 func (l *Log) Dir() string { return l.dir }
 
+// encodeFrame lays header, op, epoch and data out in one buffer.
 func encodeFrame(rec Record) []byte {
-	payload := make([]byte, 1+8+len(rec.Data))
+	frame := make([]byte, headerLen+1+8+len(rec.Data))
+	payload := frame[headerLen:]
 	payload[0] = byte(rec.Op)
 	binary.LittleEndian.PutUint64(payload[1:9], rec.Epoch)
 	copy(payload[9:], rec.Data)
-	frame := make([]byte, headerLen+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[headerLen:], payload)
 	return frame
 }
 

@@ -182,6 +182,12 @@ curl -sf -X POST "http://$addr/v1/rebuild" -d '{}' | grep -q '"built":true' || f
 curl -sf -X POST "http://$addr/v1/insert" \
   -d '{"vectors":{"image":[0,0,0,0,1,0,0,0],"text":[1,1,0,0]}}' \
   | grep -q '"ids":\[4\]' || fail "wal post-build insert failed"
+# Four inserts, a build and one more insert: six records, each acked by
+# an fsync of its own since one client never overlaps two writes.
+curl -sf "http://$addr/v1/stats" | grep -q '"wal":{"records":6,"fsyncs":6,"records_per_fsync":1,"poisoned":false}' \
+  || fail "wal stats block wrong: $(curl -s "http://$addr/v1/stats")"
+curl -sf "http://$addr/metrics" | grep -q '^must_wal_fsync_seconds_count 6$' \
+  || fail "must_wal_fsync_seconds missing from /metrics"
 
 # kill -9: no drain, no snapshot — only the WAL survives.
 kill -9 "$daemon_pid"
