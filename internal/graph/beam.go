@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // neighborsFunc resolves a vertex's out-neighbor list. Build-time code
 // passes a view over its working [][]int32 adjacency; post-seal code
 // (incremental inserts) passes Graph.Neighbors.
@@ -10,19 +12,50 @@ func sliceNeighbors(adj [][]int32) neighborsFunc {
 	return func(v int32) []int32 { return adj[v] }
 }
 
+// epochMarks is a reusable seen-set over vertex IDs, the design
+// search.Searcher uses: marks[v] == gen means v has been seen since the
+// last reset, and a reset advances gen, so the array resets without being
+// touched. The zero value is ready to use.
+type epochMarks struct {
+	marks []uint32
+	gen   uint32
+}
+
+// reset forgets every seen ID and makes room for n vertices.
+func (e *epochMarks) reset(n int) {
+	if len(e.marks) < n {
+		e.marks = append(e.marks, make([]uint32, n-len(e.marks))...)
+	}
+	e.gen++
+	if e.gen == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(e.marks)
+		e.gen = 1
+	}
+}
+
+// see marks id as seen and reports whether it was unseen until now.
+func (e *epochMarks) see(id int32) bool {
+	if e.marks[id] == e.gen {
+		return false
+	}
+	e.marks[id] = e.gen
+	return true
+}
+
 // RouteScratch is the reusable state of the routing beam search: the
-// epoch-stamped seen marks (the design search.Searcher uses), the beam
+// seen marks (a vertex is seen once its IP has been computed), the beam
 // and the visit-order buffer. One scratch serves one search at a time;
 // the zero value is ready to use. index.Fused owns one for incremental
 // inserts (serialized by the engine's write lock) and each build worker
 // owns one through its candScratch.
 type RouteScratch struct {
-	// marks[v] == gen means v's IP has been computed this search; gen
-	// advances per search, so the array resets without being touched.
-	marks []uint32
-	gen   uint32
+	epochMarks
 	pool  []beamEntry
 	visit []int32
+	// batch and ips are one hop's unmarked neighbours and their IPs to
+	// the query, scored in one Space.IPsTo call.
+	batch []int32
+	ips   []float32
 }
 
 // beamEntry is one entry of the beam, which is kept sorted by
@@ -54,15 +87,7 @@ func (r *RouteScratch) beamSearch(s *Space, neighbors neighborsFunc, n int, star
 	if beam < 1 {
 		beam = 1
 	}
-	if len(r.marks) < n {
-		r.marks = append(r.marks, make([]uint32, n-len(r.marks))...)
-	}
-	r.gen++
-	if r.gen == 0 { // wrapped: stale stamps could alias the new epoch
-		clear(r.marks)
-		r.gen = 1
-	}
-	marks, gen := r.marks, r.gen
+	r.reset(n)
 	if cap(r.pool) < beam {
 		r.pool = make([]beamEntry, 0, beam)
 	}
@@ -100,7 +125,7 @@ func (r *RouteScratch) beamSearch(s *Space, neighbors neighborsFunc, n int, star
 		}
 	}
 
-	marks[start] = gen
+	r.see(start)
 	insert(start, s.IPTo(start, query))
 	for {
 		for cursor < len(pool) && pool[cursor].visited {
@@ -112,12 +137,17 @@ func (r *RouteScratch) beamSearch(s *Space, neighbors neighborsFunc, n int, star
 		pool[cursor].visited = true
 		v := pool[cursor].id
 		visit = append(visit, v)
+		batch := r.batch[:0]
 		for _, u := range neighbors(v) {
-			if marks[u] == gen {
-				continue
+			if r.see(u) {
+				batch = append(batch, u)
 			}
-			marks[u] = gen
-			insert(u, s.IPTo(u, query))
+		}
+		r.batch = batch
+		r.ips = slices.Grow(r.ips[:0], len(batch))[:len(batch)]
+		s.IPsTo(query, batch, r.ips)
+		for i, u := range batch {
+			insert(u, r.ips[i])
 		}
 	}
 	r.pool, r.visit = pool[:0], visit

@@ -1,10 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -112,13 +113,37 @@ func (d NNDescent) Init(s *Space, gamma int) [][]int32 {
 		}
 		draws[v] = picked
 	}
-	lists := make([]*neighborList, n)
-	parallelVertices(n, func(v int) {
-		l := newNeighborList(gamma)
-		for _, u := range draws[v] {
-			l.insert(u, s.IP(int32(v), u))
+	// Every stage below has the same shape: gather vertex v's candidates,
+	// score them all against v in one Space.IPs call (four rows per
+	// kernel call instead of one), then offer them to v's list in the
+	// gathered order. The gather drops repeats (neighbours share
+	// neighbours) and v's current neighbours, which cannot change the
+	// list: it rejects a duplicate, and a pair it once rejected, inserted
+	// or evicted is at or below its worst IP from then on, which only
+	// rises. offer returns how many candidates the list took.
+	offer := func(v int, l *neighborList, cands []int32, sc *candScratch) int64 {
+		sc.ips = slices.Grow(sc.ips[:0], len(cands))[:len(cands)]
+		s.IPs(int32(v), cands, sc.ips)
+		var took int64
+		for i, u := range cands {
+			if l.insert(u, sc.ips[i]) {
+				took++
+			}
 		}
-		lists[v] = l
+		return took
+	}
+	// One scratch per build worker, shared by every stage and iteration.
+	workers := workerCount()
+	scs := make([]candScratch, workers)
+	stage := func(visit func(v int, sc *candScratch)) {
+		runWorkers(workers, n, func(w int) func(v int) {
+			return func(v int) { visit(v, &scs[w]) }
+		})
+	}
+	lists := make([]*neighborList, n)
+	stage(func(v int, sc *candScratch) {
+		lists[v] = newNeighborList(gamma)
+		offer(v, lists[v], draws[v], sc)
 	})
 
 	for iter := 0; iter < iters; iter++ {
@@ -129,29 +154,24 @@ func (d NNDescent) Init(s *Space, gamma int) [][]int32 {
 		for v := range lists {
 			snapshot[v] = append([]int32(nil), lists[v].ids...)
 		}
-		var changed int64
-		parallelVertices(n, func(v int) {
-			l := lists[v]
+		var changed atomic.Int64
+		// join offers gather(v)'s candidates, minus v and v's current
+		// neighbours, to every vertex's list.
+		join := func(gather func(v int, sc *candScratch)) {
+			stage(func(v int, sc *candScratch) {
+				sc.reset(n)
+				sc.see(int32(v))
+				for _, u := range lists[v].ids {
+					sc.see(u)
+				}
+				gather(v, sc)
+				changed.Add(offer(v, lists[v], sc.out, sc))
+			})
+		}
+		join(func(v int, sc *candScratch) {
 			for _, nb := range snapshot[v] {
 				for _, u := range snapshot[nb] {
-					if u == int32(v) {
-						continue
-					}
-					if l.full() {
-						// Cheap pre-check before the IP: the insert will
-						// reject anything at or below the worst entry.
-						ip := s.IP(int32(v), u)
-						if ip <= l.worstIP() {
-							continue
-						}
-						if l.insert(u, ip) {
-							atomic.AddInt64(&changed, 1)
-						}
-						continue
-					}
-					if l.insert(u, s.IP(int32(v), u)) {
-						atomic.AddInt64(&changed, 1)
-					}
+					sc.add(u)
 				}
 			}
 		})
@@ -163,28 +183,12 @@ func (d NNDescent) Init(s *Space, gamma int) [][]int32 {
 				rev[u] = append(rev[u], int32(v))
 			}
 		}
-		parallelVertices(n, func(v int) {
-			l := lists[v]
+		join(func(v int, sc *candScratch) {
 			for _, u := range rev[v] {
-				if u == int32(v) {
-					continue
-				}
-				if l.full() {
-					ip := s.IP(int32(v), u)
-					if ip <= l.worstIP() {
-						continue
-					}
-					if l.insert(u, ip) {
-						atomic.AddInt64(&changed, 1)
-					}
-					continue
-				}
-				if l.insert(u, s.IP(int32(v), u)) {
-					atomic.AddInt64(&changed, 1)
-				}
+				sc.add(u)
 			}
 		})
-		if changed == 0 {
+		if changed.Load() == 0 {
 			break
 		}
 	}
@@ -226,30 +230,25 @@ func (r RandomInit) Init(s *Space, gamma int) [][]int32 {
 // ---------------------------------------------------------------------------
 // Component ②: candidate acquisition.
 
-// candScratch holds reusable per-worker buffers for candidate expansion.
+// candScratch holds reusable per-worker buffers for candidate expansion:
+// out collects distinct vertex IDs in first-seen order.
 type candScratch struct {
-	seen  map[int32]struct{}
+	epochMarks
 	out   []int32
+	ips   []float32    // NNDescent: IPs of out against the joined vertex
 	route RouteScratch // SearchCandidates' beam search
 }
 
-func newCandScratch() *candScratch {
-	return &candScratch{seen: make(map[int32]struct{}, 1024)}
-}
-
-func (c *candScratch) reset() {
-	for k := range c.seen {
-		delete(c.seen, k)
-	}
+// reset empties out and forgets every seen ID of a space of n vertices.
+func (c *candScratch) reset(n int) {
+	c.epochMarks.reset(n)
 	c.out = c.out[:0]
 }
 
 func (c *candScratch) add(id int32) {
-	if _, ok := c.seen[id]; ok {
-		return
+	if c.see(id) {
+		c.out = append(c.out, id)
 	}
-	c.seen[id] = struct{}{}
-	c.out = append(c.out, id)
 }
 
 // NeighborsOfNeighbors gathers each vertex's initial neighbors and their
@@ -261,7 +260,7 @@ func (NeighborsOfNeighbors) CandidateName() string { return "NoN" }
 
 // Candidates implements CandidateAcquirer.
 func (NeighborsOfNeighbors) Candidates(s *Space, adj [][]int32, v int32, scratch *candScratch) []int32 {
-	scratch.reset()
+	scratch.reset(len(adj))
 	for _, nb := range adj[v] {
 		if nb != v {
 			scratch.add(nb)
@@ -295,7 +294,7 @@ func (c SearchCandidates) Candidates(s *Space, adj [][]int32, v int32, scratch *
 		seed = 0
 	}
 	visited := scratch.route.vertex(s, adj, seed, v, c.Beam)
-	scratch.reset()
+	scratch.reset(len(adj))
 	for _, u := range visited {
 		if u != v {
 			scratch.add(u)
@@ -330,18 +329,30 @@ func (MRNG) Select(s *Space, v int32, cands []int32, gamma int) []int32 {
 		if len(out) >= gamma {
 			break
 		}
-		occluded := false
-		for _, u := range out {
-			if s.IP(u, c.id) >= c.ip {
-				occluded = true
-				break
-			}
-		}
-		if !occluded {
+		if !occludes(s, out, c) {
 			out = append(out, c.id)
 		}
 	}
 	return out
+}
+
+// occludes reports whether any selected neighbour is at least as close to
+// candidate c as c's own vertex is (IP(u,c) >= IP(v,c)). The selected set
+// is scored against c four at a time; the answer is an OR over it, so a
+// block that looks past the first occluder cannot change it.
+func occludes(s *Space, selected []int32, c ipCand) bool {
+	var ips [4]float32
+	for len(selected) > 0 {
+		blk := selected[:min(len(ips), len(selected))]
+		selected = selected[len(blk):]
+		s.IPs(c.id, blk, ips[:])
+		for _, ip := range ips[:len(blk)] {
+			if ip >= c.ip {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TopK keeps the gamma closest candidates with no diversification — the
@@ -511,17 +522,22 @@ type ipCand struct {
 // sortByIP returns cands with their IPs to v, sorted by descending IP.
 func sortByIP(s *Space, v int32, cands []int32) []ipCand {
 	out := make([]ipCand, 0, len(cands))
-	for _, c := range cands {
-		if c == v {
-			continue
+	var ips [64]float32
+	for len(cands) > 0 {
+		blk := cands[:min(len(ips), len(cands))]
+		cands = cands[len(blk):]
+		s.IPs(v, blk, ips[:])
+		for i, c := range blk {
+			if c != v {
+				out = append(out, ipCand{c, ips[i]})
+			}
 		}
-		out = append(out, ipCand{c, s.IP(v, c)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ip != out[j].ip {
-			return out[i].ip > out[j].ip
+	slices.SortFunc(out, func(a, b ipCand) int {
+		if a.ip != b.ip {
+			return cmp.Compare(b.ip, a.ip)
 		}
-		return out[i].id < out[j].id // deterministic tie-break
+		return cmp.Compare(a.id, b.id) // deterministic tie-break
 	})
 	return out
 }
@@ -551,17 +567,32 @@ func SetBuildWorkers(n int) int {
 	return int(buildWorkers.Swap(int32(n)))
 }
 
-// parallelVertices runs fn(v) for every vertex across GOMAXPROCS workers
-// (or the SetBuildWorkers override), chunked to amortize scheduling.
-func parallelVertices(n int, fn func(v int)) {
-	workers := int(buildWorkers.Load())
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// workerCount is how many workers a parallel build stage runs on:
+// GOMAXPROCS, or the SetBuildWorkers override.
+func workerCount() int {
+	if w := int(buildWorkers.Load()); w > 0 {
+		return w
 	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// parallelVertices runs fn(v) for every vertex across workerCount()
+// workers, chunked to amortize scheduling.
+func parallelVertices(n int, fn func(v int)) {
+	runWorkers(workerCount(), n, func(int) func(v int) { return fn })
+}
+
+// runWorkers is parallelVertices for stages whose workers each own
+// scratch state: at most workers workers share the n vertices, and worker
+// w (0 ≤ w < workers) calls newWorker(w) once and runs the function it
+// returns on its share. A caller that fixes workers across several stages
+// can keep per-worker state indexed by w between them.
+func runWorkers(workers, n int, newWorker func(w int) func(v int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
+		fn := newWorker(0)
 		for v := 0; v < n; v++ {
 			fn(v)
 		}
@@ -574,6 +605,7 @@ func parallelVertices(n int, fn func(v int)) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			fn := newWorker(w)
 			for {
 				start := int(atomic.AddInt64(&next, chunk)) - chunk
 				if start >= n {

@@ -373,15 +373,6 @@ func (l *neighborList) insert(id int32, ip float32) bool {
 	return true
 }
 
-func (l *neighborList) worstIP() float32 {
-	if len(l.ips) == 0 {
-		return float32(-1 << 30)
-	}
-	return l.ips[len(l.ips)-1]
-}
-
-func (l *neighborList) full() bool { return len(l.ids) == l.cap }
-
 // distFromIP converts an inner product into a squared Euclidean distance
 // using the space's constant self-IP: ||a-b||² = 2·(selfIP − IP(a,b)).
 func distFromIP(selfIP, ip float32) float32 { return 2 * (selfIP - ip) }

@@ -152,7 +152,7 @@ func TestMRNGAngleProperty(t *testing.T) {
 	// vertex. Verify via the law of cosines on a real selection.
 	s := testSpace(400, 12, 4, 5)
 	adj := NNDescent{Iters: 3, Seed: 2}.Init(s, 20)
-	scratch := newCandScratch()
+	scratch := new(candScratch)
 	self := s.SelfIP()
 	for v := int32(0); v < 50; v++ {
 		cands := NeighborsOfNeighbors{}.Candidates(s, adj, v, scratch)

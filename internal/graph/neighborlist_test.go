@@ -54,8 +54,9 @@ func TestNeighborListInvariants(t *testing.T) {
 		// offered IP (first-offer-per-id semantics).
 		if len(l.ids) == capacity {
 			better := 0
+			worst := l.ips[len(l.ips)-1]
 			for _, o := range offers {
-				if o.ip > l.worstIP() {
+				if o.ip > worst {
 					better++
 				}
 			}

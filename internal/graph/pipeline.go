@@ -63,19 +63,11 @@ func (p Pipeline) Build(s *Space) (*Graph, error) {
 	// ② Candidate acquisition + ③ neighbor selection, fused per vertex so
 	// candidate buffers stay worker-local.
 	final := make([][]int32, s.Len())
-	scratches := make(chan *candScratch, 64)
-	parallelVertices(s.Len(), func(v int) {
-		var scratch *candScratch
-		select {
-		case scratch = <-scratches:
-		default:
-			scratch = newCandScratch()
-		}
-		cands := p.Candidates.Candidates(s, initial, int32(v), scratch)
-		final[v] = p.Select.Select(s, int32(v), cands, p.Gamma)
-		select {
-		case scratches <- scratch:
-		default:
+	runWorkers(workerCount(), s.Len(), func(int) func(v int) {
+		scratch := new(candScratch)
+		return func(v int) {
+			cands := p.Candidates.Candidates(s, initial, int32(v), scratch)
+			final[v] = p.Select.Select(s, int32(v), cands, p.Gamma)
 		}
 	})
 

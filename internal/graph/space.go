@@ -260,6 +260,78 @@ func (s *Space) IPTo(i int32, q []float32) float32 {
 	return sum
 }
 
+// IPs is IP(v, ids[i]) for every i, written to out[:len(ids)] — one row
+// against many, which is the shape of every hot build loop (NNDescent
+// joins, sortByIP, MRNG occlusion). Scoring a whole list per call lets
+// the kernel take four rows at a time against one load of row v
+// (vec.DotRows); each value is bit-identical to the per-pair IP.
+func (s *Space) IPs(v int32, ids []int32, out []float32) {
+	if s.fusedRows > 0 {
+		if int(v) < s.fusedRows && s.allFused(ids) {
+			a := int(v) * s.dim
+			vec.DotRows(s.fused[a:a+s.dim], s.fused, s.dim, ids, out)
+			return
+		}
+		// A store row appended since materialization: decide per pair.
+		for i, u := range ids {
+			out[i] = s.IP(v, u)
+		}
+		return
+	}
+	s.lazyIPs(s.st.Row(int(v)), s.w2, ids, out)
+}
+
+// IPsTo is IPTo(ids[i], q) for every i, written to out[:len(ids)]: the
+// routing beam searches score a hop's unvisited neighbours through it.
+func (s *Space) IPsTo(q []float32, ids []int32, out []float32) {
+	if s.fusedRows > 0 {
+		if s.allFused(ids) {
+			vec.DotRows(q, s.fused, s.dim, ids, out)
+			return
+		}
+		for i, u := range ids {
+			out[i] = s.IPTo(u, q)
+		}
+		return
+	}
+	// q already carries one factor of ω_m; the stored rows carry none.
+	s.lazyIPs(q, s.w, ids, out)
+}
+
+func (s *Space) allFused(ids []int32) bool {
+	for _, u := range ids {
+		if int(u) >= s.fusedRows {
+			return false
+		}
+	}
+	return true
+}
+
+// lazyIPs is the per-modality store path of IPs and IPsTo: out[i] =
+// Σ_m scale[m]·Dot(q_m, row(ids[i])_m) over the modalities with a
+// non-zero weight, summed in modality order as IP and IPTo sum it. The
+// per-modality dots of up to 64 rows at a time (a neighbour list or two)
+// land in a stack buffer, so there is nothing to allocate or pool.
+func (s *Space) lazyIPs(q []float32, scale []float32, ids []int32, out []float32) {
+	out = out[:len(ids)]
+	clear(out)
+	var dots [64]float32
+	for len(ids) > 0 {
+		k := min(len(ids), len(dots))
+		for m, w2 := range s.w2 {
+			if w2 == 0 {
+				continue
+			}
+			a, b := s.offs[m], s.offs[m+1]
+			s.st.DotRows(q[a:b], a, ids[:k], dots[:])
+			for j, d := range dots[:k] {
+				out[j] += scale[m] * d
+			}
+		}
+		ids, out = ids[k:], out[k:]
+	}
+}
+
 // Vector returns stored vector i as a weighted concatenation. While the
 // fused buffer is materialized this is a zero-copy view; after Release it
 // allocates and packs the row on demand (acceptable on the rare

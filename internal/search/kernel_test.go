@@ -17,13 +17,18 @@ func TestFlatAndLegacyKernelsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for qi := 0; qi < 20; qi++ {
 		q := randomQuery(rng)
-		a, _, err := flat.Search(q, 10, 120)
+		a, aStats, err := flat.Search(q, 10, 120)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := legacy.Search(q, 10, 120)
+		b, bStats, err := legacy.Search(q, 10, 120)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The same hops, Lemma 4 skips and full evaluations: the two
+		// kernels route identically, however the flat one batches its rows.
+		if aStats != bStats {
+			t.Fatalf("query %d: flat stats %+v, legacy %+v", qi, aStats, bStats)
 		}
 		if len(a) != len(b) {
 			t.Fatalf("query %d: result counts differ: %d vs %d", qi, len(a), len(b))

@@ -40,9 +40,10 @@ type Stats struct {
 //
 // Candidate scoring runs on a contiguous vec.FlatStore through the fused
 // vec.FlatScanner kernel: one ω²-scaled multiply-add sweep per candidate
-// row, with the Lemma 4 early exit checked at modality boundaries. The
-// legacy [][]float32 per-modality path is kept behind WithFlatKernel(false)
-// for comparison benchmarks.
+// row, a hop's rows scored four per kernel call, with the Lemma 4 early
+// exit checked at modality boundaries. The legacy [][]float32
+// per-modality path is kept behind WithFlatKernel(false) for comparison
+// benchmarks.
 type Searcher struct {
 	g *graph.Graph
 	// store is the packed vector storage the flat kernel scores against.
@@ -358,16 +359,16 @@ func (s *Searcher) SearchParams(query vec.Multi, p Params) ([]Result, Stats, err
 	marks := s.marks
 	seenCount := 0
 
-	// evalFull computes the routing joint IP with no early termination —
-	// exact on the float32 paths, approximate (dequantized) on the
-	// quantized path, where the post-routing re-rank restores exactness.
+	// blocked: float32 rows are scored a batch at a time, four rows per
+	// kernel call (FlatScanner.Prescore, then FullIPAt/ScanAt per row).
+	// The other two store kinds score row at a time through evalFull —
+	// approximate (dequantized) on the quantized path, where the
+	// post-routing re-rank restores exactness — and their Scan.
+	blocked := flat != nil && quant == nil
 	evalFull := func(id int32) float32 {
 		stats.FullEvals++
 		if quant != nil {
 			return quant.FullIP(codes.Row(int(id)))
-		}
-		if flat != nil {
-			return flat.FullIP(s.store.Row(int(id)))
 		}
 		return legacy.FullIP(s.object(id))
 	}
@@ -412,18 +413,32 @@ func (s *Searcher) SearchParams(query vec.Multi, p Params) ([]Result, Stats, err
 		seenCount++
 	}
 
-	// Line 1-3: seed plus l-1 random vertices.
+	// Line 1-3: seed plus l-1 random vertices. The pool is not full yet,
+	// so every draw is inserted and the draw order never depends on a
+	// score: draw them all first, then score them as one batch.
+	if cap(s.batch) < l {
+		s.batch = make([]int32, 0, l)
+	}
+	seeds := append(s.batch[:0], s.g.Seed)
 	mark(s.g.Seed)
-	insert(s.g.Seed, evalFull(s.g.Seed))
-	for len(pool) < l {
+	for len(seeds) < l {
 		id := int32(s.rng.Intn(n))
 		if marks[id] >= gen {
 			continue
 		}
 		mark(id)
-		insert(id, evalFull(id))
-		if seenCount == n {
-			break
+		seeds = append(seeds, id)
+	}
+	s.batch = seeds
+	if blocked {
+		flat.Prescore(s.store, seeds, 0, false)
+		stats.FullEvals += len(seeds)
+	}
+	for i, id := range seeds {
+		if blocked {
+			insert(id, flat.FullIPAt(i))
+		} else {
+			insert(id, evalFull(id))
 		}
 	}
 
@@ -450,15 +465,20 @@ func (s *Searcher) SearchParams(query vec.Multi, p Params) ([]Result, Stats, err
 		threshold := pool[len(pool)-1].ip // worst of R (z in Algorithm 2)
 		full := len(pool) == l
 		improved := false
-		// Gather the unseen neighbors first, then score the batch: the
-		// candidate IDs are resolved up front — one zero-copy subslice of
-		// the CSR edge array per hop — so the scoring loop is a straight
-		// run of row sweeps over the packed store, which the hardware
-		// prefetcher handles far better than scoring interleaved with
-		// adjacency chasing. Each gathered row is software-prefetched
-		// here, a full batch ahead of its dot sweep: candidate rows are
-		// random-access into a multi-MB arena, and without the hint every
-		// sweep stalls on a cold row.
+		// Gather the unseen neighbors first — one zero-copy subslice of
+		// the CSR edge array per hop — then score the batch. On float32
+		// rows the batch is scored four rows per kernel call (Prescore): a
+		// single row's dot is one dependent add chain, so it is latency-
+		// bound even with the row in L1, while four rows keep four chains
+		// and four hardware-prefetched streams in flight, straight from
+		// the cold rows. There is deliberately no software prefetch of
+		// these 3 KB rows: a whole hop's rows (more than L1) issued ahead
+		// of the first dot made memory time and compute time add up
+		// instead of overlapping. The SQ8 code rows keep theirs: at 768 B
+		// they are too short for the hardware streamer to get going. The
+		// walk below then makes every decision in the original order
+		// against the tightening threshold, exactly as row-at-a-time Scan
+		// calls would — Prescore only decides what is computed early.
 		batch := s.batch[:0]
 		for _, u := range s.g.Neighbors(v) {
 			if marks[u] >= gen {
@@ -468,20 +488,21 @@ func (s *Searcher) SearchParams(query vec.Multi, p Params) ([]Result, Stats, err
 			batch = append(batch, u)
 			if quant != nil {
 				vec.PrefetchBytes(codes.Row(int(u)))
-			} else if flat != nil {
-				vec.PrefetchFloats(s.store.Row(int(u)))
 			}
 		}
 		s.batch = batch
-		for _, u := range batch {
+		if blocked {
+			flat.Prescore(s.store, batch, threshold, p.Optimize && full)
+		}
+		for i, u := range batch {
 			var ip float32
 			if p.Optimize && full {
 				var bound float32
 				var exact bool
 				if quant != nil {
 					bound, exact = quant.Scan(codes.Row(int(u)), threshold)
-				} else if flat != nil {
-					bound, exact = flat.Scan(s.store.Row(int(u)), threshold)
+				} else if blocked {
+					bound, exact = flat.ScanAt(i, threshold)
 				} else {
 					bound, exact = legacy.Scan(s.object(u), threshold)
 				}
@@ -492,7 +513,12 @@ func (s *Searcher) SearchParams(query vec.Multi, p Params) ([]Result, Stats, err
 				stats.FullEvals++
 				ip = bound
 			} else {
-				ip = evalFull(u)
+				if blocked {
+					stats.FullEvals++
+					ip = flat.FullIPAt(i)
+				} else {
+					ip = evalFull(u)
+				}
 				if full && ip <= threshold {
 					continue
 				}
@@ -528,9 +554,15 @@ func (s *Searcher) SearchParams(query vec.Multi, p Params) ([]Result, Stats, err
 		if rk > len(pool) {
 			rk = len(pool)
 		}
-		for i := 0; i < rk; i++ {
-			stats.FullEvals++
-			pool[i].ip = flat.FullIP(s.store.Row(int(pool[i].id)))
+		batch := s.batch[:0]
+		for _, e := range pool[:rk] {
+			batch = append(batch, e.id)
+		}
+		s.batch = batch
+		flat.Prescore(s.store, batch, 0, false)
+		stats.FullEvals += rk
+		for i := range batch {
+			pool[i].ip = flat.FullIPAt(i)
 		}
 		for i := 1; i < rk; i++ {
 			e := pool[i]

@@ -167,6 +167,28 @@ func (s *FlatStore) Modality(i, m int) []float32 {
 	return row[s.offs[m]:s.offs[m+1]:s.offs[m+1]]
 }
 
+// DotRows scores rows of the store against one query, four per kernel
+// call: out[i] = Dot(q, Row(ids[i])[off:off+len(q)]), each bit-identical
+// to the single-row kernel. Whole blocks of four go through dotRows4Impl,
+// the 1–3 row tail through dotImpl; this is the only place that policy
+// lives (vec.DotRows over a packed arena comes here too).
+func (s *FlatStore) DotRows(q []float32, off int, ids []int32, out []float32) {
+	n := len(q)
+	out = out[:len(ids)]
+	if n == 0 {
+		clear(out)
+		return
+	}
+	at := func(id int32) *float32 { return &s.Row(int(id))[off : off+n][0] }
+	i := 0
+	for ; i+4 <= len(ids); i += 4 {
+		out[i], out[i+1], out[i+2], out[i+3] = dotRows4Impl(q, at(ids[i]), at(ids[i+1]), at(ids[i+2]), at(ids[i+3]))
+	}
+	for ; i < len(ids); i++ {
+		out[i] = dotImpl(q, s.Row(int(ids[i]))[off:off+n])
+	}
+}
+
 // Multi returns object i as a Multi whose per-modality slices are views
 // into the packed row, so FlatFromMulti followed by Multi round-trips
 // without copying.
@@ -341,6 +363,15 @@ type FlatScanner struct {
 	sq    []float32 // ω_i²-pre-scaled packed query (zero on inactive ranges)
 	segs  []flatSeg
 	sumW2 float32
+
+	// Blocked-scoring state of the last Prescore (see there):
+	// bounds[i*len(segs)+s] = row i's bound after segment s, and done[i] =
+	// how many segments of row i are in bounds. Both are views into the
+	// two scratch arrays every Prescore carves its buffers from.
+	bounds []float32
+	done   []int32
+	ints   []int32
+	floats []float32
 }
 
 // NewFlatScanner prepares a fused scanner for queries against rows laid
@@ -422,6 +453,97 @@ func (fs *FlatScanner) Scan(row []float32, threshold float32) (ip float32, exact
 		}
 	}
 	return ip, true
+}
+
+// Prescore scores a batch of rows ahead of the caller's sequential
+// ScanAt/FullIPAt walk, four rows per kernel call (see dotRows4Impl) —
+// the shape of one routing hop: every unseen neighbour against one query.
+// Segment 0 is scored for the whole batch, since Scan always finishes it.
+// Later segments are scored for every row when prune is false (the
+// FullIP walk), and otherwise only for rows whose bound still beats
+// threshold, the pool's worst IP before the walk: the walk's threshold
+// only rises from there, so these are a superset of the rows it can take
+// past that segment. Prescore makes no decision: which rows count as
+// skipped or evaluated, and against which threshold, is the walk's.
+func (fs *FlatScanner) Prescore(st *FlatStore, ids []int32, threshold float32, prune bool) {
+	n, nseg := len(ids), len(fs.segs)
+	if cap(fs.ints) < 3*n {
+		fs.ints = make([]int32, 3*n)
+	}
+	if cap(fs.floats) < n*(nseg+1) {
+		fs.floats = make([]float32, n*(nseg+1))
+	}
+	done, liveAt, liveIDs := fs.ints[:n], fs.ints[n:2*n], fs.ints[2*n:3*n]
+	dots, bounds := fs.floats[:n], fs.floats[n:n*(nseg+1)]
+	fs.done, fs.bounds = done, bounds
+	if nseg == 0 {
+		clear(done)
+		return
+	}
+	// alive reports whether a row with this bound goes on to the next
+	// segment; the rows that do are kept as positions in ids (liveAt) and
+	// as the IDs themselves (liveIDs, what DotRows takes).
+	alive := func(bound float32) bool { return !(prune && bound <= threshold) }
+	sg := fs.segs[0]
+	st.DotRows(fs.sq[sg.a:sg.b], sg.a, ids, dots)
+	live := 0
+	for i, d := range dots {
+		ip := fs.sumW2
+		ip += d - sg.halfC
+		bounds[i*nseg] = ip
+		done[i] = 1
+		if alive(ip) {
+			liveAt[live], liveIDs[live] = int32(i), ids[i]
+			live++
+		}
+	}
+	for s := 1; s < nseg && live > 0; s++ {
+		sg = fs.segs[s]
+		st.DotRows(fs.sq[sg.a:sg.b], sg.a, liveIDs[:live], dots)
+		still := 0
+		for j, i := range liveAt[:live] {
+			at := int(i)*nseg + s
+			ip := bounds[at-1]
+			ip += dots[j] - sg.halfC
+			bounds[at] = ip
+			done[i] = int32(s + 1)
+			if alive(ip) {
+				liveAt[still], liveIDs[still] = i, liveIDs[j]
+				still++
+			}
+		}
+		live = still
+	}
+}
+
+// ScanAt is Scan(Row(ids[i]), threshold) for row i of the last Prescore
+// batch: the same Lemma 4 check after every segment, the last included.
+// threshold must not be below that Prescore's (within a hop it only
+// rises), so a row Prescore pruned fails its last scored bound here too.
+func (fs *FlatScanner) ScanAt(i int, threshold float32) (ip float32, exact bool) {
+	nseg := len(fs.segs)
+	ip = fs.sumW2
+	for _, ip = range fs.bounds[i*nseg : i*nseg+int(fs.done[i])] {
+		if ip <= threshold {
+			return ip, false
+		}
+	}
+	// A pruned row gets here only past a NaN threshold (a pool poisoned by
+	// non-finite scores, where no order means anything): it stays pruned.
+	return ip, int(fs.done[i]) == nseg
+}
+
+// FullIPAt is FullIP(Row(ids[i])) for row i of the last Prescore batch,
+// which must have been scored in full (prune false).
+func (fs *FlatScanner) FullIPAt(i int) float32 {
+	nseg := len(fs.segs)
+	if int(fs.done[i]) != nseg {
+		panic("vec: FullIPAt on a pruned Prescore batch")
+	}
+	if nseg == 0 {
+		return fs.sumW2
+	}
+	return fs.bounds[(i+1)*nseg-1]
 }
 
 // Scan and FullIP share the exact per-segment accumulation (both call the

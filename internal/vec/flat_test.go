@@ -148,6 +148,83 @@ func TestFlatScannerScanConsistency(t *testing.T) {
 	}
 }
 
+// The blocked path must be Scan and FullIP, bit for bit and decision for
+// decision: for batches of every size around the block width, with rows in
+// the bulk block and in overflow chunks, repeated rows, 1–3 modalities, a
+// zero-weight modality and dims with tails, ScanAt(i, thr) after
+// Prescore(start) equals Scan(row, thr) for every walk threshold at or
+// above the start threshold (within a routing hop it only rises), and
+// FullIPAt equals FullIP after an unpruned Prescore.
+func TestPrescoreMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, tc := range []struct {
+		dims []int
+		w    Weights
+	}{
+		{[]int{19}, Weights{1}},
+		{[]int{13, 7}, Weights{0.8, 0.6}},
+		{[]int{64, 32}, Weights{0.8, 0.6}},
+		{[]int{13, 7, 24}, Weights{0.8, 0.5, 0.3}},
+		{[]int{13, 7, 24}, Weights{0.8, 0, 0.3}},
+		{[]int{9, 5}, Weights{0.7}},
+		{[]int{9, 5}, Weights{0, 0}},
+	} {
+		st := NewFlatStore(tc.dims, 40) // rows 40.. land in overflow chunks
+		for i := 0; i < 300; i++ {
+			st.AppendMulti(randomMulti(rng, tc.dims))
+		}
+		var fs, ref FlatScanner
+		for trial := 0; trial < 40; trial++ {
+			q := randomMulti(rng, tc.dims)
+			fs.Reset(st, tc.w, q)
+			ref.Reset(st, tc.w, q)
+			ids := make([]int32, trial%11)
+			for i := range ids {
+				ids[i] = int32(rng.Intn(st.Len()))
+			}
+			if len(ids) > 2 {
+				ids[len(ids)-1] = ids[0]
+			}
+			// Thresholds drawn from the batch's own bounds and IPs, so the
+			// checks land on both sides of every segment of some row.
+			var cuts []float32
+			for _, id := range ids {
+				full := ref.FullIP(st.Row(int(id)))
+				bound, _ := ref.Scan(st.Row(int(id)), full+0.05)
+				cuts = append(cuts, full, bound, full-0.01)
+			}
+			cuts = append(cuts, float32(math.Inf(-1)), ref.SumW2(), float32(math.NaN()))
+			for _, start := range cuts {
+				fs.Prescore(st, ids, start, true)
+				for _, thr := range cuts {
+					if start == start && !(thr >= start) {
+						continue // below a (non-NaN) start: not a walk threshold
+					}
+					for i, id := range ids {
+						wantIP, wantExact := ref.Scan(st.Row(int(id)), thr)
+						gotIP, gotExact := fs.ScanAt(i, thr)
+						if gotExact != wantExact || math.Float32bits(gotIP) != math.Float32bits(wantIP) {
+							t.Fatalf("dims %v w %v start %v: ScanAt(%d, %v) = (%v,%v), Scan = (%v,%v)",
+								tc.dims, tc.w, start, i, thr, gotIP, gotExact, wantIP, wantExact)
+						}
+					}
+				}
+			}
+			fs.Prescore(st, ids, ref.SumW2(), false)
+			for i, id := range ids {
+				if got, want := fs.FullIPAt(i), ref.FullIP(st.Row(int(id))); math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("dims %v w %v: FullIPAt(%d) = %v, FullIP = %v", tc.dims, tc.w, i, got, want)
+				}
+				wantIP, wantExact := ref.Scan(st.Row(int(id)), cuts[0])
+				if gotIP, gotExact := fs.ScanAt(i, cuts[0]); gotExact != wantExact || gotIP != wantIP {
+					t.Fatalf("dims %v w %v: unpruned ScanAt(%d) = (%v,%v), Scan = (%v,%v)",
+						tc.dims, tc.w, i, gotIP, gotExact, wantIP, wantExact)
+				}
+			}
+		}
+	}
+}
+
 // Uniform weights must square-sum to exactly 1.0 after the float64
 // renormalization — the precision-drift fix for the weights path.
 func TestUniformSquaredSumExact(t *testing.T) {

@@ -70,21 +70,44 @@ func KernelName() string { return kernelName }
 // being valid memory.
 var prefetchImpl = func(p unsafe.Pointer, n uintptr) {}
 
-// PrefetchBytes hints that b will be scanned shortly. The search routing
-// loop calls it while gathering a hop's candidate batch, so the rows
-// stream into cache behind the scoring of earlier candidates instead of
-// stalling each dot kernel on a cold row.
+// PrefetchBytes hints that b will be scanned shortly. The quantized
+// routing loop calls it on each SQ8 code row while gathering a hop's
+// candidate batch: 768 B rows are too short for the hardware streamer,
+// so without the hint every integer sweep stalls on a cold row. (float32
+// rows get none — see the hop loop in internal/search.)
 func PrefetchBytes(b []uint8) {
 	if len(b) > 0 {
 		prefetchImpl(unsafe.Pointer(&b[0]), uintptr(len(b)))
 	}
 }
 
-// PrefetchFloats is PrefetchBytes for float32 rows.
-func PrefetchFloats(f []float32) {
-	if len(f) > 0 {
-		prefetchImpl(unsafe.Pointer(&f[0]), uintptr(len(f))*4)
-	}
+// dotRows4Impl is the installed multi-row float32 kernel: four rows
+// against one query per call, d_i = dotImpl(q, r_i[:len(q)]) bit for bit.
+// A single row's 8 lane sums live in one vector register, so its dot is a
+// chain of len/8 dependent adds and the core idles for the add latency at
+// every step; four rows are four independent chains behind one query
+// load, which hides that latency without touching any row's schedule (a
+// second accumulator for the same row would change its bits). The AVX2
+// version is assembly; everywhere else the entry point composes four
+// calls of the installed single-row kernel, identical by construction.
+// Every r_i must point at len(q) readable floats.
+var dotRows4Impl = dotRows4Composed
+
+func dotRows4Composed(q []float32, r0, r1, r2, r3 *float32) (d0, d1, d2, d3 float32) {
+	n := len(q)
+	return dotImpl(q, unsafe.Slice(r0, n)), dotImpl(q, unsafe.Slice(r1, n)),
+		dotImpl(q, unsafe.Slice(r2, n)), dotImpl(q, unsafe.Slice(r3, n))
+}
+
+// DotRows scores rows of a packed arena against one query, four per
+// kernel call: out[i] = Dot(q, arena[ids[i]*stride:][:len(q)]), each
+// bit-identical to the single-row kernel. The graph build's one-to-many
+// loops and the routing beam searches score a vertex's whole candidate
+// list through it. A packed arena is a store that is all bulk block, so
+// the block-and-tail driver is FlatStore.DotRows and lives only there.
+func DotRows(q, arena []float32, stride int, ids []int32, out []float32) {
+	st := FlatStore{bulk: arena, rowDim: stride, bulkCap: len(arena) / stride}
+	st.DotRows(q, 0, ids, out)
 }
 
 // dotGeneric is the reference float32 dot kernel. Both slices must have

@@ -14,6 +14,10 @@ import "unsafe"
 // 8-lane accumulation schedule. len(a) must equal len(b).
 func dotAVX2(a, b []float32) float32
 
+// dotRows4AVX2 computes dotAVX2(q, r_i[:len(q)]) for four rows at once,
+// sharing the query loads; every r_i must point at len(q) readable floats.
+func dotRows4AVX2(q []float32, r0, r1, r2, r3 *float32) (d0, d1, d2, d3 float32)
+
 // dotCodesAVX2 computes the exact integer dot Σ int32(q[i])·int32(c[i])
 // via VPMADDWD (16 codes per step). len(q) must equal len(c); the caller
 // guarantees the sum fits int32 (see kernel.go).
@@ -56,6 +60,7 @@ func init() {
 	prefetchImpl = prefetchSpan
 	if hasAVX2() {
 		dotImpl = dotAVX2
+		dotRows4Impl = dotRows4AVX2
 		dotCodesImpl = dotCodesAVX2
 		kernelName = "avx2"
 	}

@@ -49,6 +49,89 @@ done:
 	MOVSS X0, ret+48(FP)
 	RET
 
+// func dotRows4AVX2(q []float32, r0, r1, r2, r3 *float32) (d0, d1, d2, d3 float32)
+//
+// Four dotAVX2s that share the query loads: row i accumulates in Y<i>
+// with dotAVX2's instruction sequence (VMULPS with the query as first
+// source, then VADDPS into the lane sums; the same reduction; the same
+// scalar tail), so each result is dotAVX2(q, r_i[:len(q)]) bit for bit.
+// What changes is what the core waits for: one row is a chain of
+// len/8 dependent VADDPS, four rows are four independent chains.
+TEXT ·dotRows4AVX2(SB), NOSPLIT, $0-72
+	MOVQ q_base+0(FP), SI
+	MOVQ q_len+8(FP), CX
+	MOVQ r0+24(FP), R8
+	MOVQ r1+32(FP), R9
+	MOVQ r2+40(FP), R10
+	MOVQ r3+48(FP), R11
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ AX, AX        // byte offset into q and every row
+	MOVQ CX, BX
+	SHRQ $3, BX        // BX = len/8 vector steps
+	JZ   reduce4
+loop4:
+	VMOVUPS (SI)(AX*1), Y4
+	VMULPS  (R8)(AX*1), Y4, Y5
+	VMULPS  (R9)(AX*1), Y4, Y6
+	VMULPS  (R10)(AX*1), Y4, Y7
+	VMULPS  (R11)(AX*1), Y4, Y8
+	VADDPS  Y5, Y0, Y0
+	VADDPS  Y6, Y1, Y1
+	VADDPS  Y7, Y2, Y2
+	VADDPS  Y8, Y3, Y3
+	ADDQ $32, AX
+	DECQ BX
+	JNZ  loop4
+reduce4:
+	VEXTRACTF128 $1, Y0, X4
+	VEXTRACTF128 $1, Y1, X5
+	VEXTRACTF128 $1, Y2, X6
+	VEXTRACTF128 $1, Y3, X7
+	VADDPS  X4, X0, X0 // (t0, t1, t2, t3) of row 0
+	VADDPS  X5, X1, X1
+	VADDPS  X6, X2, X2
+	VADDPS  X7, X3, X3
+	VHADDPS X0, X0, X0 // (t0+t1, t2+t3, ...)
+	VHADDPS X1, X1, X1
+	VHADDPS X2, X2, X2
+	VHADDPS X3, X3, X3
+	VMOVSHDUP X0, X4   // lane 1 -> lane 0
+	VMOVSHDUP X1, X5
+	VMOVSHDUP X2, X6
+	VMOVSHDUP X3, X7
+	VADDSS  X4, X0, X0 // (t0+t1) + (t2+t3)
+	VADDSS  X5, X1, X1
+	VADDSS  X6, X2, X2
+	VADDSS  X7, X3, X3
+	VZEROUPPER
+	ANDQ $7, CX
+	JZ   done4
+tail4:
+	MOVSS (SI)(AX*1), X4
+	MOVAPS X4, X5
+	MOVAPS X4, X6
+	MOVAPS X4, X7
+	MULSS (R8)(AX*1), X4
+	MULSS (R9)(AX*1), X5
+	MULSS (R10)(AX*1), X6
+	MULSS (R11)(AX*1), X7
+	ADDSS X4, X0
+	ADDSS X5, X1
+	ADDSS X6, X2
+	ADDSS X7, X3
+	ADDQ $4, AX
+	DECQ CX
+	JNZ  tail4
+done4:
+	MOVSS X0, d0+56(FP)
+	MOVSS X1, d1+60(FP)
+	MOVSS X2, d2+64(FP)
+	MOVSS X3, d3+68(FP)
+	RET
+
 // func dotCodesAVX2(q []int16, c []uint8) int32
 //
 // Exact integer dot: the sixteen int16·uint8 products per step reduce

@@ -11,9 +11,64 @@ import (
 // returns a restore func. Tests in this package run sequentially, so the
 // swap cannot race with other kernel users.
 func forceGeneric() (restore func()) {
-	d, u := dotImpl, dotCodesImpl
-	dotImpl, dotCodesImpl = dotGeneric, dotCodesGeneric
-	return func() { dotImpl, dotCodesImpl = d, u }
+	d, r, u := dotImpl, dotRows4Impl, dotCodesImpl
+	dotImpl, dotRows4Impl, dotCodesImpl = dotGeneric, dotRows4Composed, dotCodesGeneric
+	return func() { dotImpl, dotRows4Impl, dotCodesImpl = d, r, u }
+}
+
+// sameOrBothNaN is the tolerance the multi-row kernel gets against the
+// pure-Go reference only: identical bit patterns, or both NaN. Which
+// operand's payload a NaN result carries follows instruction operand order
+// (x86 keeps the first source's), which the Go compiler is free to choose
+// for dotGeneric's commutative multiplies and adds.
+func sameOrBothNaN(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+// checkDotRows requires the multi-row entry point to equal the installed
+// single-row kernel bit for bit, NaN payloads included (dotRows4AVX2 keeps
+// dotAVX2's operand order), and the pure-Go reference bit for bit on every
+// non-NaN result, for every row of every block shape: it scores rows[:k]
+// for k = 0..len(rows) (short last blocks of 1–3 rows included) through
+// DotRows, and the first four through the installed kernel directly.
+func checkDotRows(t *testing.T, what string, q []float32, rows [][]float32) {
+	t.Helper()
+	n := len(q)
+	same := func(how string, i int, got float32) {
+		t.Helper()
+		if want := dotImpl(q, rows[i]); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("%s len=%d %s row %d: %v (%#x) != dotImpl %v (%#x)", what, n, how, i,
+				got, math.Float32bits(got), want, math.Float32bits(want))
+		}
+		if want := dotGeneric(q, rows[i]); !sameOrBothNaN(got, want) {
+			t.Fatalf("%s len=%d %s row %d: %v (%#x) != dotGeneric %v (%#x)", what, n, how, i,
+				got, math.Float32bits(got), want, math.Float32bits(want))
+		}
+	}
+	// Pack the rows into one arena at a stride that leaves odd offsets.
+	stride := n + 3
+	arena := make([]float32, 1+len(rows)*stride)
+	ids := make([]int32, len(rows))
+	for i, r := range rows {
+		copy(arena[1+i*stride:], r)
+		ids[i] = int32(i)
+	}
+	out := make([]float32, len(rows))
+	for k := 0; k <= len(rows); k++ {
+		for i := range out {
+			out[i] = float32(math.NaN())
+		}
+		DotRows(q, arena[1:], stride, ids[:k], out)
+		for i := 0; i < k; i++ {
+			same("DotRows", i, out[i])
+		}
+	}
+	if n > 0 && len(rows) >= 4 {
+		d0, d1, d2, d3 := dotRows4Impl(q, &rows[0][0], &rows[1][0], &rows[2][0], &rows[3][0])
+		for i, d := range []float32{d0, d1, d2, d3} {
+			same("dotRows4Impl", i, d)
+		}
+	}
 }
 
 func randInt16(rng *rand.Rand, n int) []int16 {
@@ -70,6 +125,23 @@ func TestDotKernelBitExact(t *testing.T) {
 		if got, want := dotCodesImpl(q, c), dotCodesGeneric(q, c); got != want {
 			t.Fatalf("dotCodes len=%d: kernel %d != reference %d", n, got, want)
 		}
+		checkDotRows(t, "rows", a, [][]float32{b, randFloats(rng, n), randFloats(rng, n), randFloats(rng, n), randFloats(rng, n), randFloats(rng, n), randFloats(rng, n)})
+	}
+}
+
+// TestDotRowsShapes covers what the length sweep above does not: the
+// production segment lengths, query and rows that are sub-slices at odd
+// offsets of larger buffers, and the same row passed in several slots of
+// one block.
+func TestDotRowsShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, n := range []int{1, 7, 8, 9, 96, 256, 512, 768, 771} {
+		buf := randFloats(rng, 5*(n+5))
+		q := buf[3 : 3+n]
+		r := func(i int) []float32 { return buf[i*(n+5)+1 : i*(n+5)+1+n] }
+		checkDotRows(t, "odd offsets", q, [][]float32{r(1), r(2), r(3), r(4), r(1)})
+		checkDotRows(t, "repeated row", q, [][]float32{r(2), r(2), r(4), r(2), r(2), r(2)})
+		checkDotRows(t, "query as a row", q, [][]float32{q, r(1), q, q})
 	}
 }
 
@@ -96,6 +168,13 @@ func TestDotKernelExtremes(t *testing.T) {
 			t.Fatalf("trial %d len=%d: kernel %v (%#x) != reference %v (%#x)",
 				trial, n, got, math.Float32bits(got), want, math.Float32bits(want))
 		}
+		// The same cancellation-prone row in every slot of a block, next
+		// to its negation and to the query itself.
+		neg := make([]float32, n)
+		for i := range b {
+			neg[i] = -b[i]
+		}
+		checkDotRows(t, "extremes", a, [][]float32{b, neg, a, b, neg})
 	}
 }
 
@@ -183,6 +262,13 @@ func FuzzDotKernel(f *testing.F) {
 		if got, want := dotCodesImpl(q, c), dotCodesGeneric(q, c); got != want {
 			t.Fatalf("dotCodes len=%d: kernel %d != reference %d", n, got, want)
 		}
+		// Multi-row entry point on the same payload: b, its reverse and a
+		// in the row slots, so NaN/Inf/denormal lanes meet every slot.
+		rev := make([]float32, n)
+		for i := range b {
+			rev[i] = b[n-1-i]
+		}
+		checkDotRows(t, "fuzz", a, [][]float32{b, rev, a, b, rev})
 	})
 }
 
@@ -232,3 +318,43 @@ func BenchmarkKernel(b *testing.B) {
 }
 
 var sinkI32 int32
+
+// BenchmarkDotRows prices one 768-d row (the clip8k fused row) scored row
+// at a time (x1: dotImpl) and four per kernel call (x4: DotRows), with the
+// operands in L1 (cached: 4 rows) and drawn at random from a 24 MB arena
+// (random: 8,192 rows, the ladder's corpus size). One op is one row on
+// both sides. x1/cached is the single accumulator's add-latency chain;
+// x4/random is what a routing hop pays per cold row.
+func BenchmarkDotRows(b *testing.B) {
+	const dim = 768
+	rng := rand.New(rand.NewSource(5))
+	q := randFloats(rng, dim)
+	for _, res := range []struct {
+		name string
+		rows int
+	}{{"cached", 4}, {"random", 8192}} {
+		arena := randFloats(rng, res.rows*dim)
+		ids := make([]int32, 1024)
+		for i := range ids {
+			ids[i] = int32(rng.Intn(res.rows))
+		}
+		out := make([]float32, 4)
+		b.Run("x1/"+res.name, func(b *testing.B) {
+			var acc float32
+			for i := 0; i < b.N; i++ {
+				at := int(ids[i%len(ids)]) * dim
+				acc += dotImpl(q, arena[at:at+dim])
+			}
+			sinkF32 = acc
+		})
+		b.Run("x4/"+res.name, func(b *testing.B) {
+			var acc float32
+			for i := 0; i < b.N; i += 4 {
+				at := i % len(ids)
+				DotRows(q, arena, dim, ids[at:at+4], out)
+				acc += out[0]
+			}
+			sinkF32 = acc
+		})
+	}
+}
