@@ -10,8 +10,8 @@ import (
 
 // BenchmarkMaintainedChurn measures insert+delete churn throughput on a
 // sharded engine while the background maintenance manager is live, paced
-// rebuilds included. Ungated: churn cost is workload-shaped rather than a
-// stable kernel number, so it informs rather than gates.
+// rebuilds included. Churn cost is workload-shaped rather than a stable
+// kernel number, so it informs; the ladder's churn_durable is the gate.
 func BenchmarkMaintainedChurn(b *testing.B) {
 	for _, maintained := range []bool{false, true} {
 		name := "unmaintained"

@@ -1,8 +1,7 @@
-// Sharded-engine benchmarks: the scale path's CI gates. The n=16384 tier
-// always runs and is gated in BENCH_BASELINE.json with the rest of the
-// suite; the n=262144 tier only runs with MUST_SCALE=1 (the nightly
-// scale workflow) and gates against BENCH_BASELINE_SCALE.json, so PR
-// benches stay fast while the 256k path cannot silently regress.
+// Sharded-engine benchmarks: the scale path. The n=16384 tier always
+// runs; the n=262144 tier only runs with MUST_SCALE=1 (the nightly scale
+// workflow, which uploads its numbers), so PR benches stay fast while the
+// 256k path keeps running.
 package must_test
 
 import (

@@ -1,6 +1,7 @@
-// Benchmarks mapping to the paper's tables and figures (DESIGN.md §4).
-// Each Benchmark* exercises the hot path behind one experiment at a
-// CI-affordable corpus size; cmd/mustbench regenerates the full tables.
+// Benchmarks mapping to the paper's tables and figures (cmd/mustbench's
+// -exp list). Each Benchmark* exercises the hot path behind one experiment
+// at a CI-affordable corpus size; cmd/mustbench regenerates the full
+// tables.
 package must_test
 
 import (
@@ -57,8 +58,9 @@ func featureFixture(tb testing.TB, n int) fixture {
 		encoder.NewOrdinal(raw.AttrDim, 7),
 	}})
 	w := vec.Weights{0.8, 0.6}
-	experiments.FillGroundTruth(enc, w, 10)
-	fused, err := index.BuildFused(enc.Objects, w, graph.Ours(24, 3, 7))
+	st := vec.FlatFromMulti(enc.Objects)
+	experiments.FillGroundTruth(enc, st, w, 10)
+	fused, err := index.BuildFusedStore(st, w, graph.Ours(24, 3, 7))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func featureFixture(tb testing.TB, n int) fixture {
 	}
 	return fixture{
 		enc: enc, weights: w, fused: fused, mr: mr,
-		brute:   &index.BruteForce{Objects: enc.Objects, Weights: w},
+		brute:   &index.BruteForce{Store: st, Weights: w},
 		mrBrute: baseline.NewMRBrute(enc.Objects),
 	}
 }
@@ -103,8 +105,9 @@ func clipFixture(tb testing.TB, n int) fixture {
 		encoder.New(encoder.Spec{Name: "Transformer", LatentDim: raw.AttrDim, Dim: 256, Sigma: encoder.SigmaTransformer, Seed: 7 ^ 0x7f5}),
 	}})
 	w := vec.Weights{0.8, 0.6}
-	experiments.FillGroundTruth(enc, w, 10)
-	fused, err := index.BuildFused(enc.Objects, w, graph.Ours(24, 3, 7))
+	st := vec.FlatFromMulti(enc.Objects)
+	experiments.FillGroundTruth(enc, st, w, 10)
+	fused, err := index.BuildFusedStore(st, w, graph.Ours(24, 3, 7))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -136,7 +139,7 @@ func getCoco(b *testing.B) *fixture {
 			encoder.NewResNet50(raw.ContentDim, 9),
 		}})
 		w := vec.Weights{0.7, 0.8, 0.5}
-		fused, err := index.BuildFused(enc.Objects, w, graph.Ours(24, 3, 7))
+		fused, err := index.BuildFusedStore(vec.FlatFromMulti(enc.Objects), w, graph.Ours(24, 3, 7))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -147,38 +150,37 @@ func getCoco(b *testing.B) *fixture {
 
 func benchSearch(b *testing.B, s *search.Searcher, queries []dataset.EncodedQuery, k, l int) {
 	b.Helper()
+	benchSearchParams(b, s, queries, search.Params{K: k, L: l, Optimize: true})
+}
+
+func benchSearchParams(b *testing.B, s *search.Searcher, queries []dataset.EncodedQuery, p search.Params) {
+	b.Helper()
 	b.ReportAllocs()
 	// One warmup call sizes the searcher's reusable buffers (visit marks,
 	// result pool, scanner); every timed iteration after it is the
-	// steady state the CI gate holds at 0 allocs/op.
-	if _, _, err := s.Search(queries[0].Vectors, k, l); err != nil {
+	// steady state TestSearchSteadyStateZeroAllocs holds at 0 allocs/op.
+	if _, _, err := s.SearchParams(queries[0].Vectors, p); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		if _, _, err := s.Search(q.Vectors, k, l); err != nil {
+		if _, _, err := s.SearchParams(q.Vectors, p); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// --- Flat store + fused kernel: the CI-gated headline benchmarks. ---
+// --- Flat store + fused kernel: the headline search benchmarks. ---
 
-// BenchmarkSearch compares the fused flat-store kernel (the default
-// search path) against the legacy [][]float32 per-modality path on the
-// same graph and queries, across result-pool sizes l (larger l shifts
-// time from routing bookkeeping into the distance kernel). CI gates on
-// the flat variants' ns/op.
+// BenchmarkSearch times the search path across result-pool sizes l
+// (larger l shifts time from routing bookkeeping into the distance
+// kernel).
 func BenchmarkSearch(b *testing.B) {
 	f := getFix(b)
 	for _, l := range []int{160, 400, 1600} {
 		b.Run(fmt.Sprintf("flat/l=%d", l), func(b *testing.B) {
 			benchSearch(b, f.fused.NewSearcher(), f.enc.Queries, 10, l)
-		})
-		b.Run(fmt.Sprintf("legacy/l=%d", l), func(b *testing.B) {
-			s := search.New(f.fused.Graph, f.enc.Objects, f.weights, search.WithFlatKernel(false))
-			benchSearch(b, s, f.enc.Queries, 10, l)
 		})
 	}
 }
@@ -188,8 +190,7 @@ func BenchmarkSearch(b *testing.B) {
 // top 4·k) on the 16k CLIP-scale corpus (768 dims/object), where the 4×
 // scan-bandwidth reduction shows up as wall-clock — ~2.2× per query on
 // AVX2. Both variants run the same graph, queries, and Lemma-4 early
-// termination; CI gates the sq8 variants' ns/op and their 0 allocs/op
-// steady state. TestQuantizedRecallCLIPScale pins the recall this speed
+// termination. TestQuantizedRecallCLIPScale pins the recall this speed
 // is paid with, on this same fixture.
 func BenchmarkSearchSQ8(b *testing.B) {
 	f := getClip(b)
@@ -202,19 +203,8 @@ func BenchmarkSearchSQ8(b *testing.B) {
 				name = "sq8"
 			}
 			b.Run(fmt.Sprintf("%s/l=%d", name, l), func(b *testing.B) {
-				s := f.fused.NewSearcher()
-				p := search.Params{K: 10, L: l, Optimize: true, Quantized: quantized}
-				b.ReportAllocs()
-				if _, _, err := s.SearchParams(f.enc.Queries[0].Vectors, p); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					q := f.enc.Queries[i%len(f.enc.Queries)]
-					if _, _, err := s.SearchParams(q.Vectors, p); err != nil {
-						b.Fatal(err)
-					}
-				}
+				benchSearchParams(b, f.fused.NewSearcher(), f.enc.Queries,
+					search.Params{K: 10, L: l, Optimize: true, Quantized: quantized})
 			})
 		}
 	}
@@ -235,7 +225,7 @@ func BenchmarkBuildWorkers(b *testing.B) {
 			defer graph.SetBuildWorkers(prev)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := index.BuildFused(f.enc.Objects, f.weights, graph.Ours(24, 3, 7)); err != nil {
+				if _, err := index.BuildFusedStore(f.fused.Store, f.weights, graph.Ours(24, 3, 7)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -255,7 +245,7 @@ func BenchmarkTable3MITStatesMUSTSearch(b *testing.B) {
 		encoder.NewLSTM(raw.AttrDim, 7),
 	}})
 	w := vec.Weights{0.8, 0.9}
-	fused, err := index.BuildFused(enc.Objects, w, graph.Ours(24, 3, 7))
+	fused, err := index.BuildFusedStore(vec.FlatFromMulti(enc.Objects), w, graph.Ours(24, 3, 7))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -346,7 +336,7 @@ func BenchmarkFig7BuildMUST(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := index.BuildFused(f.enc.Objects, f.weights, graph.Ours(24, 3, int64(i))); err != nil {
+		if _, err := index.BuildFusedStore(f.fused.Store, f.weights, graph.Ours(24, 3, int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -409,7 +399,7 @@ func BenchmarkFig9WeightLearning(b *testing.B) {
 func benchGraphBuild(b *testing.B, build func(*graph.Space) *graph.Graph) {
 	b.Helper()
 	f := getFix(b)
-	space := graph.NewFusedSpace(f.enc.Objects, f.weights)
+	space := graph.NewFusedSpaceFromStore(f.fused.Store, f.weights)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -477,21 +467,21 @@ func BenchmarkFig10BuildHCNNG(b *testing.B) {
 
 // --- Fig. 10(c): partial-IP optimization on vs off. ---
 
-func BenchmarkFig10cWithOptimization(b *testing.B) {
+func BenchmarkFig10cOptimizationOn(b *testing.B) {
 	f := getFix(b)
-	benchSearch(b, f.fused.NewSearcher(search.WithOptimization(true)), f.enc.Queries, 10, 320)
+	benchSearchParams(b, f.fused.NewSearcher(), f.enc.Queries, search.Params{K: 10, L: 320, Optimize: true})
 }
 
-func BenchmarkFig10cWithoutOptimization(b *testing.B) {
+func BenchmarkFig10cOptimizationOff(b *testing.B) {
 	f := getFix(b)
-	benchSearch(b, f.fused.NewSearcher(search.WithOptimization(false)), f.enc.Queries, 10, 320)
+	benchSearchParams(b, f.fused.NewSearcher(), f.enc.Queries, search.Params{K: 10, L: 320, Optimize: false})
 }
 
 // --- Tab. XI: NNDescent initialization. ---
 
 func BenchmarkTable11NNDescent(b *testing.B) {
 	f := getFix(b)
-	space := graph.NewFusedSpace(f.enc.Objects, f.weights)
+	space := graph.NewFusedSpaceFromStore(f.fused.Store, f.weights)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		graph.NNDescent{Iters: 3, Seed: int64(i)}.Init(space, 24)
@@ -521,7 +511,7 @@ func BenchmarkFig14Gamma10Build(b *testing.B) {
 	f := getFix(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := index.BuildFused(f.enc.Objects, f.weights, graph.Ours(10, 3, int64(i))); err != nil {
+		if _, err := index.BuildFusedStore(f.fused.Store, f.weights, graph.Ours(10, 3, int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -531,7 +521,7 @@ func BenchmarkFig14Gamma50Build(b *testing.B) {
 	f := getFix(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := index.BuildFused(f.enc.Objects, f.weights, graph.Ours(50, 3, int64(i))); err != nil {
+		if _, err := index.BuildFusedStore(f.fused.Store, f.weights, graph.Ours(50, 3, int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -607,8 +597,8 @@ func BenchmarkIndexMemory(b *testing.B) {
 // BenchmarkIndexLoad measures deserializing a built index (graph + CSR
 // topology blocks) from memory and attaching the shared store —
 // the restart-recovery path. MUSTIX2 reads the offsets and edge arrays
-// with bulk io.ReadFull decodes; CI gates ns/op and B/op so the loader
-// can neither slow down nor quietly start re-copying the topology.
+// with bulk io.ReadFull decodes; B/op shows whether the loader quietly
+// starts re-copying the topology.
 func BenchmarkIndexLoad(b *testing.B) {
 	f := getFix(b)
 	var buf bytes.Buffer

@@ -1,12 +1,12 @@
-// Command mustbench regenerates the tables and figures of the MUST paper
-// (see DESIGN.md §4 for the experiment index). Examples:
+// Command mustbench regenerates the tables and figures of the MUST paper;
+// the -exp list below is the experiment index. Examples:
 //
 //	mustbench -exp t3 -scale 1        # Tab. III accuracy on MIT-States
 //	mustbench -exp f6 -scale 0.5      # Fig. 6 QPS-vs-recall panels
 //	mustbench -exp all                # everything (slow)
 //
-// The -scale flag multiplies dataset sizes relative to the DESIGN.md
-// defaults; absolute numbers change with scale but the comparative shapes
+// The -scale flag multiplies dataset sizes relative to the internal/dataset
+// presets; absolute numbers change with scale but the comparative shapes
 // do not.
 package main
 
@@ -24,7 +24,7 @@ import (
 func main() {
 	var (
 		exp   = flag.String("exp", "", "experiment id (t3,t4,t5,t6,t8,t9,t10,t11,t12,t21,f5,f6,f7,f8,f9,f10a,f10b,f10c,f11,f13,f14,t19,weights,all)")
-		scale = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = DESIGN.md defaults)")
+		scale = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = the internal/dataset preset sizes)")
 		seed  = flag.Int64("seed", 7, "random seed namespace")
 		beam  = flag.Int("beam", 0, "accuracy-evaluation beam width l (0 = default)")
 		gamma = flag.Int("gamma", 0, "graph degree bound γ (0 = default 30)")

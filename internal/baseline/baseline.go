@@ -25,8 +25,7 @@ type JE struct {
 
 // BuildJE indexes the target-modality vectors of objects.
 func BuildJE(objects []vec.Multi, p graph.Pipeline) (*JE, error) {
-	view := search.ModalityView(objects, 0)
-	idx, err := index.BuildFused(view, vec.Weights{1}, p)
+	idx, err := index.BuildFusedStore(modalityStore(objects, 0), vec.Weights{1}, p)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: building JE index: %w", err)
 	}
@@ -56,6 +55,13 @@ func (js *JESearcher) Search(query vec.Multi, k, l int) ([]int, error) {
 	return search.IDs(res), nil
 }
 
+// modalityStore packs modality m of every object into its own
+// single-modality store — what one MR stream (or JE's target-modality
+// index) builds over and scores against.
+func modalityStore(objects []vec.Multi, m int) *vec.FlatStore {
+	return vec.FlatFromMulti(search.ModalityView(objects, m))
+}
+
 // MR is the multi-streamed retrieval baseline: one proximity-graph index
 // per modality, one search per query modality, and a merge of the
 // candidate sets (§III, Baseline 1).
@@ -73,7 +79,7 @@ func BuildMR(objects []vec.Multi, p graph.Pipeline) (*MR, error) {
 	for i := 0; i < m; i++ {
 		sub := p
 		sub.Name = fmt.Sprintf("%s/mod%d", p.Name, i)
-		idx, err := index.BuildFused(search.ModalityView(objects, i), vec.Weights{1}, sub)
+		idx, err := index.BuildFusedStore(modalityStore(objects, i), vec.Weights{1}, sub)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: building MR index %d: %w", i, err)
 		}
@@ -197,10 +203,7 @@ func NewMRBrute(objects []vec.Multi) *MRBrute {
 	m := len(objects[0])
 	b := &MRBrute{brutes: make([]*index.BruteForce, m)}
 	for i := 0; i < m; i++ {
-		b.brutes[i] = &index.BruteForce{
-			Objects: search.ModalityView(objects, i),
-			Weights: vec.Weights{1},
-		}
+		b.brutes[i] = &index.BruteForce{Store: modalityStore(objects, i), Weights: vec.Weights{1}}
 	}
 	return b
 }

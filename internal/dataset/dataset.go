@@ -1,9 +1,9 @@
 // Package dataset generates the multimodal object sets and query workloads
 // used by every experiment in the MUST reproduction.
 //
-// The substitution for the paper's real datasets (DESIGN.md §2): every
-// object carries one ground-truth *latent* vector per modality. Two
-// families of generators mirror the paper's two dataset families:
+// The substitution for the paper's real datasets: every object carries
+// one ground-truth *latent* vector per modality. Two families of
+// generators mirror the paper's two dataset families:
 //
 //   - Semantic datasets (CelebA, MIT-States, Shopping, MS-COCO, CelebA+
 //     analogues): queries are built as "reference content + attribute

@@ -1,9 +1,9 @@
 package dataset
 
-// Presets for the nine datasets of Tab. II, scaled to laptop/CI budgets
-// (DESIGN.md §2). The Scale argument multiplies object and query counts;
-// Scale = 1 gives the default reproduction size used by `go test`, the
-// benchmark harness passes larger scales.
+// Presets for the nine datasets of Tab. II, scaled to laptop/CI budgets.
+// The Scale argument multiplies object and query counts; Scale = 1 gives
+// the default reproduction size used by `go test`, the benchmark harness
+// passes larger scales.
 
 // CelebASim mirrors CelebA (2 modalities: face image* + attribute text).
 // Paper: 191,549 objects / 34,326 queries; default here: 15k / 1.5k.

@@ -2,10 +2,10 @@
 // for the paper's trained encoders (ResNet17/50, LSTM, Transformer, GRU,
 // ordinal Encoding, TIRG, CLIP, MPC — Appendix B of the paper).
 //
-// The substitution (documented in DESIGN.md §2): every object and query
-// carries a ground-truth *latent* vector per modality. An encoder is a
-// fixed random projection from the latent space into that encoder's
-// embedding space, followed by additive Gaussian noise whose standard
+// The substitution: every object and query carries a ground-truth
+// *latent* vector per modality. An encoder is a fixed random projection
+// from the latent space into that encoder's embedding space, followed by
+// additive Gaussian noise whose standard
 // deviation models the encoder's quality — a better encoder (the paper's
 // CLIP, ResNet50) has lower noise than a worse one (TIRG, ResNet17). Noise
 // is a deterministic function of the content, so encoding the same content

@@ -32,7 +32,7 @@ func RunWeightLearning(opt Options) ([]WeightLearningRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	anchors, positives, pool, err := featureTrainingSet(enc, opt)
+	anchors, positives, pool, err := featureTrainingSet(enc, vec.FlatFromMulti(enc.Objects))
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +71,7 @@ func RunNegativeCount(negCounts []int, opt Options) ([]WeightLearningRun, error)
 	if err != nil {
 		return nil, err
 	}
-	anchors, positives, pool, err := featureTrainingSet(enc, opt)
+	anchors, positives, pool, err := featureTrainingSet(enc, vec.FlatFromMulti(enc.Objects))
 	if err != nil {
 		return nil, err
 	}
@@ -101,10 +101,10 @@ func RunNegativeCount(negCounts []int, opt Options) ([]WeightLearningRun, error)
 // dataset: each query's positive is its uniform-weight exact top-1, and
 // the pool additionally contains each query's next-nearest objects as hard
 // decoys — without them the pool is trivially separable and the learning
-// curves of Fig. 9/13 degenerate.
-func featureTrainingSet(enc *dataset.Encoded, opt Options) ([]vec.Multi, []int, []vec.Multi, error) {
+// curves of Fig. 9/13 degenerate. st is enc.Objects packed.
+func featureTrainingSet(enc *dataset.Encoded, st *vec.FlatStore) ([]vec.Multi, []int, []vec.Multi, error) {
 	uniform := vec.Uniform(enc.M)
-	bf := &index.BruteForce{Objects: enc.Objects, Weights: uniform}
+	bf := &index.BruteForce{Store: st, Weights: uniform}
 	n := len(enc.Queries)
 	if n > 200 {
 		n = 200
@@ -177,10 +177,11 @@ func RunUserWeights(splits []float64, opt Options) ([]UserWeightRow, error) {
 	if len(eval) > 300 {
 		eval = eval[:300]
 	}
+	st := vec.FlatFromMulti(enc.Objects)
 	var rows []UserWeightRow
 	for _, w0sq := range splits {
 		w := vec.Weights{float32(math.Sqrt(w0sq)), float32(math.Sqrt(1 - w0sq))}
-		fused, err := index.BuildFused(enc.Objects, w, opt.pipeline("user"))
+		fused, err := index.BuildFusedStore(st, w, opt.pipeline("user"))
 		if err != nil {
 			return nil, err
 		}
@@ -226,41 +227,42 @@ func RunGraphComparison(opt Options) ([]GraphCompareRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, _, err := LearnFeatureWeights(enc, opt)
+	st := vec.FlatFromMulti(enc.Objects)
+	w, _, err := LearnFeatureWeights(enc, st, opt)
 	if err != nil {
 		return nil, err
 	}
 	const k = 10
-	FillGroundTruth(enc, w, k)
+	FillGroundTruth(enc, st, w, k)
 
 	builders := []struct {
 		name  string
 		build func() (*index.Fused, error)
 	}{
 		{"Ours", func() (*index.Fused, error) {
-			return index.BuildFused(enc.Objects, w, opt.pipeline("Ours"))
+			return index.BuildFusedStore(st, w, opt.pipeline("Ours"))
 		}},
 		{"KGraph", func() (*index.Fused, error) {
-			return index.BuildFused(enc.Objects, w, graph.KGraphAssembly(opt.Gamma, opt.Iters, opt.Seed))
+			return index.BuildFusedStore(st, w, graph.KGraphAssembly(opt.Gamma, opt.Iters, opt.Seed))
 		}},
 		{"NSG", func() (*index.Fused, error) {
-			return index.BuildFused(enc.Objects, w, graph.NSGAssembly(opt.Gamma, opt.Iters, 2*opt.Gamma, opt.Seed))
+			return index.BuildFusedStore(st, w, graph.NSGAssembly(opt.Gamma, opt.Iters, 2*opt.Gamma, opt.Seed))
 		}},
 		{"NSSG", func() (*index.Fused, error) {
-			return index.BuildFused(enc.Objects, w, graph.NSSGAssembly(opt.Gamma, opt.Iters, opt.Seed))
+			return index.BuildFusedStore(st, w, graph.NSSGAssembly(opt.Gamma, opt.Iters, opt.Seed))
 		}},
 		{"HNSW", func() (*index.Fused, error) {
-			return index.BuildFusedGraph(enc.Objects, w, "HNSW", func(s *graph.Space) *graph.Graph {
+			return index.BuildFusedGraphStore(st, w, "HNSW", func(s *graph.Space) *graph.Graph {
 				return graph.BuildHNSW(s, graph.HNSWConfig{M: opt.Gamma / 2, EfConstruction: 4 * opt.Gamma, Seed: opt.Seed})
 			})
 		}},
 		{"Vamana", func() (*index.Fused, error) {
-			return index.BuildFusedGraph(enc.Objects, w, "Vamana", func(s *graph.Space) *graph.Graph {
+			return index.BuildFusedGraphStore(st, w, "Vamana", func(s *graph.Space) *graph.Graph {
 				return graph.BuildVamana(s, graph.VamanaConfig{Gamma: opt.Gamma, Beam: 2 * opt.Gamma, Alpha: 1.2, Seed: opt.Seed})
 			})
 		}},
 		{"HCNNG", func() (*index.Fused, error) {
-			return index.BuildFusedGraph(enc.Objects, w, "HCNNG", func(s *graph.Space) *graph.Graph {
+			return index.BuildFusedGraphStore(st, w, "HCNNG", func(s *graph.Space) *graph.Graph {
 				return graph.BuildHCNNG(s, graph.HCNNGConfig{Rounds: 3, LeafSize: 200, MaxDegree: opt.Gamma, Seed: opt.Seed})
 			})
 		}},
@@ -304,13 +306,14 @@ func RunMultiVectorOptimization(opt Options) ([]OptimizationPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, _, err := LearnFeatureWeights(enc, opt)
+	st := vec.FlatFromMulti(enc.Objects)
+	w, _, err := LearnFeatureWeights(enc, st, opt)
 	if err != nil {
 		return nil, err
 	}
 	const k = 10
-	FillGroundTruth(enc, w, k)
-	fused, err := index.BuildFused(enc.Objects, w, opt.pipeline("MUST"))
+	FillGroundTruth(enc, st, w, k)
+	fused, err := index.BuildFusedStore(st, w, opt.pipeline("MUST"))
 	if err != nil {
 		return nil, err
 	}
@@ -324,8 +327,11 @@ func RunMultiVectorOptimization(opt Options) ([]OptimizationPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		sOff := fused.NewSearcher(search.WithOptimization(false))
-		recOff, qpsOff, _, err := timedEval(enc.Queries, mustSearcherFunc(sOff), k, l)
+		sOff := fused.NewSearcher()
+		recOff, qpsOff, _, err := timedEval(enc.Queries, func(q vec.Multi, k, l int) ([]int, error) {
+			res, _, err := sOff.SearchParams(q, search.Params{K: k, L: l, Optimize: false})
+			return search.IDs(res), err
+		}, k, l)
 		if err != nil {
 			return nil, err
 		}
@@ -377,7 +383,7 @@ func RunNeighborAudit(opt Options) ([]NeighborAuditRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	fused, err := index.BuildFused(enc.Objects, w, opt.pipeline("MUST"))
+	fused, err := index.BuildFusedStore(vec.FlatFromMulti(enc.Objects), w, opt.pipeline("MUST"))
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +448,7 @@ func RunGraphQuality(iters []int, opt Options) ([]GraphQualityRow, error) {
 			return nil, err
 		}
 		w := vec.Uniform(enc.M)
-		space := graph.NewFusedSpace(enc.Objects, w)
+		space := graph.NewFusedSpaceFromStore(vec.FlatFromMulti(enc.Objects), w)
 		row := GraphQualityRow{Dataset: name, Quality: map[int]float64{}}
 		for _, e := range iters {
 			adj := graph.NNDescent{Iters: e, Seed: opt.Seed}.Init(space, opt.Gamma)
@@ -475,13 +481,14 @@ func RunBeamSweep(beams []int, opt Options) ([]BeamRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, _, err := LearnFeatureWeights(enc, opt)
+	st := vec.FlatFromMulti(enc.Objects)
+	w, _, err := LearnFeatureWeights(enc, st, opt)
 	if err != nil {
 		return nil, err
 	}
 	const k = 10
-	FillGroundTruth(enc, w, k)
-	fused, err := index.BuildFused(enc.Objects, w, opt.pipeline("MUST"))
+	FillGroundTruth(enc, st, w, k)
+	fused, err := index.BuildFusedStore(st, w, opt.pipeline("MUST"))
 	if err != nil {
 		return nil, err
 	}
@@ -520,17 +527,18 @@ func RunGammaSweep(gammas []int, beam int, opt Options) ([]GammaRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, _, err := LearnFeatureWeights(enc, opt)
+	st := vec.FlatFromMulti(enc.Objects)
+	w, _, err := LearnFeatureWeights(enc, st, opt)
 	if err != nil {
 		return nil, err
 	}
 	const k = 10
-	FillGroundTruth(enc, w, k)
+	FillGroundTruth(enc, st, w, k)
 	var rows []GammaRow
 	for _, g := range gammas {
 		o := opt
 		o.Gamma = g
-		fused, err := index.BuildFused(enc.Objects, w, o.pipeline("MUST"))
+		fused, err := index.BuildFusedStore(st, w, o.pipeline("MUST"))
 		if err != nil {
 			return nil, err
 		}
@@ -556,11 +564,12 @@ func RunIndexStats(opt Options) (graph.Stats, map[int]int, error) {
 	if err != nil {
 		return graph.Stats{}, nil, err
 	}
-	w, _, err := LearnFeatureWeights(enc, opt)
+	st := vec.FlatFromMulti(enc.Objects)
+	w, _, err := LearnFeatureWeights(enc, st, opt)
 	if err != nil {
 		return graph.Stats{}, nil, err
 	}
-	fused, err := index.BuildFused(enc.Objects, w, opt.pipeline("MUST"))
+	fused, err := index.BuildFusedStore(st, w, opt.pipeline("MUST"))
 	if err != nil {
 		return graph.Stats{}, nil, err
 	}
@@ -587,7 +596,7 @@ func RunLearnedWeights(opt Options) ([]LearnedWeightRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, _, err := LearnFeatureWeights(enc, opt)
+		w, _, err := LearnFeatureWeights(enc, vec.FlatFromMulti(enc.Objects), opt)
 		if err != nil {
 			return nil, err
 		}

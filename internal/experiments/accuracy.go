@@ -208,7 +208,7 @@ func RunAccuracyTable(raw *dataset.Raw, table string, ks []int, opt Options) ([]
 		if err != nil {
 			return nil, err
 		}
-		fused, err := index.BuildFused(enc.Objects, w, opt.pipeline("MUST"))
+		fused, err := index.BuildFusedStore(vec.FlatFromMulti(enc.Objects), w, opt.pipeline("MUST"))
 		if err != nil {
 			return nil, err
 		}
@@ -261,7 +261,7 @@ func RunModalityCount(opt Options) (map[int]map[string]float64, error) {
 			objs[i] = o[:m]
 		}
 		wm := w[:m].Clone()
-		fused, err := index.BuildFused(objs, wm, opt.pipeline("MUST"))
+		fused, err := index.BuildFusedStore(vec.FlatFromMulti(objs), wm, opt.pipeline("MUST"))
 		if err != nil {
 			return nil, err
 		}
@@ -343,7 +343,7 @@ func RunSingleModality(opt Options) ([]SingleModalityRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		fused, err := index.BuildFused(enc.Objects, cb.weights, opt.pipeline("single"))
+		fused, err := index.BuildFusedStore(vec.FlatFromMulti(enc.Objects), cb.weights, opt.pipeline("single"))
 		if err != nil {
 			return nil, err
 		}
@@ -389,7 +389,7 @@ func RunSingleModalityAppendix(opt Options) ([]SingleModalityRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			fused, err := index.BuildFused(enc.Objects, side.weights, opt.pipeline("single"))
+			fused, err := index.BuildFusedStore(vec.FlatFromMulti(enc.Objects), side.weights, opt.pipeline("single"))
 			if err != nil {
 				return nil, err
 			}

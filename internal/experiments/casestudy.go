@@ -83,7 +83,7 @@ func RunCaseStudy(queryIdx, k int, opt Options) ([]CaseResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fused, err := index.BuildFused(encPlain.Objects, w, opt.pipeline("MUST"))
+	fused, err := index.BuildFusedStore(vec.FlatFromMulti(encPlain.Objects), w, opt.pipeline("MUST"))
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 // FeatureName selects one of the semi-synthetic datasets of Fig. 6.
 type FeatureName string
 
-// The three million-scale dataset analogues (scaled per DESIGN.md §2).
+// The three million-scale dataset analogues (scaled down; see featureBaseN).
 const (
 	ImageText FeatureName = "ImageText"
 	AudioText FeatureName = "AudioText"
@@ -53,11 +53,12 @@ func EncodeFeature(name FeatureName, n int, opt Options) (*dataset.Encoded, erro
 
 // LearnFeatureWeights learns modality weights for a feature dataset using
 // the uniform-weight exact top-1 of each query as its positive (the
-// semi-synthetic stand-in for labeled true objects; DESIGN.md §2).
-func LearnFeatureWeights(enc *dataset.Encoded, opt Options) (vec.Weights, *weights.Result, error) {
+// semi-synthetic stand-in for labeled true objects). st is enc.Objects
+// packed, as for FillGroundTruth.
+func LearnFeatureWeights(enc *dataset.Encoded, st *vec.FlatStore, opt Options) (vec.Weights, *weights.Result, error) {
 	opt = opt.withDefaults()
 	uniform := vec.Uniform(enc.M)
-	bf := &index.BruteForce{Objects: enc.Objects, Weights: uniform}
+	bf := &index.BruteForce{Store: st, Weights: uniform}
 	n := len(enc.Queries)
 	if n > 200 {
 		n = 200
@@ -111,13 +112,14 @@ func RunQPSRecall(name FeatureName, k int, opt Options) ([]Curve, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, _, err := LearnFeatureWeights(enc, opt)
+	st := vec.FlatFromMulti(enc.Objects)
+	w, _, err := LearnFeatureWeights(enc, st, opt)
 	if err != nil {
 		return nil, err
 	}
-	FillGroundTruth(enc, w, k)
+	FillGroundTruth(enc, st, w, k)
 
-	fused, err := index.BuildFused(enc.Objects, w, opt.pipeline("MUST"))
+	fused, err := index.BuildFusedStore(st, w, opt.pipeline("MUST"))
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +127,7 @@ func RunQPSRecall(name FeatureName, k int, opt Options) ([]Curve, error) {
 	if err != nil {
 		return nil, err
 	}
-	mustBrute := &index.BruteForce{Objects: enc.Objects, Weights: w}
+	mustBrute := &index.BruteForce{Store: st, Weights: w}
 	mrBrute := baseline.NewMRBrute(enc.Objects)
 
 	curves := make([]Curve, 0, 4)
@@ -204,12 +206,13 @@ func RunScale(factors []int, recallTarget float64, opt Options) ([]ScaleRow, err
 		if err != nil {
 			return nil, err
 		}
-		w, _, err := LearnFeatureWeights(enc, opt)
+		st := vec.FlatFromMulti(enc.Objects)
+		w, _, err := LearnFeatureWeights(enc, st, opt)
 		if err != nil {
 			return nil, err
 		}
-		FillGroundTruth(enc, w, k)
-		fused, err := index.BuildFused(enc.Objects, w, opt.pipeline("MUST"))
+		FillGroundTruth(enc, st, w, k)
+		fused, err := index.BuildFusedStore(st, w, opt.pipeline("MUST"))
 		if err != nil {
 			return nil, err
 		}
@@ -217,7 +220,7 @@ func RunScale(factors []int, recallTarget float64, opt Options) ([]ScaleRow, err
 		if err != nil {
 			return nil, err
 		}
-		bf := &index.BruteForce{Objects: enc.Objects, Weights: w}
+		bf := &index.BruteForce{Store: st, Weights: w}
 
 		// Find the smallest beam achieving the recall target.
 		var mustTotal time.Duration
@@ -275,11 +278,12 @@ func RunKSweep(ks []int, opt Options) (map[int][]Curve, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, _, err := LearnFeatureWeights(enc, opt)
+	st := vec.FlatFromMulti(enc.Objects)
+	w, _, err := LearnFeatureWeights(enc, st, opt)
 	if err != nil {
 		return nil, err
 	}
-	fused, err := index.BuildFused(enc.Objects, w, opt.pipeline("MUST"))
+	fused, err := index.BuildFusedStore(st, w, opt.pipeline("MUST"))
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +293,7 @@ func RunKSweep(ks []int, opt Options) (map[int][]Curve, error) {
 	}
 	out := map[int][]Curve{}
 	for _, k := range ks {
-		FillGroundTruth(enc, w, k)
+		FillGroundTruth(enc, st, w, k)
 		var curves []Curve
 		for _, run := range []struct {
 			name string

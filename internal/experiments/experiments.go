@@ -1,8 +1,10 @@
 // Package experiments contains one runner per table and figure of the
-// paper's evaluation (§VIII and appendices), as indexed in DESIGN.md §4.
-// Each runner generates its workload, executes every compared framework,
-// and returns rows shaped like the paper's tables; cmd/mustbench renders
-// them. Sizes are scaled per DESIGN.md §2 and controlled by a Scale knob.
+// paper's evaluation (§VIII and appendices); cmd/mustbench's -exp list
+// indexes them. Each runner generates its workload, packs the encoded
+// objects once into one vec.FlatStore, runs every compared framework over
+// it, and returns rows shaped like the paper's tables; cmd/mustbench
+// renders them. Sizes are scaled down from the paper's and controlled by a
+// Scale knob.
 package experiments
 
 import (
@@ -22,8 +24,8 @@ import (
 
 // Options tunes every experiment runner.
 type Options struct {
-	// Scale multiplies dataset sizes (1 = DESIGN.md defaults; tests use
-	// less).
+	// Scale multiplies dataset sizes (1 = the internal/dataset presets;
+	// tests use less).
 	Scale float64
 	// Gamma is the graph degree bound γ (default 30 at Scale 1, reduced
 	// automatically for small scales).
@@ -106,7 +108,7 @@ func LearnWeightsAuto(enc *dataset.Encoded, opt Options) (vec.Weights, error) {
 		w, _, err := learnWeightsFor(enc, opt)
 		return w, err
 	}
-	w, _, err := LearnFeatureWeights(enc, opt)
+	w, _, err := LearnFeatureWeights(enc, vec.FlatFromMulti(enc.Objects), opt)
 	return w, err
 }
 
@@ -168,9 +170,11 @@ func evalQueries(enc *dataset.Encoded) []dataset.EncodedQuery {
 }
 
 // FillGroundTruth computes exact top-k' ground truth under w for every
-// query of a feature dataset (§VIII-A's semi-synthetic protocol).
-func FillGroundTruth(enc *dataset.Encoded, w vec.Weights, kPrime int) {
-	bf := &index.BruteForce{Objects: enc.Objects, Weights: w}
+// query of a feature dataset (§VIII-A's semi-synthetic protocol). st is
+// enc.Objects packed (vec.FlatFromMulti), so the ground truth is scored by
+// the same kernel as the searches it grades.
+func FillGroundTruth(enc *dataset.Encoded, st *vec.FlatStore, w vec.Weights, kPrime int) {
+	bf := &index.BruteForce{Store: st, Weights: w}
 	for i := range enc.Queries {
 		res := bf.TopKParallel(enc.Queries[i].Vectors, kPrime)
 		gt := make([]int, len(res))

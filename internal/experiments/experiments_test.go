@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"must/internal/dataset"
+	"must/internal/vec"
 )
 
 // testOpt returns options small enough for CI while keeping the paper's
@@ -374,11 +375,12 @@ func TestFillGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, _, err := LearnFeatureWeights(enc, opt)
+	st := vec.FlatFromMulti(enc.Objects)
+	w, _, err := LearnFeatureWeights(enc, st, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	FillGroundTruth(enc, w, 5)
+	FillGroundTruth(enc, st, w, 5)
 	for i, q := range enc.Queries {
 		if len(q.GroundTruth) != 5 {
 			t.Fatalf("query %d has %d ground truths", i, len(q.GroundTruth))

@@ -16,7 +16,7 @@ func determinismFixture(t *testing.T, n int, seed int64) *Space {
 	for i := range objects {
 		objects[i] = vec.Multi{vec.RandUnit(rng, 20), vec.RandUnit(rng, 10)}
 	}
-	return NewFusedSpace(objects, vec.Weights{0.8, 0.6})
+	return NewFusedSpaceFromStore(vec.FlatFromMulti(objects), vec.Weights{0.8, 0.6})
 }
 
 // graphsEqual compares two sealed graphs edge-for-edge through the public

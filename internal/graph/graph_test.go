@@ -93,7 +93,7 @@ func TestNewFusedSpaceMatchesWeightedConcat(t *testing.T) {
 		objs[i] = vec.Multi{vec.RandUnit(rng, 8), vec.RandUnit(rng, 4)}
 	}
 	w := vec.Weights{0.8, 0.33}
-	s := NewFusedSpace(objs, w)
+	s := NewFusedSpaceFromStore(vec.FlatFromMulti(objs), w)
 	if s.Dim() != 12 {
 		t.Fatalf("fused dim = %d, want 12", s.Dim())
 	}

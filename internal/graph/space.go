@@ -75,44 +75,6 @@ func NewSpace(vectors [][]float32) *Space {
 	return s
 }
 
-// NewFusedSpace builds a self-contained fused space over multi-vector
-// objects under the given weights: each object becomes its weighted
-// concatenation, written directly into the flat buffer by GOMAXPROCS
-// workers (each row is owned by exactly one worker, so the pack is
-// deterministic). It is the convenience constructor for callers that hold
-// a [][]float32-of-slices corpus (experiment harnesses, tests) — it packs
-// straight from the objects, with no intermediate store copy; the
-// production path is NewFusedSpaceFromStore over the shared collection
-// store.
-func NewFusedSpace(objects []vec.Multi, w vec.Weights) *Space {
-	if len(objects) == 0 {
-		panic("graph: empty space")
-	}
-	d := objects[0].TotalDim()
-	for i, o := range objects {
-		if o.TotalDim() != d {
-			panic(fmt.Sprintf("graph: object %d has total dim %d, want %d", i, o.TotalDim(), d))
-		}
-	}
-	s := &Space{fused: make([]float32, len(objects)*d), dim: d, n: len(objects), fusedRows: len(objects)}
-	parallelVertices(len(objects), func(i int) {
-		row := s.fused[i*d : (i+1)*d]
-		off := 0
-		for m, v := range objects[i] {
-			wi := float32(0)
-			if m < len(w) {
-				wi = w[m]
-			}
-			for _, x := range v {
-				row[off] = wi * x
-				off++
-			}
-		}
-	})
-	s.selfIP = vec.Dot(s.Vector(0), s.Vector(0))
-	return s
-}
-
 // NewFusedSpaceFromStore builds the fused space as a view over the shared
 // flat store, materializing the weighted concatenation of every row into
 // one flat buffer by GOMAXPROCS workers (each row is owned by exactly one

@@ -68,17 +68,6 @@ func BuildFusedStore(store *vec.FlatStore, w vec.Weights, p graph.Pipeline) (*Fu
 	})
 }
 
-// BuildFused constructs the fused index over a [][]float32-of-slices
-// corpus by packing it into a fresh store first — the convenience entry
-// point for experiment harnesses and tests that do not hold a shared
-// store.
-func BuildFused(objects []vec.Multi, w vec.Weights, p graph.Pipeline) (*Fused, error) {
-	if len(objects) == 0 {
-		return nil, fmt.Errorf("index: no objects to index")
-	}
-	return BuildFusedStore(vec.FlatFromMulti(objects), w, p)
-}
-
 // BuildFusedGraphStore wraps an externally built graph (HNSW, Vamana,
 // HCNNG) over the shared store into a Fused index so every §VIII-G
 // competitor searches through the same joint-search machinery.
@@ -86,15 +75,6 @@ func BuildFusedGraphStore(store *vec.FlatStore, w vec.Weights, name string, buil
 	return buildOverStore(store, w, name, func(s *graph.Space) (*graph.Graph, error) {
 		return build(s), nil
 	})
-}
-
-// BuildFusedGraph is BuildFusedGraphStore for callers holding a
-// [][]float32-of-slices corpus.
-func BuildFusedGraph(objects []vec.Multi, w vec.Weights, name string, build func(*graph.Space) *graph.Graph) (*Fused, error) {
-	if len(objects) == 0 {
-		return nil, fmt.Errorf("index: no objects to index")
-	}
-	return BuildFusedGraphStore(vec.FlatFromMulti(objects), w, name, build)
 }
 
 func buildOverStore(store *vec.FlatStore, w vec.Weights, name string, build func(*graph.Space) (*graph.Graph, error)) (*Fused, error) {
@@ -127,8 +107,8 @@ func buildOverStore(store *vec.FlatStore, w vec.Weights, name string, build func
 // NewSearcher returns a fresh single-goroutine searcher over the index.
 // All searchers share the index's flat store, so creating one costs only
 // its visit buffers.
-func (f *Fused) NewSearcher(opts ...search.Option) *search.Searcher {
-	return search.NewFlat(f.Graph, f.Store, f.Weights, opts...)
+func (f *Fused) NewSearcher() *search.Searcher {
+	return search.NewFlat(f.Graph, f.Store, f.Weights)
 }
 
 // SizeBytes reports the index size (graph memory only, matching how the
@@ -198,21 +178,12 @@ func (f *Fused) Insert(id, gamma, beam int) error {
 
 // BruteForce performs exact top-k retrieval by scanning all objects — the
 // paper's "--" baselines (§VIII-D) and the ground-truth oracle for the
-// feature datasets. Exactly one of Store and Objects should be set:
-// production paths share the collection's flat store (scored through the
-// fused row kernel), while experiment harnesses may pass a plain object
-// slice.
+// feature datasets. It scores every row of Store through the same fused
+// row kernel the graph search uses (vec.FlatScanner.FullIP). A nil Store
+// is an empty corpus.
 type BruteForce struct {
-	Objects []vec.Multi
 	Store   *vec.FlatStore
 	Weights vec.Weights
-}
-
-func (b *BruteForce) numObjects() int {
-	if b.Store != nil {
-		return b.Store.Len()
-	}
-	return len(b.Objects)
 }
 
 // TopK returns the exact top-k object IDs by joint similarity to query,
@@ -237,29 +208,14 @@ func (b *BruteForce) TopKParallel(query vec.Multi, k int) []search.Result {
 }
 
 func (b *BruteForce) topK(query vec.Multi, k, workers int, keep func(id int) bool) []search.Result {
-	n := b.numObjects()
-	if n == 0 || k <= 0 {
+	if b.Store == nil || b.Store.Len() == 0 || k <= 0 {
 		return nil
 	}
+	n := b.Store.Len()
 	if k > n {
 		k = n
 	}
-	// Store-backed scans run the fused flat kernel over packed rows; the
-	// legacy path dispatches per modality slice. Both use the same
-	// distance formulation, so results agree.
-	var flat *vec.FlatScanner
-	var legacy *vec.PartialIPScanner
-	if b.Store != nil {
-		flat = vec.NewFlatScanner(b.Store, b.Weights, query)
-	} else {
-		legacy = vec.NewPartialIPScanner(b.Weights, query)
-	}
-	score := func(i int) float32 {
-		if flat != nil {
-			return flat.FullIP(b.Store.Row(i))
-		}
-		return legacy.FullIP(b.Objects[i])
-	}
+	flat := vec.NewFlatScanner(b.Store, b.Weights, query)
 	type shard struct{ res []search.Result }
 	if workers > n {
 		workers = n
@@ -274,8 +230,7 @@ func (b *BruteForce) topK(query vec.Multi, k, workers int, keep func(id int) boo
 	for wi := 0; wi < workers; wi++ {
 		go func(wi int) {
 			defer wg.Done()
-			// The scanners are stateless per call, so sharing them across
-			// workers is safe for FullIP.
+			// FullIP only reads the scanner, so the workers share it.
 			lo, hi := wi*chunk, (wi+1)*chunk
 			if hi > n {
 				hi = n
@@ -285,7 +240,7 @@ func (b *BruteForce) topK(query vec.Multi, k, workers int, keep func(id int) boo
 				if keep != nil && !keep(i) {
 					continue
 				}
-				ip := score(i)
+				ip := flat.FullIP(b.Store.Row(i))
 				if len(local) == k && ip <= local[len(local)-1].IP {
 					continue
 				}

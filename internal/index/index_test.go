@@ -31,10 +31,10 @@ func fixtureObjects(n int, seed int64) []vec.Multi {
 	return out
 }
 
-func TestBuildFused(t *testing.T) {
-	objects := fixtureObjects(600, 1)
+func TestBuildFusedStore(t *testing.T) {
+	st := vec.FlatFromMulti(fixtureObjects(600, 1))
 	w := vec.Weights{0.8, 0.5}
-	f, err := BuildFused(objects, w, graph.Ours(12, 3, 2))
+	f, err := BuildFusedStore(st, w, graph.Ours(12, 3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,15 +58,15 @@ func TestBuildFused(t *testing.T) {
 }
 
 func TestBuildFusedEmpty(t *testing.T) {
-	if _, err := BuildFused(nil, vec.Weights{1}, graph.Ours(10, 3, 1)); err == nil {
+	if _, err := BuildFusedStore(nil, vec.Weights{1}, graph.Ours(10, 3, 1)); err == nil {
 		t.Error("empty build did not error")
 	}
 }
 
 func TestBuildFusedGraphHNSW(t *testing.T) {
-	objects := fixtureObjects(400, 3)
+	st := vec.FlatFromMulti(fixtureObjects(400, 3))
 	w := vec.Weights{0.7, 0.7}
-	f, err := BuildFusedGraph(objects, w, "HNSW", func(s *graph.Space) *graph.Graph {
+	f, err := BuildFusedGraphStore(st, w, "HNSW", func(s *graph.Space) *graph.Graph {
 		return graph.BuildHNSW(s, graph.HNSWConfig{M: 8, EfConstruction: 60, Seed: 1})
 	})
 	if err != nil {
@@ -87,26 +87,45 @@ func TestBuildFusedGraphHNSW(t *testing.T) {
 	}
 }
 
+// TestBruteForceExact checks the scan against vec.JointIP — arithmetic
+// independent of the FlatScanner it runs on — on a 3-modality corpus whose
+// middle modality has zero weight (it must neither score nor be read).
 func TestBruteForceExact(t *testing.T) {
-	objects := fixtureObjects(300, 5)
-	w := vec.Weights{0.8, 0.5}
-	bf := &BruteForce{Objects: objects, Weights: w}
-	rng := rand.New(rand.NewSource(6))
-	q := vec.Multi{vec.RandUnit(rng, 16), vec.RandUnit(rng, 8)}
+	rng := rand.New(rand.NewSource(5))
+	dims := []int{16, 8, 12}
+	randMulti := func() vec.Multi {
+		m := make(vec.Multi, len(dims))
+		for i, d := range dims {
+			m[i] = vec.RandUnit(rng, d)
+		}
+		return m
+	}
+	objects := make([]vec.Multi, 300)
+	for i := range objects {
+		objects[i] = randMulti()
+	}
+	w := vec.Weights{0.8, 0, 0.5}
+	bf := &BruteForce{Store: vec.FlatFromMulti(objects), Weights: w}
+	q := randMulti()
 	got := bf.TopK(q, 10)
 	if len(got) != 10 {
 		t.Fatalf("got %d results", len(got))
 	}
-	// Verify exactness: nothing outside the result set has a higher IP
-	// than the worst returned.
-	scanner := vec.NewPartialIPScanner(w, q)
+	// Every returned IP is the joint IP within float tolerance, and
+	// nothing outside the result set beats the worst returned by more.
+	const tol = 1e-5
+	for _, r := range got {
+		if d := r.IP - vec.JointIP(w, q, objects[r.ID]); d > tol || d < -tol {
+			t.Fatalf("object %d: IP %v, joint IP %v", r.ID, r.IP, vec.JointIP(w, q, objects[r.ID]))
+		}
+	}
 	worst := got[len(got)-1].IP
 	in := make(map[int]bool)
 	for _, r := range got {
 		in[r.ID] = true
 	}
 	for i, o := range objects {
-		if !in[i] && scanner.FullIP(o) > worst {
+		if !in[i] && vec.JointIP(w, q, o) > worst+tol {
 			t.Fatalf("object %d beats worst returned but was excluded", i)
 		}
 	}
@@ -120,9 +139,8 @@ func TestBruteForceExact(t *testing.T) {
 
 // Property: parallel brute force matches serial brute force exactly.
 func TestBruteForceParallelMatchesSerial(t *testing.T) {
-	objects := fixtureObjects(500, 7)
 	w := vec.Weights{0.8, 0.5}
-	bf := &BruteForce{Objects: objects, Weights: w}
+	bf := &BruteForce{Store: vec.FlatFromMulti(fixtureObjects(500, 7)), Weights: w}
 	rng := rand.New(rand.NewSource(8))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -145,12 +163,11 @@ func TestBruteForceParallelMatchesSerial(t *testing.T) {
 }
 
 func TestBruteForceEdgeCases(t *testing.T) {
-	bf := &BruteForce{Objects: nil, Weights: vec.Weights{1}}
+	bf := &BruteForce{Store: nil, Weights: vec.Weights{1}}
 	if got := bf.TopK(vec.Multi{}, 5); len(got) != 0 {
 		t.Error("empty corpus returned results")
 	}
-	objects := fixtureObjects(3, 9)
-	bf = &BruteForce{Objects: objects, Weights: vec.Weights{0.8, 0.5}}
+	bf = &BruteForce{Store: vec.FlatFromMulti(fixtureObjects(3, 9)), Weights: vec.Weights{0.8, 0.5}}
 	rng := rand.New(rand.NewSource(10))
 	q := vec.Multi{vec.RandUnit(rng, 16), vec.RandUnit(rng, 8)}
 	if got := bf.TopK(q, 10); len(got) != 3 {
@@ -164,13 +181,12 @@ func TestBruteForceEdgeCases(t *testing.T) {
 // Graph search must approach brute-force results — the fused index is an
 // approximation of BruteForce (the MUST vs MUST-- relationship).
 func TestFusedApproximatesBruteForce(t *testing.T) {
-	objects := fixtureObjects(1000, 11)
 	w := vec.Weights{0.8, 0.5}
-	f, err := BuildFused(objects, w, graph.Ours(16, 3, 12))
+	f, err := BuildFusedStore(vec.FlatFromMulti(fixtureObjects(1000, 11)), w, graph.Ours(16, 3, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf := &BruteForce{Objects: objects, Weights: w}
+	bf := &BruteForce{Store: f.Store, Weights: w}
 	s := f.NewSearcher()
 	rng := rand.New(rand.NewSource(13))
 	var recall float64
@@ -203,7 +219,7 @@ func TestFusedApproximatesBruteForce(t *testing.T) {
 func TestIndexSerializationRoundTrip(t *testing.T) {
 	objects := fixtureObjects(300, 14)
 	w := vec.Weights{0.8, 0.5}
-	f, err := BuildFused(objects, w, graph.Ours(10, 3, 15))
+	f, err := BuildFusedStore(vec.FlatFromMulti(objects), w, graph.Ours(10, 3, 15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +263,7 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 
 func TestIndexFileRoundTrip(t *testing.T) {
 	objects := fixtureObjects(100, 17)
-	f, err := BuildFused(objects, vec.Weights{0.8, 0.5}, graph.Ours(8, 2, 18))
+	f, err := BuildFusedStore(vec.FlatFromMulti(objects), vec.Weights{0.8, 0.5}, graph.Ours(8, 2, 18))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +282,7 @@ func TestIndexFileRoundTrip(t *testing.T) {
 
 func TestReadFusedRejectsMismatchedObjects(t *testing.T) {
 	objects := fixtureObjects(50, 19)
-	f, err := BuildFused(objects, vec.Weights{0.8, 0.5}, graph.Ours(8, 2, 20))
+	f, err := BuildFusedStore(vec.FlatFromMulti(objects), vec.Weights{0.8, 0.5}, graph.Ours(8, 2, 20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func writeLegacyV1(t *testing.T, f *Fused) []byte {
 func TestLegacyV1LoadsIntoCSR(t *testing.T) {
 	objects := fixtureObjects(400, 41)
 	w := vec.Weights{0.8, 0.5}
-	f, err := BuildFused(objects, w, graph.Ours(12, 3, 42))
+	f, err := BuildFusedStore(vec.FlatFromMulti(objects), w, graph.Ours(12, 3, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestLegacyV1LoadsIntoCSR(t *testing.T) {
 func TestV2RoundTripAfterInserts(t *testing.T) {
 	objects := fixtureObjects(300, 44)
 	w := vec.Weights{0.8, 0.5}
-	f, err := BuildFused(objects, w, graph.Ours(10, 3, 45))
+	f, err := BuildFusedStore(vec.FlatFromMulti(objects), w, graph.Ours(10, 3, 45))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestV2RoundTripAfterInserts(t *testing.T) {
 func v2Bytes(t *testing.T, n int, seed int64) ([]byte, *Fused) {
 	t.Helper()
 	objects := fixtureObjects(n, seed)
-	f, err := BuildFused(objects, vec.Weights{0.8, 0.5}, graph.Ours(8, 2, seed))
+	f, err := BuildFusedStore(vec.FlatFromMulti(objects), vec.Weights{0.8, 0.5}, graph.Ours(8, 2, seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,10 @@ func referenceSearch(g *graph.Graph, st *vec.FlatStore, w vec.Weights, q vec.Mul
 // TestBlockedSearchMatchesRowAtATime is the differential test above the
 // kernel: blocked hop scoring must return the reference's IDs, its IPs bit
 // for bit, and its Stats — every Lemma 4 skip and full evaluation counted
-// where the row-at-a-time walk counts it.
+// where the row-at-a-time walk counts it. Breakdowns must be those of the
+// store's own rows, bit for bit; Quantized on a store with no trained SQ8
+// shadow must be the exact path; and an empty store answers every
+// parameter set with nothing.
 func TestBlockedSearchMatchesRowAtATime(t *testing.T) {
 	type fixture struct {
 		name string
@@ -171,10 +174,14 @@ func TestBlockedSearchMatchesRowAtATime(t *testing.T) {
 			{K: 10, L: 25, Optimize: true, Patience: 3},
 			{K: 1, L: 1, Optimize: true},
 			{K: 10, L: 60, Optimize: true, Weights: vec.Uniform(len(fx.dims))},
+			{K: 5, L: 90, Optimize: true, Breakdown: true},
+			{K: 10, L: 40, Optimize: true, Quantized: true},
 		} {
-			const seed = 11
-			s := NewFlat(g, st, fx.w, WithRandSeed(seed))
-			refRNG := rand.New(rand.NewSource(seed))
+			if got, _, err := NewFlat(graph.NewCSR(nil, 0), nil, fx.w).SearchParams(vec.Multi{}, p); err != nil || len(got) != 0 {
+				t.Fatalf("%s, params %d: empty store gave %d results, err %v", fx.name, pi, len(got), err)
+			}
+			s := NewFlat(g, st, fx.w)
+			refRNG := rand.New(rand.NewSource(1)) // NewFlat's seed
 			for qi := 0; qi < 25; qi++ {
 				q := make(vec.Multi, len(fx.dims))
 				for m, d := range fx.dims {
@@ -200,6 +207,21 @@ func TestBlockedSearchMatchesRowAtATime(t *testing.T) {
 					if got[i].ID != want[i].ID || math.Float32bits(got[i].IP) != math.Float32bits(want[i].IP) {
 						t.Fatalf("%s rank %d: (%d, %v), row-at-a-time (%d, %v)",
 							at, i, got[i].ID, got[i].IP, want[i].ID, want[i].IP)
+					}
+					if !p.Breakdown {
+						if got[i].PerModality != nil {
+							t.Fatalf("%s rank %d: breakdown without Params.Breakdown", at, i)
+						}
+						continue
+					}
+					if len(got[i].PerModality) != len(fx.dims) {
+						t.Fatalf("%s rank %d: %d breakdown entries", at, i, len(got[i].PerModality))
+					}
+					wantBD := Breakdown(w, q, st.Multi(got[i].ID))
+					for m, x := range got[i].PerModality {
+						if math.Float32bits(x) != math.Float32bits(wantBD[m]) {
+							t.Fatalf("%s rank %d modality %d: breakdown %v, want %v", at, i, m, x, wantBD[m])
+						}
 					}
 				}
 			}

@@ -11,7 +11,7 @@ import (
 // The index (graph + vectors) is read-only after build; one Searcher per
 // goroutine must produce exactly the same results as serial execution.
 func TestConcurrentSearchersAgreeWithSerial(t *testing.T) {
-	objects, w, g := buildFixture(t, 800, 31)
+	_, st, w, g := buildFixture(t, 800, 31)
 	rng := rand.New(rand.NewSource(32))
 	const nq = 40
 	queries := make([]vec.Multi, nq)
@@ -20,7 +20,7 @@ func TestConcurrentSearchersAgreeWithSerial(t *testing.T) {
 	}
 
 	serial := make([][]Result, nq)
-	s := New(g, objects, w, WithRandSeed(99))
+	s := NewFlat(g, st, w)
 	for i, q := range queries {
 		res, _, err := s.Search(q, 10, 100)
 		if err != nil {
@@ -41,7 +41,7 @@ func TestConcurrentSearchersAgreeWithSerial(t *testing.T) {
 			// Fresh searcher per goroutine, same pool RNG seed so the
 			// random initial candidates match the serial run per query.
 			for i := wkr; i < nq; i += workers {
-				local := New(g, objects, w, WithRandSeed(99))
+				local := NewFlat(g, st, w)
 				// Replay earlier queries to advance the RNG to the same
 				// position the serial searcher had.
 				for j := 0; j < i; j++ {
@@ -76,12 +76,13 @@ func TestConcurrentSearchersAgreeWithSerial(t *testing.T) {
 // Tombstones shared across searchers: flipping entries between searches
 // is visible to existing searchers (documented sharing semantics).
 func TestTombstonesSharedSemantics(t *testing.T) {
-	objects, w, g := buildFixture(t, 300, 33)
+	objects, st, w, g := buildFixture(t, 300, 33)
 	dead := make([]bool, len(objects))
-	s := New(g, objects, w, WithTombstones(dead))
+	s := NewFlat(g, st, w)
 	rng := rand.New(rand.NewSource(34))
 	q := randomQuery(rng)
-	before, _, err := s.Search(q, 5, 150)
+	p := Params{K: 5, L: 150, Optimize: true, Tombstones: dead}
+	before, _, err := s.SearchParams(q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestTombstonesSharedSemantics(t *testing.T) {
 	}
 	deadID := before[0].ID // before aliases the searcher's buffer; save the ID
 	dead[deadID] = true
-	after, _, err := s.Search(q, 5, 150)
+	after, _, err := s.SearchParams(q, p)
 	if err != nil {
 		t.Fatal(err)
 	}

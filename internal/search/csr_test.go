@@ -14,7 +14,7 @@ import (
 // served from the overlay (the old slice-per-vertex shape) must produce
 // bit-identical results and routing Stats to the sealed CSR graph.
 func TestCSRAndOverlaySearchIdentical(t *testing.T) {
-	objects, w, g := buildFixture(t, 900, 81)
+	_, st, w, g := buildFixture(t, 900, 81)
 	// Rebuild the same topology with every vertex overlaid.
 	adj := make([][]int32, g.NumVertices())
 	for v := range adj {
@@ -29,8 +29,8 @@ func TestCSRAndOverlaySearchIdentical(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(82))
-	a := New(g, objects, w, WithRandSeed(7))
-	b := New(overlaid, objects, w, WithRandSeed(7))
+	a := NewFlat(g, st, w)
+	b := NewFlat(overlaid, st, w)
 	for qi := 0; qi < 15; qi++ {
 		q := randomQuery(rng)
 		ra, sa, err := a.Search(q, 10, 150)
@@ -57,8 +57,8 @@ func TestCSRAndOverlaySearchIdentical(t *testing.T) {
 	}
 	// Compacting the overlaid graph must not change anything either.
 	overlaid.Compact()
-	c := New(overlaid, objects, w, WithRandSeed(7))
-	a2 := New(g, objects, w, WithRandSeed(7))
+	c := NewFlat(overlaid, st, w)
+	a2 := NewFlat(g, st, w)
 	q := randomQuery(rng)
 	ra, _, err := a2.Search(q, 10, 150)
 	if err != nil {
@@ -76,14 +76,12 @@ func TestCSRAndOverlaySearchIdentical(t *testing.T) {
 	}
 }
 
-// Steady-state searches on the flat-kernel path must not allocate: the
-// epoch-stamped visit marks, the reused result pool, and the in-place
-// scanner reset together make the per-call footprint zero. This is the
-// unit-test twin of the 0 allocs/op benchmark gate.
+// Steady-state searches must not allocate: the epoch-stamped visit marks,
+// the reused result pool, and the in-place scanner reset together make
+// the per-call footprint zero. This test is the zero-allocation gate.
 func TestSearchSteadyStateZeroAllocs(t *testing.T) {
-	objects, w, g := buildFixture(t, 600, 83)
-	store := vec.FlatFromMulti(objects)
-	s := NewFlat(g, store, w)
+	_, st, w, g := buildFixture(t, 600, 83)
+	s := NewFlat(g, st, w)
 	rng := rand.New(rand.NewSource(84))
 	queries := make([]vec.Multi, 8)
 	for i := range queries {

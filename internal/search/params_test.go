@@ -30,8 +30,8 @@ func (c *countdownCtx) Err() error {
 }
 
 func TestSearchParamsContextCancelledAtEntry(t *testing.T) {
-	objects, w, g := buildFixture(t, 400, 3)
-	s := New(g, objects, w)
+	objects, st, w, g := buildFixture(t, 400, 3)
+	s := NewFlat(g, st, w)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := objects[7]
@@ -42,18 +42,18 @@ func TestSearchParamsContextCancelledAtEntry(t *testing.T) {
 }
 
 func TestSearchParamsContextCancelledMidSearch(t *testing.T) {
-	objects, w, g := buildFixture(t, 2000, 3)
-	s := New(g, objects, w)
+	objects, st, w, g := buildFixture(t, 2000, 3)
+	s := NewFlat(g, st, w)
 	q := objects[7]
 	// One poll happens at entry and one at the first routing hop; allowing
 	// exactly those two makes the next periodic poll fail mid-routing.
 	ctx := &countdownCtx{remaining: 2}
-	_, st, err := s.SearchParams(q, Params{K: 5, L: 400, Optimize: true, Ctx: ctx})
+	_, stats, err := s.SearchParams(q, Params{K: 5, L: 400, Optimize: true, Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if st.Hops == 0 || st.Hops > ctxCheckInterval {
-		t.Fatalf("cancellation not mid-search: %d hops", st.Hops)
+	if stats.Hops == 0 || stats.Hops > ctxCheckInterval {
+		t.Fatalf("cancellation not mid-search: %d hops", stats.Hops)
 	}
 	// The searcher must remain usable after an aborted search.
 	res, _, err := s.SearchParams(q, Params{K: 5, L: 400, Optimize: true})
@@ -63,8 +63,8 @@ func TestSearchParamsContextCancelledMidSearch(t *testing.T) {
 }
 
 func TestSearchParamsBreakdownSumsToJointIP(t *testing.T) {
-	objects, w, g := buildFixture(t, 600, 5)
-	s := New(g, objects, w)
+	objects, st, w, g := buildFixture(t, 600, 5)
+	s := NewFlat(g, st, w)
 	q := objects[11]
 	res, _, err := s.SearchParams(q, Params{K: 10, L: 200, Optimize: true, Breakdown: true})
 	if err != nil {
@@ -98,8 +98,8 @@ func TestSearchParamsBreakdownSumsToJointIP(t *testing.T) {
 }
 
 func TestSearchParamsPerCallWeightOverride(t *testing.T) {
-	objects, w, g := buildFixture(t, 600, 7)
-	s := New(g, objects, w)
+	objects, st, w, g := buildFixture(t, 600, 7)
+	s := NewFlat(g, st, w)
 	q := vec.Multi{vec.RandUnit(rand.New(rand.NewSource(1)), 24), vec.RandUnit(rand.New(rand.NewSource(2)), 12)}
 	over := vec.Weights{1, 0}
 	res, _, err := s.SearchParams(q, Params{K: 5, L: 200, Optimize: true, Weights: over, Breakdown: true})
@@ -130,16 +130,18 @@ func TestSearchParamsPerCallWeightOverride(t *testing.T) {
 	}
 }
 
+// Search(q, k, l) is SearchParams with only K, L and Optimize set: two
+// fresh searchers (both seeded 1) must return identical results.
 func TestLegacySearchMatchesSearchParams(t *testing.T) {
-	objects, w, g := buildFixture(t, 500, 9)
-	s1 := New(g, objects, w, WithEarlyTermination(3))
-	s2 := New(g, objects, w)
+	objects, st, w, g := buildFixture(t, 500, 9)
+	s1 := NewFlat(g, st, w)
+	s2 := NewFlat(g, st, w)
 	q := objects[42]
 	a, _, err := s1.Search(q, 5, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := s2.SearchParams(q, Params{K: 5, L: 150, Optimize: true, Patience: 3})
+	b, _, err := s2.SearchParams(q, Params{K: 5, L: 150, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 // queries: IDs unique and in range, similarities sorted descending, size
 // exactly min(k, n), and the reported IP matching a direct recomputation.
 func TestSearchResultInvariants(t *testing.T) {
-	objects, w, g := buildFixture(t, 700, 61)
-	s := New(g, objects, w)
+	objects, st, w, g := buildFixture(t, 700, 61)
+	s := NewFlat(g, st, w)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := randomQuery(rng)
@@ -29,7 +29,6 @@ func TestSearchResultInvariants(t *testing.T) {
 			return false
 		}
 		seen := map[int]bool{}
-		scanner := vec.NewPartialIPScanner(w, q)
 		for i, r := range res {
 			if r.ID < 0 || r.ID >= len(objects) {
 				t.Logf("id %d out of range", r.ID)
@@ -44,7 +43,7 @@ func TestSearchResultInvariants(t *testing.T) {
 				t.Logf("not sorted at rank %d", i)
 				return false
 			}
-			want := scanner.FullIP(objects[r.ID])
+			want := vec.JointIP(w, q, objects[r.ID])
 			if d := want - r.IP; d > 1e-4 || d < -1e-4 {
 				t.Logf("ip mismatch for %d: %v vs %v", r.ID, r.IP, want)
 				return false
@@ -61,13 +60,13 @@ func TestSearchResultInvariants(t *testing.T) {
 // explore supersets in expectation; with the shared seed pool the top-1 IP
 // is monotone non-decreasing for nested beams on the same query).
 func TestTop1ImprovesWithBeam(t *testing.T) {
-	objects, w, g := buildFixture(t, 700, 63)
+	_, st, w, g := buildFixture(t, 700, 63)
 	rng := rand.New(rand.NewSource(64))
 	for trial := 0; trial < 20; trial++ {
 		q := randomQuery(rng)
 		var prev float32 = -1 << 30
 		for _, l := range []int{10, 40, 160, 640} {
-			s := New(g, objects, w, WithRandSeed(1))
+			s := NewFlat(g, st, w)
 			res, _, err := s.Search(q, 1, l)
 			if err != nil {
 				t.Fatal(err)

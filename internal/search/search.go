@@ -31,48 +31,29 @@ type Stats struct {
 // underlying graph and the read-only vector storage — pooled searchers
 // over one shared FlatStore cost only their visit buffers).
 //
-// Steady-state searches are allocation-free on the flat-kernel path: the
-// visit state is a single epoch-stamped []uint32 (bumping the epoch
-// resets it in O(1), replacing two []bool arrays and a touched-list
-// sweep), the Algorithm 2 result pool and the neighbor-batch buffer are
-// reused across calls, and the fused scanner re-targets in place. The
-// returned result slice is part of that reused state — see SearchParams.
+// Steady-state searches are allocation-free: the visit state is a single
+// epoch-stamped []uint32 (bumping the epoch resets it in O(1)), the
+// Algorithm 2 result pool and the neighbor-batch buffer are reused across
+// calls, and the scanners re-target in place. The returned result slice is
+// part of that reused state — see SearchParams.
 //
 // Candidate scoring runs on a contiguous vec.FlatStore through the fused
 // vec.FlatScanner kernel: one ω²-scaled multiply-add sweep per candidate
 // row, a hop's rows scored four per kernel call, with the Lemma 4 early
-// exit checked at modality boundaries. The legacy [][]float32
-// per-modality path is kept behind WithFlatKernel(false) for comparison
-// benchmarks.
+// exit checked at modality boundaries. Params.Quantized swaps in the
+// store's SQ8 code rows, scored one at a time; nothing else scores.
 type Searcher struct {
 	g *graph.Graph
-	// store is the packed vector storage the flat kernel scores against.
+	// store is the packed vector storage every candidate is scored
+	// against; nil only for an empty index.
 	store *vec.FlatStore
-	// objects is the multi-vector view of the same data, used by the
-	// legacy kernel and for per-modality breakdowns; nil when constructed
-	// with NewFlat (views are derived from the store on demand).
-	objects []vec.Multi
 	// n is the object count at construction time; searchers never see
 	// objects appended later (create a new searcher after inserts).
 	n       int
-	useFlat bool
 	weights vec.Weights
-	// optimize toggles the Lemma 4 partial-IP early termination
-	// (§VIII-G, Fig. 10(c)).
-	optimize bool
-	// tombstones marks deleted objects (§IX index updates): tombstoned
-	// vertices still route — they may be essential for connectivity — but
-	// are excluded from results until the next rebuild.
-	tombstones []bool
-	// filter, when set, restricts results to objects it accepts — the
-	// hybrid-query setting of §III (vector search + attribute
-	// constraints). Filtered-out vertices still route.
-	filter func(id int) bool
-	// patience enables adaptive early termination: stop routing after
-	// this many consecutive hops that fail to improve the result pool
-	// (0 = run Algorithm 2 to completion).
-	patience int
-	rng      *rand.Rand
+	// rng draws the random initial candidates of Algorithm 2 line 2; it is
+	// seeded 1, so a fresh searcher's searches are deterministic.
+	rng *rand.Rand
 
 	// Reusable per-search state. marks is the epoch-stamped visit array:
 	// marks[v] == gen means v's IP has been computed (H' of Algorithm 2),
@@ -85,7 +66,7 @@ type Searcher struct {
 	// results backs the returned slice; valid until the next search.
 	results []Result
 	batch   []int32 // unseen neighbors of the current hop, gathered first
-	// flat is the reusable fused scanner (reset per call on the flat path).
+	// flat is the reusable fused scanner (reset per call).
 	flat vec.FlatScanner
 	// sq8 is the reusable quantized scanner (reset per call when
 	// Params.Quantized routes over the SQ8 shadow store).
@@ -98,106 +79,23 @@ type poolEntry struct {
 	ip float32
 }
 
-// Option configures a Searcher.
-type Option func(*Searcher)
-
-// WithOptimization enables or disables the Lemma 4 multi-vector
-// computation optimization (enabled by default).
-func WithOptimization(on bool) Option {
-	return func(s *Searcher) { s.optimize = on }
-}
-
-// WithRandSeed fixes the seed of the random initial candidates of
-// Algorithm 2 line 2 (default 1, making searches deterministic).
-func WithRandSeed(seed int64) Option {
-	return func(s *Searcher) { s.rng = rand.New(rand.NewSource(seed)) }
-}
-
-// WithTombstones attaches a deletion bitset (§IX): objects with a true
-// entry are routed through during greedy search — removing them could
-// disconnect the graph — but never returned. The slice is shared, not
-// copied, so callers may flip entries between searches. Raise l when many
-// objects are deleted, since tombstoned pool entries crowd out results.
-func WithTombstones(dead []bool) Option {
-	return func(s *Searcher) { s.tombstones = dead }
-}
-
-// WithFilter restricts results to objects accepted by keep — the hybrid
-// vector-plus-constraint queries of §III. Rejected objects still
-// participate in routing; raise l when the filter is selective.
-func WithFilter(keep func(id int) bool) Option {
-	return func(s *Searcher) { s.filter = keep }
-}
-
-// WithEarlyTermination stops the greedy routing after `patience`
-// consecutive hops that do not improve the result pool, trading a little
-// recall for latency (the adaptive-termination idea the paper cites as
-// [54]). patience ≤ 0 disables it (Algorithm 2 runs to completion).
-func WithEarlyTermination(patience int) Option {
-	return func(s *Searcher) { s.patience = patience }
-}
-
-// WithFlatKernel selects between the fused flat-store kernel (true, the
-// default) and the legacy per-modality [][]float32 scan. The legacy path
-// exists for the BenchmarkSearch flat-vs-legacy comparison and as a
-// cross-check in tests; both produce the same results.
-func WithFlatKernel(on bool) Option {
-	return func(s *Searcher) { s.useFlat = on }
-}
-
-// New creates a Searcher over a built graph, the object multi-vectors it
-// indexes, and the modality weights. The objects are packed into a private
-// FlatStore for the fused kernel; when many searchers share one corpus
-// (e.g. a server-side pool), build the store once and use NewFlat instead.
-func New(g *graph.Graph, objects []vec.Multi, w vec.Weights, opts ...Option) *Searcher {
-	s := &Searcher{
-		g:        g,
-		store:    vec.FlatFromMulti(objects),
-		objects:  objects,
-		n:        len(objects),
-		useFlat:  true,
-		weights:  w,
-		optimize: true,
-		rng:      rand.New(rand.NewSource(1)),
-		marks:    make([]uint32, len(objects)),
-	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
-}
-
-// NewFlat creates a Searcher sharing an already packed FlatStore — the
-// zero-copy constructor the Engine's searcher pool uses. store may be nil
-// only for an empty index.
-func NewFlat(g *graph.Graph, store *vec.FlatStore, w vec.Weights, opts ...Option) *Searcher {
+// NewFlat creates a Searcher over a built graph, the packed store its
+// vertices index, and the modality weights. The store is shared, not
+// copied: pooled searchers over one store cost only their visit buffers.
+// store may be nil only for an empty index.
+func NewFlat(g *graph.Graph, store *vec.FlatStore, w vec.Weights) *Searcher {
 	n := 0
 	if store != nil {
 		n = store.Len()
 	}
-	s := &Searcher{
-		g:        g,
-		store:    store,
-		n:        n,
-		useFlat:  true,
-		weights:  w,
-		optimize: true,
-		rng:      rand.New(rand.NewSource(1)),
-		marks:    make([]uint32, n),
+	return &Searcher{
+		g:       g,
+		store:   store,
+		n:       n,
+		weights: w,
+		rng:     rand.New(rand.NewSource(1)),
+		marks:   make([]uint32, n),
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
-}
-
-// object returns object id as a multi-vector, preferring the caller-shared
-// slice and falling back to flat-store views.
-func (s *Searcher) object(id int32) vec.Multi {
-	if s.objects != nil {
-		return s.objects[id]
-	}
-	return s.store.Multi(int(id))
 }
 
 // Result is one returned object with its joint similarity.
@@ -210,10 +108,8 @@ type Result struct {
 	PerModality []float32
 }
 
-// Params configures a single search call, overriding the Searcher's
-// constructor-time options. The zero value is not useful — K and L are
-// required; use Defaults (or the legacy Search method) to inherit the
-// constructor options.
+// Params configures a single search call. The zero value is not useful —
+// K and L are required; Search fills in the rest with Optimize on.
 type Params struct {
 	// K is the number of results; L is the result-set size l of
 	// Algorithm 2 (l ≥ k).
@@ -221,14 +117,21 @@ type Params struct {
 	// Weights overrides the searcher weights for this call (user-defined
 	// weight preference, §VIII-F); nil keeps the searcher weights.
 	Weights vec.Weights
-	// Filter restricts results to accepted objects (§III hybrid queries).
+	// Filter restricts results to accepted objects — the hybrid
+	// vector-plus-constraint queries of §III. Rejected objects still
+	// route; raise L when the filter is selective.
 	Filter func(id int) bool
-	// Tombstones marks deleted objects (§IX); routed through, never
-	// returned.
+	// Tombstones marks deleted objects (§IX index updates): tombstoned
+	// vertices still route — they may be essential for connectivity — but
+	// are never returned. The slice is read at call time, so callers may
+	// flip entries between searches.
 	Tombstones []bool
-	// Patience > 0 enables adaptive early termination.
+	// Patience > 0 enables adaptive early termination: stop routing after
+	// this many consecutive hops that fail to improve the result pool
+	// (0 runs Algorithm 2 to completion).
 	Patience int
-	// Optimize toggles the Lemma 4 partial-IP early termination.
+	// Optimize toggles the Lemma 4 partial-IP early termination (§VII-B,
+	// Fig. 10(c)).
 	Optimize bool
 	// Breakdown requests per-modality similarity contributions on the
 	// returned results (Result.PerModality).
@@ -237,8 +140,7 @@ type Params struct {
 	// byte/dim instead of 4 — see vec.SQ8Store) and re-ranks the top
 	// RerankK pool entries with exact float32 scores before returning.
 	// Silently falls back to the exact path when the store has no trained
-	// shadow covering the searcher's snapshot (e.g. quantization disabled,
-	// or the legacy kernel selected).
+	// shadow covering the searcher's snapshot (e.g. quantization disabled).
 	Quantized bool
 	// RerankK is the exact re-rank depth of the quantized path: how many
 	// of the top pool entries get exact float32 scores. 0 means 4·K
@@ -248,18 +150,6 @@ type Params struct {
 	// Ctx, when non-nil, is checked periodically during routing; the
 	// search aborts with the context's error on cancellation or deadline.
 	Ctx context.Context
-}
-
-// defaults returns Params inheriting the searcher's constructor options.
-func (s *Searcher) defaults(k, l int) Params {
-	return Params{
-		K:          k,
-		L:          l,
-		Filter:     s.filter,
-		Tombstones: s.tombstones,
-		Patience:   s.patience,
-		Optimize:   s.optimize,
-	}
 }
 
 // ctxCheckInterval is how many routing hops pass between ctx.Err() polls;
@@ -273,7 +163,7 @@ const ctxCheckInterval = 64
 // (§VII-B). The returned slice is owned by the Searcher and valid until
 // its next search — see SearchParams.
 func (s *Searcher) Search(query vec.Multi, k, l int) ([]Result, Stats, error) {
-	return s.SearchParams(query, s.defaults(k, l))
+	return s.SearchParams(query, Params{K: k, L: l, Optimize: true})
 }
 
 // SearchParams is Search with explicit per-call parameters. It lets one
@@ -294,14 +184,8 @@ func (s *Searcher) SearchParams(query vec.Multi, p Params) ([]Result, Stats, err
 	if l < k {
 		return nil, Stats{}, fmt.Errorf("search: l (%d) must be at least k (%d)", l, k)
 	}
-	modalities := 0
-	if s.store != nil {
-		modalities = s.store.Modalities()
-	} else if len(s.objects) > 0 {
-		modalities = len(s.objects[0])
-	}
-	if len(query) != 0 && modalities > 0 && len(query) != modalities {
-		return nil, Stats{}, fmt.Errorf("search: query has %d modalities, objects have %d", len(query), modalities)
+	if s.store != nil && len(query) != 0 && len(query) != s.store.Modalities() {
+		return nil, Stats{}, fmt.Errorf("search: query has %d modalities, objects have %d", len(query), s.store.Modalities())
 	}
 	if p.Ctx != nil {
 		if err := p.Ctx.Err(); err != nil {
@@ -321,28 +205,22 @@ func (s *Searcher) SearchParams(query vec.Multi, p Params) ([]Result, Stats, err
 	}
 
 	var stats Stats
-	// Kernel selection: the fused flat scanner sweeps each candidate's
-	// packed row once; the legacy scanner dispatches per modality slice.
-	// Both use the same distance formulation and accumulation order, so
-	// the optimized and unoptimized paths agree bit-for-bit within either
-	// kernel. The flat scanner is re-targeted in place (no allocation);
-	// the comparison-only legacy path allocates a scanner per call.
-	var flat *vec.FlatScanner
-	var legacy *vec.PartialIPScanner
+	// Two store kinds are scored. Float32 rows go a batch at a time, four
+	// rows per kernel call (FlatScanner.Prescore, then FullIPAt/ScanAt per
+	// row). SQ8 code rows (quant != nil) go one at a time through the
+	// quantized scanner: approximate (dequantized) scores, which the
+	// post-routing re-rank with the float32 scanner makes exact. Both
+	// scanners are re-targeted in place, with no allocation.
+	flat := &s.flat
+	flat.Reset(s.store, weights, query)
 	var quant *vec.SQ8Scanner
 	var codes *vec.SQ8Store
-	if s.useFlat && s.store != nil {
-		s.flat.Reset(s.store, weights, query)
-		flat = &s.flat
-		if p.Quantized {
-			if q := s.store.SQ8(); q != nil && q.Trained() && q.Len() >= n {
-				s.sq8.Reset(s.store, weights, query)
-				quant = &s.sq8
-				codes = q
-			}
+	if p.Quantized {
+		if q := s.store.SQ8(); q != nil && q.Trained() && q.Len() >= n {
+			s.sq8.Reset(s.store, weights, query)
+			quant = &s.sq8
+			codes = q
 		}
-	} else {
-		legacy = vec.NewPartialIPScanner(weights, query)
 	}
 
 	// Advance the visit epoch: every stamp from previous searches is now
@@ -358,20 +236,6 @@ func (s *Searcher) SearchParams(query vec.Multi, p Params) ([]Result, Stats, err
 	gen := s.gen
 	marks := s.marks
 	seenCount := 0
-
-	// blocked: float32 rows are scored a batch at a time, four rows per
-	// kernel call (FlatScanner.Prescore, then FullIPAt/ScanAt per row).
-	// The other two store kinds score row at a time through evalFull —
-	// approximate (dequantized) on the quantized path, where the
-	// post-routing re-rank restores exactness — and their Scan.
-	blocked := flat != nil && quant == nil
-	evalFull := func(id int32) float32 {
-		stats.FullEvals++
-		if quant != nil {
-			return quant.FullIP(codes.Row(int(id)))
-		}
-		return legacy.FullIP(s.object(id))
-	}
 
 	// R: the result pool, sorted by descending IP, capacity l, reused
 	// across calls. cursor is the lowest index that may hold an unvisited
@@ -430,15 +294,15 @@ func (s *Searcher) SearchParams(query vec.Multi, p Params) ([]Result, Stats, err
 		seeds = append(seeds, id)
 	}
 	s.batch = seeds
-	if blocked {
+	if quant == nil {
 		flat.Prescore(s.store, seeds, 0, false)
-		stats.FullEvals += len(seeds)
 	}
+	stats.FullEvals += len(seeds)
 	for i, id := range seeds {
-		if blocked {
-			insert(id, flat.FullIPAt(i))
+		if quant != nil {
+			insert(id, quant.FullIP(codes.Row(int(id))))
 		} else {
-			insert(id, evalFull(id))
+			insert(id, flat.FullIPAt(i))
 		}
 	}
 
@@ -491,33 +355,29 @@ func (s *Searcher) SearchParams(query vec.Multi, p Params) ([]Result, Stats, err
 			}
 		}
 		s.batch = batch
-		if blocked {
+		if quant == nil {
 			flat.Prescore(s.store, batch, threshold, p.Optimize && full)
 		}
 		for i, u := range batch {
 			var ip float32
 			if p.Optimize && full {
-				var bound float32
 				var exact bool
 				if quant != nil {
-					bound, exact = quant.Scan(codes.Row(int(u)), threshold)
-				} else if blocked {
-					bound, exact = flat.ScanAt(i, threshold)
+					ip, exact = quant.Scan(codes.Row(int(u)), threshold)
 				} else {
-					bound, exact = legacy.Scan(s.object(u), threshold)
+					ip, exact = flat.ScanAt(i, threshold)
 				}
 				if !exact {
 					stats.PartialSkips++
 					continue
 				}
 				stats.FullEvals++
-				ip = bound
 			} else {
-				if blocked {
-					stats.FullEvals++
-					ip = flat.FullIPAt(i)
+				stats.FullEvals++
+				if quant != nil {
+					ip = quant.FullIP(codes.Row(int(u)))
 				} else {
-					ip = evalFull(u)
+					ip = flat.FullIPAt(i)
 				}
 				if full && ip <= threshold {
 					continue
@@ -587,7 +447,7 @@ func (s *Searcher) SearchParams(query vec.Multi, p Params) ([]Result, Stats, err
 		}
 		r := Result{ID: int(e.id), IP: e.ip}
 		if p.Breakdown {
-			r.PerModality = Breakdown(weights, query, s.object(e.id))
+			r.PerModality = Breakdown(weights, query, s.store.Multi(int(e.id)))
 		}
 		out = append(out, r)
 	}

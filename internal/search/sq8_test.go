@@ -10,8 +10,7 @@ import (
 // quantFixture builds a fused setup with a trained SQ8 shadow store.
 func quantFixture(t testing.TB, n int, seed int64) (*Searcher, []vec.Multi, vec.Weights, *vec.FlatStore) {
 	t.Helper()
-	objects, w, g := buildFixture(t, n, seed)
-	store := vec.FlatFromMulti(objects)
+	objects, store, w, g := buildFixture(t, n, seed)
 	store.EnableSQ8()
 	store.SyncSQ8()
 	return NewFlat(g, store, w), objects, w, store
@@ -91,9 +90,8 @@ func TestQuantizedRerankScoresExact(t *testing.T) {
 // TestQuantizedFallsBackWithoutShadow: Params.Quantized on a store with no
 // trained shadow must silently serve the exact path with identical results.
 func TestQuantizedFallsBackWithoutShadow(t *testing.T) {
-	objects, w, g := buildFixture(t, 600, 41)
-	store := vec.FlatFromMulti(objects)
-	s := NewFlat(g, store, w)
+	_, st, w, g := buildFixture(t, 600, 41)
+	s := NewFlat(g, st, w)
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 5; trial++ {
 		q := randomQuery(rng)
@@ -118,7 +116,7 @@ func TestQuantizedFallsBackWithoutShadow(t *testing.T) {
 
 // TestQuantizedSteadyStateZeroAllocs: the quantized scan + re-rank path
 // must stay allocation-free once the reusable buffers are warm, like the
-// float32 path the CI gate pins.
+// float32 path (TestSearchSteadyStateZeroAllocs).
 func TestQuantizedSteadyStateZeroAllocs(t *testing.T) {
 	s, _, _, _ := quantFixture(t, 600, 83)
 	rng := rand.New(rand.NewSource(84))

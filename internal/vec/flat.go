@@ -354,11 +354,13 @@ type flatSeg struct {
 // unrolled multiply-add sweep over its contiguous row — no per-modality
 // slice dispatch and no weight multiplies in the inner loop.
 //
-// Like PartialIPScanner it works in the distance formulation of Eq. 8,
+// It works in the distance formulation of Eq. 8,
 // IP_joint = Σω_i² − ½·Σω_i²·‖q_i−u_i‖², expanded with the stored rows'
 // unit per-modality norms (Collection.Add normalizes; so does the paper).
-// Scan implements the Lemma 4 early termination by checking the shrinking
-// upper bound at modality boundaries only.
+// The partial distance over the modalities scanned so far only grows, so
+// the partial IP is an upper bound on the joint IP that only shrinks: Scan
+// implements the Lemma 4 early termination by checking that bound at
+// modality boundaries only.
 type FlatScanner struct {
 	sq    []float32 // ω_i²-pre-scaled packed query (zero on inactive ranges)
 	segs  []flatSeg
@@ -438,9 +440,8 @@ func (fs *FlatScanner) FullIP(row []float32) float32 {
 // bound after each modality segment: if the bound drops to or below
 // threshold, Scan returns (bound, false) without touching the remaining
 // segments and the caller may discard the candidate. Otherwise it returns
-// the exact joint IP and true. Like PartialIPScanner.Scan, the bound is
-// checked after every segment including the last, so exact == true
-// implies ip > threshold.
+// the exact joint IP and true. The bound is checked after every segment
+// including the last, so exact == true implies ip > threshold.
 func (fs *FlatScanner) Scan(row []float32, threshold float32) (ip float32, exact bool) {
 	ip = fs.sumW2
 	sq := fs.sq

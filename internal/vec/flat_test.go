@@ -93,16 +93,11 @@ func TestFlatScannerMatchesNaiveJointIP(t *testing.T) {
 	for wi, w := range weightSets {
 		q := randomMulti(rng, dims)
 		fs := NewFlatScanner(st, w, q)
-		legacy := NewPartialIPScanner(w, q)
 		for i := range objects {
 			naive := float64(JointIP(w, q, objects[i]))
 			fused := float64(fs.FullIP(st.Row(i)))
 			if math.Abs(naive-fused) > 1e-5 {
 				t.Fatalf("weights %d object %d: fused %v vs naive %v (Δ=%g)", wi, i, fused, naive, math.Abs(naive-fused))
-			}
-			old := float64(legacy.FullIP(objects[i]))
-			if math.Abs(old-fused) > 1e-5 {
-				t.Fatalf("weights %d object %d: fused %v vs legacy scanner %v", wi, i, fused, old)
 			}
 		}
 	}
@@ -286,17 +281,6 @@ func BenchmarkKernelFusedFlat(b *testing.B) {
 	var acc float32
 	for i := 0; i < b.N; i++ {
 		acc += fs.FullIP(st.Row(i % st.Len()))
-	}
-	sinkF32 = acc
-}
-
-func BenchmarkKernelLegacyScanner(b *testing.B) {
-	_, objects, w, q := benchKernelSetup(b)
-	s := NewPartialIPScanner(w, q)
-	b.ResetTimer()
-	var acc float32
-	for i := 0; i < b.N; i++ {
-		acc += s.FullIP(objects[i%len(objects)])
 	}
 	sinkF32 = acc
 }

@@ -9,8 +9,12 @@ import "unsafe"
 // an assembly kernel is installed at init; everywhere else — and always
 // under the `purego` build tag — the pure-Go reference below runs.
 //
-// Bit-exactness contract: every implementation of a kernel must produce
-// the exact same result, bit for bit, for the same inputs.
+// Bit-exactness contract: on finite inputs every implementation of a
+// kernel must produce the exact same result, bit for bit. A NaN input
+// gives a NaN result whose payload is unspecified (it follows instruction
+// operand order); nothing upstream relies on it, because stored rows,
+// queries and weights are all checked to be finite before they reach a
+// kernel.
 //
 // For the float32 kernel the reference fixes the accumulation schedule
 // the assembly mirrors:

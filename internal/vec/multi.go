@@ -145,22 +145,6 @@ func JointIP(w Weights, a, b Multi) float32 {
 	return s
 }
 
-// JointSquaredL2 computes the weighted squared Euclidean distance between
-// two multi-vectors: Σ ω_i² · ||a_i - b_i||² (Eq. 9).
-func JointSquaredL2(w Weights, a, b Multi) float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: joint L2 modality mismatch %d != %d", len(a), len(b)))
-	}
-	var s float32
-	for i := range a {
-		if i >= len(w) || w[i] == 0 {
-			continue
-		}
-		s += w[i] * w[i] * SquaredL2(a[i], b[i])
-	}
-	return s
-}
-
 // WeightedConcat builds the concatenated vector
 // [ω_0·a_0, ..., ω_{m-1}·a_{m-1}] of §VI. The result is NOT re-normalized:
 // Lemma 1 requires the raw weighted concatenation.
@@ -181,7 +165,7 @@ func WeightedConcat(w Weights, a Multi) []float32 {
 // SumSquared returns Σ ω_i², used to relate joint IP and joint L2
 // on normalized per-modality vectors:
 //
-//	JointIP = Σ ω_i² − ½·JointSquaredL2.
+//	JointIP = Σ ω_i² − ½·Σ ω_i²·‖a_i − b_i‖².
 //
 // The sum is accumulated in float64: it seeds every Lemma 4 upper bound,
 // and float32 accumulation drifts by one ULP per modality.
@@ -195,53 +179,4 @@ func (w Weights) sumSquared64() float64 {
 		s += float64(x) * float64(x)
 	}
 	return s
-}
-
-// PartialIPScanner incrementally evaluates the joint inner product between
-// a fixed query and one candidate, one modality at a time, implementing the
-// multi-vector computation optimization of §VII-B (Lemma 4).
-//
-// On normalized per-modality vectors,
-//
-//	IP_joint(q̂, û) = Σ ω_i² − ½ · Σ ω_i²·||q_i − u_i||²,
-//
-// and the partial distance Σ_{i<x} ω_i²·||q_i − u_i||² only grows as more
-// modalities are scanned, so the partial IP (an upper bound on the true
-// joint IP) only shrinks. Once it drops to or below a threshold, the
-// candidate can be discarded without scanning the remaining modalities.
-type PartialIPScanner struct {
-	w     Weights
-	query Multi
-	sumW2 float32
-}
-
-// NewPartialIPScanner prepares a scanner for the given weights and query.
-func NewPartialIPScanner(w Weights, query Multi) *PartialIPScanner {
-	return &PartialIPScanner{w: w, query: query, sumW2: w.SumSquared()}
-}
-
-// Scan evaluates the joint IP between the scanner's query and cand.
-// If at any point the running upper bound drops to or at most threshold,
-// Scan returns (bound, false) without scanning further modalities; the
-// caller may safely discard cand (Lemma 4). Otherwise it returns the exact
-// joint IP and true.
-func (s *PartialIPScanner) Scan(cand Multi, threshold float32) (ip float32, exact bool) {
-	var partial float32 // Σ ω_i²·||q_i − u_i||² over scanned modalities
-	for i := range cand {
-		if i >= len(s.w) || s.w[i] == 0 {
-			continue
-		}
-		partial += s.w[i] * s.w[i] * SquaredL2(s.query[i], cand[i])
-		if bound := s.sumW2 - 0.5*partial; bound <= threshold {
-			return bound, false
-		}
-	}
-	return s.sumW2 - 0.5*partial, true
-}
-
-// FullIP computes the exact joint IP without early termination, using the
-// same distance formulation as Scan so the two agree bit-for-bit on the
-// exact path.
-func (s *PartialIPScanner) FullIP(cand Multi) float32 {
-	return s.sumW2 - 0.5*JointSquaredL2(s.w, s.query, cand)
 }

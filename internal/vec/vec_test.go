@@ -116,9 +116,10 @@ func TestLemma1ConcatEqualsWeightedSum(t *testing.T) {
 	}
 }
 
-// Property (Lemma 4): the partial-IP scanner either returns the exact joint
-// IP, or an upper bound that is at most the discard threshold — in which
-// case the exact IP is also at most the threshold, so discarding is safe.
+// Property (Lemma 4): the fused scanner's Scan either returns the exact
+// joint IP, or an upper bound that is at most the discard threshold — in
+// which case the exact IP is also at most the threshold, so discarding is
+// safe.
 func TestLemma4PartialIPSafety(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := func(seed int64) bool {
@@ -131,10 +132,11 @@ func TestLemma4PartialIPSafety(t *testing.T) {
 			q[i] = RandUnit(r, d)
 			u[i] = RandUnit(r, d)
 		}
-		s := NewPartialIPScanner(w, q)
-		exactIP := s.FullIP(u)
+		st := FlatFromMulti([]Multi{u})
+		s := NewFlatScanner(st, w, q)
+		exactIP := JointIP(w, q, u)
 		threshold := float32(r.Float64()*2 - 1)
-		got, exact := s.Scan(u, threshold)
+		got, exact := s.Scan(st.Row(0), threshold)
 		if exact {
 			// Exact path must match the full computation and exceed the
 			// threshold.
@@ -155,8 +157,9 @@ func TestScannerFullIPMatchesJointIP(t *testing.T) {
 	w := Weights{0.7, 0.7}
 	q := Multi{RandUnit(r, 24), RandUnit(r, 16)}
 	u := Multi{RandUnit(r, 24), RandUnit(r, 16)}
-	s := NewPartialIPScanner(w, q)
-	if got, want := float64(s.FullIP(u)), float64(JointIP(w, q, u)); !approxEq(got, want, 1e-3) {
+	st := FlatFromMulti([]Multi{u})
+	s := NewFlatScanner(st, w, q)
+	if got, want := float64(s.FullIP(st.Row(0))), float64(JointIP(w, q, u)); !approxEq(got, want, 1e-3) {
 		t.Errorf("FullIP = %v, JointIP = %v", got, want)
 	}
 }

@@ -5,7 +5,7 @@
 // the current weights ("hard negatives", Eq. 5), or sampled uniformly for
 // the Fig. 9 ablation. The loss is the softmax contrastive loss of Eq. 6
 // and training is plain mini-batch gradient descent — the analytic
-// gradient substitutes for the paper's PyTorch loop (DESIGN.md §2).
+// gradient substitutes for the paper's PyTorch loop.
 package weights
 
 import (

@@ -193,7 +193,8 @@ func (c *Collection) UniformWeights() Weights {
 func (c *Collection) flatStore() *vec.FlatStore { return c.store }
 
 // query converts and validates an external query against the collection
-// layout.
+// layout. Like Add, it rejects non-finite coordinates: they would reach
+// the kernels, whose results are only defined on finite inputs.
 func (c *Collection) query(q Object) (vec.Multi, error) {
 	if len(q) != len(c.dims) {
 		return nil, fmt.Errorf("must: query has %d modalities, collection expects %d", len(q), len(c.dims))
@@ -208,6 +209,12 @@ func (c *Collection) query(q Object) (vec.Multi, error) {
 		}
 		if len(v) != c.dims[i] {
 			return nil, fmt.Errorf("must: query modality %d has dim %d, expects %d", i, len(v), c.dims[i])
+		}
+		if err := checkFinite(v); err != nil {
+			if i < len(c.names) {
+				return nil, fmt.Errorf("must: query modality %q: %w", c.names[i], err)
+			}
+			return nil, fmt.Errorf("must: query modality %d: %w", i, err)
 		}
 		mv[i] = vec.Normalized(v)
 	}

@@ -1,9 +1,11 @@
 package must
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -335,5 +337,52 @@ func TestAddRejectsNonFinite(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Error("rejected objects were stored")
+	}
+}
+
+// A query coordinate that is NaN or ±Inf must be rejected, with the
+// modality named, on every search entry point — not answered with NaN
+// similarities. Every path converts through Collection.query.
+func TestSearchRejectsNonFiniteQuery(t *testing.T) {
+	ctx := context.Background()
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1))} {
+		poison := func(v []float32) []float32 {
+			v = append([]float32(nil), v...)
+			v[1] = bad
+			return v
+		}
+		check := func(what string, err error, modality string) {
+			t.Helper()
+			if err == nil {
+				t.Errorf("%v in %s: %s accepted the query", bad, modality, what)
+			} else if !strings.Contains(err.Error(), modality) {
+				t.Errorf("%v in %s: %s error %q does not name the modality", bad, modality, what, err)
+			}
+		}
+
+		e, rng := newBuiltEngine(t, 100)
+		q := Query{Vectors: NamedVectors{
+			"image": poison(engRandVec(rng, engImgDim)),
+			"text":  engRandVec(rng, engTxtDim),
+		}, K: 5}
+		_, err := e.Search(ctx, q)
+		check("Engine.Search", err, `"image"`)
+		_, err = e.ExactSearch(ctx, q)
+		check("Engine.ExactSearch", err, `"image"`)
+
+		s := newSharded(t, shardedObjects(90, 5), 3, true)
+		sq := Query{Vectors: NamedVectors{"a": randVec(rng, 24), "b": poison(randVec(rng, 12))}, K: 5}
+		_, err = s.Search(ctx, sq)
+		check("ShardedEngine.Search", err, `"b"`)
+		_, err = s.ExactSearch(ctx, sq)
+		check("ShardedEngine.ExactSearch", err, `"b"`)
+
+		c, queries, _ := buildCorpus(t, 120, 1, 7)
+		ix, err := Build(c, c.UniformWeights(), BuildOptions{Gamma: 8, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ix.Search(Object{queries[0][0], poison(queries[0][1])}, SearchOptions{K: 5})
+		check("Index.Search", err, "modality 1")
 	}
 }
