@@ -563,14 +563,17 @@ func BenchmarkIndexMemory(b *testing.B) {
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
 
-		c := must.NewCollection(dImg, dTxt)
+		e, err := must.NewEngine(must.Schema{{Name: "image", Dim: dImg}, {Name: "text", Dim: dTxt}},
+			must.EngineOptions{Build: must.BuildOptions{Gamma: 24, Seed: 7}})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for j := 0; j < n; j++ {
-			if _, err := c.Add(must.Object{raw[2*j], raw[2*j+1]}); err != nil {
+			if _, err := e.InsertObject(must.Object{raw[2*j], raw[2*j+1]}); err != nil {
 				b.Fatal(err)
 			}
 		}
-		ix, err := must.Build(c, c.UniformWeights(), must.BuildOptions{Gamma: 24, Seed: 7})
-		if err != nil {
+		if err := e.Build(); err != nil {
 			b.Fatal(err)
 		}
 
@@ -578,7 +581,10 @@ func BenchmarkIndexMemory(b *testing.B) {
 		var after runtime.MemStats
 		runtime.ReadMemStats(&after)
 		resident := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-		st := ix.Stats()
+		st, err := e.Stats()
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(float64(resident)/n, "resident_B/object")
 		b.ReportMetric(float64(st.CorpusBytes)/n, "corpus_B/object")
 		b.ReportMetric(float64(st.CorpusBytes)/float64(st.RawVectorBytes), "corpus_over_raw")
@@ -587,8 +593,7 @@ func BenchmarkIndexMemory(b *testing.B) {
 		// (flat edges + offsets; ~4 B/edge + 4 B/vertex, no per-vertex
 		// slice headers).
 		b.ReportMetric(st.GraphBytesPerEdge, "graph_B/edge")
-		runtime.KeepAlive(ix)
-		runtime.KeepAlive(c)
+		runtime.KeepAlive(e)
 	}
 }
 

@@ -373,72 +373,3 @@ func TestCrashCorruptMidSegmentFailsLoudly(t *testing.T) {
 		t.Fatalf("mid-segment corruption opened with err = %v, want ErrCorrupt", err)
 	}
 }
-
-// TestLoadEngineV1Compat: MUSTEG1 snapshots (no epoch field) still load,
-// with epoch 0 so a WAL replay applies everything.
-func TestLoadEngineV1Compat(t *testing.T) {
-	e, err := NewEngine(durableSchema, EngineOptions{Build: BuildOptions{Gamma: 8, Seed: 42}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 10; i++ {
-		if _, err := e.Insert(durableRandObject(rng)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
-
-	// Reconstruct the v1 layout: same bytes minus the epoch u64, under
-	// the old magic. The epoch sits right after nextID.
-	off := 8 + 4 // magic, m
-	for _, m := range durableSchema {
-		off += 4 + len(m.Name) + 4 // nameLen, name, dim
-	}
-	off += 4 * len(durableSchema) // weights
-	off += 4 + 4 + 4 + 8          // gamma, iterations, algorithm, seed
-	off += 8                      // nextID
-	v1 := make([]byte, 0, len(blob)-8)
-	v1 = append(v1, blob[:off]...)
-	v1 = append(v1, blob[off+8:]...)
-	copy(v1[:8], "MUSTEG1\n")
-
-	e1, err := ReadEngine(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 snapshot failed to load: %v", err)
-	}
-	if e1.Epoch() != 0 {
-		t.Fatalf("v1 engine epoch = %d, want 0", e1.Epoch())
-	}
-	if e1.Len() != e.Len() {
-		t.Fatalf("v1 engine has %d objects, want %d", e1.Len(), e.Len())
-	}
-	for id := int64(0); id < 10; id++ {
-		a, err := e.Object(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := e1.Object(id)
-		if err != nil {
-			t.Fatalf("object %d missing from v1 load: %v", id, err)
-		}
-		for name, av := range a {
-			bv := b[name]
-			if len(av) != len(bv) {
-				t.Fatalf("id %d modality %q shape differs", id, name)
-			}
-			for i := range av {
-				if av[i] != bv[i] {
-					t.Fatalf("id %d modality %q[%d]: %v vs %v", id, name, i, av[i], bv[i])
-				}
-			}
-		}
-	}
-}

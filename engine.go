@@ -41,16 +41,15 @@ type EngineOptions struct {
 	Build BuildOptions
 }
 
-// Engine is the recommended high-level entry point: a schema-typed,
-// concurrency-safe multimodal search engine built on the low-level
-// Collection/Index layer.
+// Engine is the library's entry point: a schema-typed, concurrency-safe
+// multimodal search engine over one fused proximity graph.
 //
-// Unlike Collection/Index, an Engine is safe for concurrent use: Search
-// calls run in parallel with each other (each borrows a searcher from an
-// internal pool), and Insert, Delete, SetWeights, and Rebuild may be
-// called from other goroutines at any time. Mutations take a write lock,
-// so they briefly block searches; Rebuild does its graph construction
-// off-lock and only blocks to swap the new graph in.
+// An Engine is safe for concurrent use: Search calls run in parallel with
+// each other (each borrows a searcher from an internal pool), and Insert,
+// Delete, SetWeights, and Rebuild may be called from other goroutines at
+// any time. Mutations take a write lock, so they briefly block searches;
+// Rebuild does its graph construction off-lock and only blocks to swap
+// the new graph in.
 //
 // Object IDs handed out by Insert are stable for the lifetime of the
 // Engine, across Rebuild compactions included.
@@ -62,10 +61,18 @@ type Engine struct {
 	// interleave their snapshot/swap phases.
 	rebuildMu sync.Mutex
 
-	mu        sync.RWMutex
-	c         *Collection
-	ix        *Index // nil until Build
+	mu sync.RWMutex
+	c  *collection
+	f  *index.Fused // nil until Build
+	// dead marks tombstoned slots (§IX index updates): they keep routing
+	// traffic — proximity graphs need them for connectivity — but are never
+	// returned. Rebuild drops them for real. deadCount tracks the set bits
+	// so Deleted (called on every Len and by maintenance sampling) is O(1).
+	dead      []bool
+	deadCount int
 	weights   Weights
+	// build is kept as given (zero fields included) so snapshots record it
+	// verbatim; withDefaults resolves it where it is used.
 	build     BuildOptions
 	ids       []int64       // ids[internal slot] = engine ID
 	lookup    map[int64]int // engine ID -> internal slot
@@ -110,12 +117,10 @@ func NewEngine(schema Schema, opts EngineOptions) (*Engine, error) {
 	} else if len(w) != len(sc) {
 		return nil, fmt.Errorf("must: %d weights for %d modalities", len(w), len(sc))
 	}
-	c := NewCollection(sc.Dims()...)
-	c.names = sc.Names()
 	e := &Engine{
 		schema:  sc,
 		byName:  make(map[string]int, len(sc)),
-		c:       c,
+		c:       &collection{dims: sc.Dims(), names: sc.Names()},
 		weights: append(Weights(nil), w...),
 		build:   opts.Build,
 		lookup:  make(map[int64]int),
@@ -171,21 +176,23 @@ func (e *Engine) InsertObject(o Object) (int64, error) {
 	defer release()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var slot int
-	if e.ix == nil {
-		slot, err = e.c.Add(o)
-	} else {
-		slot, err = e.ix.Insert(o)
-	}
+	slot, err := e.c.Add(o)
 	if err != nil {
 		return 0, err
+	}
+	if e.f != nil {
+		// The row is already in the shared store; the graph just links it
+		// (§IX incremental insert).
+		if err := e.f.Insert(slot, e.build.withDefaults().Gamma, 0); err != nil {
+			return 0, err
+		}
 	}
 	id := e.nextID
 	e.nextID++
 	e.ids = append(e.ids, id)
 	e.lookup[id] = slot
 	e.epoch++
-	if e.ix != nil {
+	if e.f != nil {
 		// Quantize the appended row before the searcher snapshot below;
 		// no-op unless quantization is enabled and trained.
 		e.c.store.SyncSQ8()
@@ -208,15 +215,15 @@ func (e *Engine) Delete(id int64) error {
 	defer release()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.ix == nil {
+	if e.f == nil {
 		return ErrNotBuilt
 	}
 	slot, ok := e.lookup[id]
 	if !ok {
 		return fmt.Errorf("must: %w %d", ErrUnknownID, id)
 	}
-	if err := e.ix.Delete(slot); err != nil {
-		return err
+	if markDead(&e.dead, e.f.Graph.NumVertices(), slot) {
+		e.deadCount++
 	}
 	e.epoch++
 	e.updateDebtLocked()
@@ -227,21 +234,14 @@ func (e *Engine) Delete(id int64) error {
 func (e *Engine) Len() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	n := e.c.Len()
-	if e.ix != nil {
-		n -= e.ix.Deleted()
-	}
-	return n
+	return e.c.Len() - e.deadCount
 }
 
 // Deleted returns the number of tombstoned objects awaiting Rebuild.
 func (e *Engine) Deleted() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.ix == nil {
-		return 0
-	}
-	return e.ix.Deleted()
+	return e.deadCount
 }
 
 // Object returns a copy of a stored object's vectors by modality name.
@@ -251,7 +251,7 @@ func (e *Engine) Object(id int64) (NamedVectors, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	slot, ok := e.lookup[id]
-	if !ok || (e.ix != nil && slot < len(e.ix.dead) && e.ix.dead[slot]) {
+	if !ok || (slot < len(e.dead) && e.dead[slot]) {
 		return nil, fmt.Errorf("must: %w %d", ErrUnknownID, id)
 	}
 	out := make(NamedVectors, len(e.schema))
@@ -295,26 +295,15 @@ func (e *Engine) SetWeights(w Weights) error {
 // learned weights are stored on the engine and returned. Training runs on
 // a snapshot, off-lock, so it can overlap serving.
 func (e *Engine) LearnWeights(queries []NamedVectors, positives []int64, cfg WeightConfig) (Weights, error) {
-	if len(queries) != len(positives) {
-		return nil, fmt.Errorf("must: %d queries but %d positives", len(queries), len(positives))
-	}
-	posQueries := make([]Object, len(queries))
-	for i, q := range queries {
-		o := make(Object, len(e.schema))
-		for name, v := range q {
-			j, ok := e.byName[name]
-			if !ok {
-				return nil, fmt.Errorf("must: training query %d: unknown modality %q", i, name)
-			}
-			o[j] = v
-		}
-		posQueries[i] = o
+	posQueries, err := e.trainingQueries(queries, positives)
+	if err != nil {
+		return nil, err
 	}
 	e.mu.RLock()
 	// The snapshot pins the store length: training reads rows through
 	// zero-copy views off-lock, while concurrent Inserts only ever write
 	// rows past the pinned length.
-	snap := &Collection{dims: e.c.dims}
+	snap := &collection{dims: e.c.dims}
 	if e.c.store != nil {
 		snap.store = e.c.store.Snapshot()
 	}
@@ -328,7 +317,7 @@ func (e *Engine) LearnWeights(queries []NamedVectors, positives []int64, cfg Wei
 		internal[i] = slot
 	}
 	e.mu.RUnlock()
-	w, err := LearnWeights(snap, posQueries, internal, cfg)
+	w, err := learnWeights(snap, posQueries, internal, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -337,6 +326,27 @@ func (e *Engine) LearnWeights(queries []NamedVectors, positives []int64, cfg Wei
 	e.epoch++
 	e.mu.Unlock()
 	return w, nil
+}
+
+// trainingQueries validates LearnWeights' pairing and converts the named
+// training queries to schema order; ShardedEngine.LearnWeights shares it.
+func (e *Engine) trainingQueries(queries []NamedVectors, positives []int64) ([]Object, error) {
+	if len(queries) != len(positives) {
+		return nil, fmt.Errorf("must: %d queries but %d positives", len(queries), len(positives))
+	}
+	out := make([]Object, len(queries))
+	for i, q := range queries {
+		o := make(Object, len(e.schema))
+		for name, v := range q {
+			j, ok := e.byName[name]
+			if !ok {
+				return nil, fmt.Errorf("must: training query %d: unknown modality %q", i, name)
+			}
+			o[j] = v
+		}
+		out[i] = o
+	}
+	return out, nil
 }
 
 // EnableQuantization attaches an SQ8 scalar-quantized shadow store (1
@@ -363,10 +373,9 @@ func (e *Engine) EnableQuantization(rerankK int) error {
 		return nil
 	}
 	e.quantize = true
-	st := e.c.flatStore()
-	if st != nil {
+	if st := e.c.store; st != nil {
 		st.EnableSQ8()
-		if e.ix != nil {
+		if e.f != nil {
 			st.SyncSQ8()
 			e.epoch++
 			e.resetSearchersLocked()
@@ -390,22 +399,22 @@ func (e *Engine) Build() error {
 	defer e.rebuildMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.ix != nil {
+	if e.f != nil {
 		return fmt.Errorf("must: engine already built; use Rebuild")
 	}
 	if e.quantize {
 		// The store may not have existed when EnableQuantization ran (it
 		// is created lazily on first insert); attach the shadow now so the
 		// build trains the quantizer after sealing the graph.
-		if st := e.c.flatStore(); st != nil {
+		if st := e.c.store; st != nil {
 			st.EnableSQ8()
 		}
 	}
-	ix, err := Build(e.c, e.weights, e.build)
+	f, err := buildFused(e.c, e.weights, e.build)
 	if err != nil {
 		return err
 	}
-	e.ix = ix
+	e.f = f
 	e.epoch++
 	e.resetSearchersLocked()
 	e.updateDebtLocked()
@@ -424,7 +433,7 @@ func (e *Engine) Rebuild() error {
 	defer e.rebuildMu.Unlock()
 
 	e.mu.RLock()
-	if e.ix == nil {
+	if e.f == nil {
 		e.mu.RUnlock()
 		return ErrNotBuilt
 	}
@@ -435,7 +444,7 @@ func (e *Engine) Rebuild() error {
 	// O(n·dim) compaction copy below can run off-lock without blocking
 	// concurrent Search/Insert/Delete. Deletes that land after this
 	// snapshot are replayed from the live bitset before the swap.
-	dead := append([]bool(nil), e.ix.dead...)
+	dead := append([]bool(nil), e.dead...)
 	srcStore := e.c.store.Snapshot()
 	idsSnap := append([]int64(nil), e.ids[:snapLen]...)
 	w := append(Weights(nil), e.weights...)
@@ -456,12 +465,12 @@ func (e *Engine) Rebuild() error {
 	// Compact the live rows into a fresh store — the one real copy a
 	// rebuild makes; the old store is dropped at the swap. Rows are
 	// copied verbatim (already normalized), preserving bit-exact vectors.
-	newC := &Collection{dims: append([]int(nil), e.c.dims...), names: e.schema.Names(),
+	newC := &collection{dims: append([]int(nil), e.c.dims...), names: e.schema.Names(),
 		store: vec.NewFlatStore(e.c.dims, alive)}
 	if quant {
-		// Fresh store, fresh shadow: the rebuild's Build call retrains the
-		// quantizer over the compacted corpus, shedding any drift from
-		// clamped post-training inserts.
+		// Fresh store, fresh shadow: buildFused below retrains the quantizer
+		// over the compacted corpus, shedding any drift from clamped
+		// post-training inserts.
 		newC.store.EnableSQ8()
 	}
 	aliveIDs := make([]int64, 0, alive)
@@ -473,7 +482,7 @@ func (e *Engine) Rebuild() error {
 		aliveIDs = append(aliveIDs, idsSnap[i])
 	}
 
-	newIx, err := Build(newC, w, bo)
+	newF, err := buildFused(newC, w, bo)
 	if err != nil {
 		return err
 	}
@@ -481,8 +490,13 @@ func (e *Engine) Rebuild() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// Replay inserts that landed while the graph was building.
+	gamma := bo.withDefaults().Gamma
 	for i := snapLen; i < e.c.Len(); i++ {
-		if _, err := newIx.Insert(Object(e.c.multi(i))); err != nil {
+		slot, err := newC.Add(Object(e.c.store.Multi(i)))
+		if err == nil {
+			err = newF.Insert(slot, gamma, 0)
+		}
+		if err != nil {
 			return fmt.Errorf("must: rebuild replay of object %d: %w", e.ids[i], err)
 		}
 		aliveIDs = append(aliveIDs, e.ids[i])
@@ -493,17 +507,18 @@ func (e *Engine) Rebuild() error {
 	}
 	// Replay deletes that landed while the graph was building (including
 	// deletes of just-replayed inserts).
+	var newDead []bool
+	newDeadCount := 0
 	for i, id := range e.ids {
-		if i < len(e.ix.dead) && e.ix.dead[i] {
-			if slot, ok := newLookup[id]; ok {
-				if err := newIx.Delete(slot); err != nil {
-					return fmt.Errorf("must: rebuild replay of delete %d: %w", id, err)
-				}
+		if i < len(e.dead) && e.dead[i] {
+			if slot, ok := newLookup[id]; ok && markDead(&newDead, newF.Graph.NumVertices(), slot) {
+				newDeadCount++
 			}
 		}
 	}
 	e.c = newC
-	e.ix = newIx
+	e.f = newF
+	e.dead, e.deadCount = newDead, newDeadCount
 	e.ids = aliveIDs
 	e.lookup = newLookup
 	// Quantize any rows replayed after the off-lock build trained the
@@ -530,17 +545,17 @@ func (e *Engine) WritesShed() uint64 { return e.adm.writesShed() }
 // debt — max(overlay ratio, tombstone ratio) — so the write-path admit
 // check stays a single atomic load. Callers must hold the write lock.
 func (e *Engine) updateDebtLocked() {
-	if e.ix == nil {
+	if e.f == nil {
 		e.adm.setDebt(0)
 		return
 	}
-	n := e.ix.f.Graph.NumVertices()
+	n := e.f.Graph.NumVertices()
 	if n == 0 {
 		e.adm.setDebt(0)
 		return
 	}
-	debt := float64(e.ix.f.Graph.OverlayVertices()) / float64(n)
-	if t := float64(e.ix.deadCount) / float64(n); t > debt {
+	debt := float64(e.f.Graph.OverlayVertices()) / float64(n)
+	if t := float64(e.deadCount) / float64(n); t > debt {
 		debt = t
 	}
 	e.adm.setDebt(debt)
@@ -549,7 +564,7 @@ func (e *Engine) updateDebtLocked() {
 // resetSearchersLocked replaces the searcher pool after any change to the
 // graph topology or object slice. Callers must hold the write lock.
 func (e *Engine) resetSearchersLocked() {
-	f := e.ix.f
+	f := e.f
 	// Snapshot the shared store at the current length, under the write
 	// lock: pooled searchers must not observe rows appended by later
 	// Inserts (their visit buffers are sized to the vertex count at pool
@@ -612,16 +627,9 @@ func (e *Engine) convertLocked(q Query) (vec.Multi, Weights, error) {
 // or pooled.
 func (e *Engine) searchOneLocked(ctx context.Context, s *search.Searcher, q Query) (*Response, error) {
 	start := time.Now()
-	k := q.K
-	if k == 0 {
-		k = 10
-	}
-	l := q.L
-	if l == 0 {
-		l = 4 * k
-		if l < 100 {
-			l = 100
-		}
+	k, l, err := q.size()
+	if err != nil {
+		return nil, err
 	}
 	mv, w, err := e.convertLocked(q)
 	if err != nil {
@@ -637,7 +645,7 @@ func (e *Engine) searchOneLocked(ctx context.Context, s *search.Searcher, q Quer
 		L:          l,
 		Weights:    vec.Weights(w),
 		Filter:     filter,
-		Tombstones: e.ix.dead,
+		Tombstones: e.dead,
 		Patience:   q.Patience,
 		Optimize:   !q.DisableOptimization,
 		Breakdown:  true,
@@ -674,7 +682,7 @@ func (e *Engine) searchOneLocked(ctx context.Context, s *search.Searcher, q Quer
 func (e *Engine) Search(ctx context.Context, q Query) (*Response, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.ix == nil {
+	if e.f == nil {
 		return nil, ErrNotBuilt
 	}
 	pool := e.searchers
@@ -709,7 +717,7 @@ func (e *Engine) SearchEach(ctx context.Context, queries []Query, workers int) (
 	errs := make([]error, len(queries))
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.ix == nil {
+	if e.f == nil {
 		for i := range errs {
 			errs[i] = ErrNotBuilt
 		}
@@ -766,9 +774,9 @@ func (e *Engine) ExactSearch(ctx context.Context, q Query) (*Response, error) {
 			return nil, fmt.Errorf("must: %w", err)
 		}
 	}
-	k := q.K
-	if k == 0 {
-		k = 10
+	k, _, err := q.size()
+	if err != nil {
+		return nil, err
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -776,10 +784,7 @@ func (e *Engine) ExactSearch(ctx context.Context, q Query) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dead []bool
-	if e.ix != nil {
-		dead = e.ix.dead
-	}
+	dead := e.dead
 	ids := e.ids
 	// evals counts the objects actually scored; TopKFiltered calls keep
 	// sequentially, so a plain counter is safe.
@@ -794,11 +799,11 @@ func (e *Engine) ExactSearch(ctx context.Context, q Query) (*Response, error) {
 		evals++
 		return true
 	}
-	bf := &index.BruteForce{Store: e.c.flatStore(), Weights: vec.Weights(w)}
+	bf := &index.BruteForce{Store: e.c.store, Weights: vec.Weights(w)}
 	res := bf.TopKFiltered(mv, k, keep)
 	matches := make([]ScoredMatch, len(res))
 	for i, r := range res {
-		per := search.Breakdown(vec.Weights(w), mv, e.c.multi(r.ID))
+		per := search.Breakdown(vec.Weights(w), mv, e.c.store.Multi(r.ID))
 		by := make(map[string]float32, len(e.schema))
 		for j, m := range e.schema {
 			by[m.Name] = per[j]
@@ -831,8 +836,57 @@ func (e *Engine) SearchBatch(ctx context.Context, queries []Query, workers int) 
 func (e *Engine) Stats() (Stats, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.ix == nil {
+	if e.f == nil {
 		return Stats{}, ErrNotBuilt
 	}
-	return e.ix.Stats(), nil
+	f := e.f
+	var raw, quant int64
+	if st := f.Store; st != nil {
+		raw = int64(st.Len()) * int64(st.RowDim()) * 4
+		quant = st.QuantizedBytes()
+	}
+	edges := f.Graph.NumEdges()
+	var perEdge float64
+	if edges > 0 {
+		perEdge = float64(f.SizeBytes()) / float64(edges)
+	}
+	objects := f.Graph.NumVertices()
+	overlay := f.Graph.OverlayVertices()
+	var overlayRatio, tombstoneRatio float64
+	if objects > 0 {
+		overlayRatio = float64(overlay) / float64(objects)
+		tombstoneRatio = float64(e.deadCount) / float64(objects)
+	}
+	return Stats{
+		Objects:           objects,
+		Edges:             edges,
+		AvgDegree:         f.Graph.AvgDegree(),
+		SizeBytes:         f.SizeBytes(),
+		GraphBytesPerEdge: perEdge,
+		CorpusBytes:       f.CorpusBytes(),
+		RawVectorBytes:    raw,
+		FusedBytes:        f.FusedBytes(),
+		QuantizedBytes:    quant,
+		OverlayVertices:   overlay,
+		OverlayRatio:      overlayRatio,
+		TombstoneRatio:    tombstoneRatio,
+		KernelVariant:     vec.KernelName(),
+		BuildTime:         int64(f.BuildTime),
+		Algorithm:         f.Pipeline,
+	}, nil
+}
+
+// markDead tombstones slot in *dead, first growing the bitset to the n
+// vertices of the graph, and reports whether slot was live before.
+func markDead(dead *[]bool, n, slot int) bool {
+	if len(*dead) < n {
+		grown := make([]bool, n)
+		copy(grown, *dead)
+		*dead = grown
+	}
+	if (*dead)[slot] {
+		return false
+	}
+	(*dead)[slot] = true
+	return true
 }

@@ -1,13 +1,10 @@
 package must
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -573,7 +570,7 @@ func TestEnginePersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "engine.bin")
-	if err := e.Save(path); err != nil {
+	if err := WriteSnapshot(e, path); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadEngine(path)
@@ -611,48 +608,25 @@ func TestEnginePersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCollectionV1FormatStillReadable(t *testing.T) {
-	// Hand-write a v1 file (the pre-schema format) and read it back.
-	var buf bytes.Buffer
-	buf.Write([]byte("MUSTCL1\n"))
-	binary.Write(&buf, binary.LittleEndian, uint32(2))
-	binary.Write(&buf, binary.LittleEndian, uint32(2)) // dim 0
-	binary.Write(&buf, binary.LittleEndian, uint32(1)) // dim 1
-	binary.Write(&buf, binary.LittleEndian, uint32(1)) // one object
-	for _, x := range []float32{0.6, 0.8, 1.0} {
-		binary.Write(&buf, binary.LittleEndian, math.Float32bits(x))
-	}
-	c, err := ReadCollection(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 1 || c.Modalities() != 2 {
-		t.Fatalf("v1 read: %d objects, %d modalities", c.Len(), c.Modalities())
-	}
-	if c.Names() != nil {
-		t.Fatalf("v1 collection should have no names, got %v", c.Names())
-	}
-}
-
 func TestCollectionV2NamesRoundTrip(t *testing.T) {
-	c := NewCollection(2, 3)
-	c.names = []string{"image", "text"}
+	c := &collection{dims: []int{2, 3}, names: []string{"image", "text"}}
 	if _, err := c.Add(Object{{1, 0}, {0, 1, 0}}); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "c.bin")
-	if err := SaveCollection(path, c); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCollection(path)
+	got, err := readCollection(collectionBytes(t, c))
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := got.Names()
-	if len(names) != 2 || names[0] != "image" || names[1] != "text" {
-		t.Fatalf("names not round-tripped: %v", names)
+	if len(got.names) != 2 || got.names[0] != "image" || got.names[1] != "text" {
+		t.Fatalf("names not round-tripped: %v", got.names)
 	}
-	if _, err := os.Stat(path); err != nil {
+	// A collection without names reads back without names.
+	c.names = nil
+	got, err = readCollection(collectionBytes(t, c))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got.names != nil {
+		t.Fatalf("unnamed collection read back names %v", got.names)
 	}
 }

@@ -12,9 +12,8 @@ import (
 	"must/internal/vec"
 )
 
-// Binary index format, little-endian.
-//
-// Current (MUSTIX2) — the graph topology as two bulk CSR blocks:
+// Binary index format (MUSTIX2), little-endian — the graph topology as
+// two bulk CSR blocks:
 //
 //	magic "MUSTIX2\n"
 //	pipelineLen uint32, pipeline bytes
@@ -27,23 +26,10 @@ import (
 // is two bulk reads plus validation — no per-vertex framing, no
 // per-value decode calls.
 //
-// Legacy (MUSTIX1) — per-vertex adjacency framing, still readable:
-//
-//	magic "MUSTIX1\n"
-//	...same header...
-//	numVertices uint32, seed uint32
-//	per vertex: degree uint32, neighbors uint32...
-//
-// v1 files are converted to CSR while loading (each vertex's neighbor
-// block is read with one io.ReadFull, not a binary.Read per value).
-//
 // Object vectors are not stored — the index references the shared corpus
 // store, which has its own serialization (the collection formats).
 
-var (
-	ixMagicV1 = [8]byte{'M', 'U', 'S', 'T', 'I', 'X', '1', '\n'}
-	ixMagicV2 = [8]byte{'M', 'U', 'S', 'T', 'I', 'X', '2', '\n'}
-)
+var ixMagic = [8]byte{'M', 'U', 'S', 'T', 'I', 'X', '2', '\n'}
 
 // ioChunkBytes sizes the scratch buffer bulk encode/decode works through:
 // big enough that the bufio round trips amortize, small enough to keep a
@@ -115,7 +101,7 @@ func readU32Block(br *bufio.Reader, scratch []byte, dst []uint32) error {
 // deletes, rebuilds — must still be excluded).
 func (f *Fused) Write(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(ixMagicV2[:]); err != nil {
+	if _, err := bw.Write(ixMagic[:]); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(f.Pipeline))); err != nil {
@@ -149,24 +135,18 @@ func (f *Fused) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadFused deserializes an index structure (either format version) and
-// attaches the shared corpus store (which must hold the same rows the
-// index was built over). The loaded index is single-copy from the start:
-// searches and incremental inserts both run against store, with no fused
-// buffer; the topology lands directly in the frozen CSR core.
+// ReadFused deserializes a MUSTIX2 index structure and attaches the
+// shared corpus store (which must hold the same rows the index was built
+// over). The loaded index is single-copy from the start: searches and
+// incremental inserts both run against store, with no fused buffer; the
+// topology lands directly in the frozen CSR core.
 func ReadFused(r io.Reader, store *vec.FlatStore) (*Fused, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var got [8]byte
 	if _, err := io.ReadFull(br, got[:]); err != nil {
 		return nil, fmt.Errorf("index: reading magic: %w", err)
 	}
-	var version int
-	switch got {
-	case ixMagicV1:
-		version = 1
-	case ixMagicV2:
-		version = 2
-	default:
+	if got != ixMagic {
 		return nil, fmt.Errorf("index: bad magic %q", got[:])
 	}
 	readU32 := func() (uint32, error) {
@@ -219,12 +199,7 @@ func ReadFused(r io.Reader, store *vec.FlatStore) (*Fused, error) {
 		return nil, fmt.Errorf("index: seed %d out of range", seed)
 	}
 
-	var g *graph.Graph
-	if version == 2 {
-		g, err = readTopologyV2(br, nv, int32(seed))
-	} else {
-		g, err = readTopologyV1(br, nv, int32(seed))
-	}
+	g, err := readTopology(br, nv, int32(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -236,13 +211,13 @@ func ReadFused(r io.Reader, store *vec.FlatStore) (*Fused, error) {
 	}, nil
 }
 
-// readTopologyV2 bulk-decodes the two CSR blocks, validating the offsets
+// readTopology bulk-decodes the two CSR blocks, validating the offsets
 // invariant and every edge endpoint before the graph is constructed. The
 // edge array is grown chunk by chunk as bytes actually arrive, so a
 // corrupt header claiming an absurd edge count fails with an I/O error
 // after at most the real stream size, instead of committing the claimed
-// allocation up front (mirroring the v4 collection loader's bound).
-func readTopologyV2(br *bufio.Reader, nv uint32, seed int32) (*graph.Graph, error) {
+// allocation up front (mirroring the collection loader's bound).
+func readTopology(br *bufio.Reader, nv uint32, seed int32) (*graph.Graph, error) {
 	scratch := make([]byte, ioChunkBytes)
 	offsets := make([]uint32, int(nv)+1)
 	if err := readU32Block(br, scratch, offsets); err != nil {
@@ -280,46 +255,6 @@ func readTopologyV2(br *bufio.Reader, nv uint32, seed int32) (*graph.Graph, erro
 			}
 			edges = append(edges, int32(u))
 		}
-	}
-	return graph.NewCSRParts(offsets, edges, seed), nil
-}
-
-// readTopologyV1 converts the legacy per-vertex framing into CSR while
-// loading: each vertex's neighbor block is pulled with a single
-// io.ReadFull into the scratch buffer (the old loader issued one
-// binary.Read — an interface dispatch and a 4-byte read — per neighbor).
-func readTopologyV1(br *bufio.Reader, nv uint32, seed int32) (*graph.Graph, error) {
-	scratch := make([]byte, ioChunkBytes)
-	offsets := make([]uint32, int(nv)+1)
-	edges := make([]int32, 0, int(nv)*16)
-	var degBuf [4]byte
-	for v := uint32(0); v < nv; v++ {
-		if _, err := io.ReadFull(br, degBuf[:]); err != nil {
-			return nil, fmt.Errorf("index: reading vertex %d: %w", v, err)
-		}
-		deg := binary.LittleEndian.Uint32(degBuf[:])
-		if deg > nv {
-			return nil, fmt.Errorf("index: vertex %d degree %d out of range", v, deg)
-		}
-		remaining := int(deg)
-		for remaining > 0 {
-			n := len(scratch) / 4
-			if n > remaining {
-				n = remaining
-			}
-			if _, err := io.ReadFull(br, scratch[:n*4]); err != nil {
-				return nil, fmt.Errorf("index: reading vertex %d neighbors: %w", v, err)
-			}
-			for i := 0; i < n; i++ {
-				u := binary.LittleEndian.Uint32(scratch[i*4:])
-				if u >= nv {
-					return nil, fmt.Errorf("index: vertex %d neighbor %d out of range", v, u)
-				}
-				edges = append(edges, int32(u))
-			}
-			remaining -= n
-		}
-		offsets[v+1] = uint32(len(edges))
 	}
 	return graph.NewCSRParts(offsets, edges, seed), nil
 }

@@ -3,7 +3,6 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,99 +10,6 @@ import (
 	"must/internal/graph"
 	"must/internal/vec"
 )
-
-// writeLegacyV1 serializes f exactly the way the MUSTIX1 writer did:
-// per-vertex degree framing, one binary.Write per value. It exists so the
-// load-compat tests exercise real previous-release bytes.
-func writeLegacyV1(t *testing.T, f *Fused) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString("MUSTIX1\n")
-	le := binary.LittleEndian
-	if err := binary.Write(&buf, le, uint32(len(f.Pipeline))); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteString(f.Pipeline)
-	if err := binary.Write(&buf, le, uint32(len(f.Weights))); err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range f.Weights {
-		if err := binary.Write(&buf, le, math.Float32bits(x)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n := f.Graph.NumVertices()
-	if err := binary.Write(&buf, le, uint32(n)); err != nil {
-		t.Fatal(err)
-	}
-	if err := binary.Write(&buf, le, uint32(f.Graph.Seed)); err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < n; v++ {
-		nbrs := f.Graph.Neighbors(int32(v))
-		if err := binary.Write(&buf, le, uint32(len(nbrs))); err != nil {
-			t.Fatal(err)
-		}
-		for _, u := range nbrs {
-			if err := binary.Write(&buf, le, uint32(u)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return buf.Bytes()
-}
-
-// A MUSTIX1 index written by the previous release must load into the CSR
-// core and search identically to the index it came from — the format-bump
-// compatibility promise.
-func TestLegacyV1LoadsIntoCSR(t *testing.T) {
-	objects := fixtureObjects(400, 41)
-	w := vec.Weights{0.8, 0.5}
-	f, err := BuildFusedStore(vec.FlatFromMulti(objects), w, graph.Ours(12, 3, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := writeLegacyV1(t, f)
-	got, err := ReadFused(bytes.NewReader(raw), f.Store)
-	if err != nil {
-		t.Fatalf("loading v1 bytes: %v", err)
-	}
-	if got.Pipeline != f.Pipeline || got.Graph.Seed != f.Graph.Seed {
-		t.Fatal("v1 header mismatch")
-	}
-	for v := 0; v < f.Graph.NumVertices(); v++ {
-		want := f.Graph.Neighbors(int32(v))
-		have := got.Graph.Neighbors(int32(v))
-		if len(want) != len(have) {
-			t.Fatalf("vertex %d degree mismatch", v)
-		}
-		for i := range want {
-			if want[i] != have[i] {
-				t.Fatalf("vertex %d adjacency mismatch", v)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(43))
-	for qi := 0; qi < 5; qi++ {
-		q := vec.Multi{vec.RandUnit(rng, 16), vec.RandUnit(rng, 8)}
-		a, sa, err := f.NewSearcher().Search(q, 10, 120)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, sb, err := got.NewSearcher().Search(q, 10, 120)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sa != sb {
-			t.Fatalf("query %d: routing stats differ: %+v vs %+v", qi, sa, sb)
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID || a[i].IP != b[i].IP {
-				t.Fatalf("query %d rank %d: v1-loaded index searches differently", qi, i)
-			}
-		}
-	}
-}
 
 // A MUSTIX2 round trip through Write must preserve an index that carries
 // an incremental-insert overlay: Write folds the overlay into the file
@@ -223,22 +129,6 @@ func TestV2CorruptHeaderBounds(t *testing.T) {
 		bad[6] = '9'
 		if _, err := ReadFused(bytes.NewReader(bad), f.Store); err == nil || !strings.Contains(err.Error(), "bad magic") {
 			t.Errorf("bad magic error = %v", err)
-		}
-	})
-	t.Run("degree-overflow-v1", func(t *testing.T) {
-		// v1 vertex with degree > numVertices must be rejected before any
-		// neighbor bytes are trusted.
-		var buf bytes.Buffer
-		buf.WriteString("MUSTIX1\n")
-		binary.Write(&buf, le, uint32(0)) // empty pipeline
-		binary.Write(&buf, le, uint32(2)) // two weights
-		binary.Write(&buf, le, math.Float32bits(0.8))
-		binary.Write(&buf, le, math.Float32bits(0.5))
-		binary.Write(&buf, le, uint32(f.Store.Len())) // matches store
-		binary.Write(&buf, le, uint32(0))             // seed
-		binary.Write(&buf, le, uint32(1<<31))         // absurd degree
-		if _, err := ReadFused(bytes.NewReader(buf.Bytes()), f.Store); err == nil || !strings.Contains(err.Error(), "degree") {
-			t.Errorf("absurd v1 degree error = %v", err)
 		}
 	})
 }

@@ -203,9 +203,9 @@ func (s *FlatStore) Multi(i int) Multi {
 
 // AppendRow reserves the next row and returns it for the caller to fill.
 // The returned slice is zeroed bulk/chunk memory of length RowDim; callers
-// write the packed modalities directly into it (the Collection normalizes
-// straight into the arena this way, with no intermediate per-object
-// allocation). Not safe to call concurrently with readers.
+// write the packed modalities directly into it (the engine normalizes
+// inserted objects straight into the arena this way, with no intermediate
+// per-object allocation). Not safe to call concurrently with readers.
 func (s *FlatStore) AppendRow() []float32 {
 	var row []float32
 	if s.n < s.bulkCap {
@@ -356,7 +356,7 @@ type flatSeg struct {
 //
 // It works in the distance formulation of Eq. 8,
 // IP_joint = Σω_i² − ½·Σω_i²·‖q_i−u_i‖², expanded with the stored rows'
-// unit per-modality norms (Collection.Add normalizes; so does the paper).
+// unit per-modality norms (engine inserts normalize; so does the paper).
 // The partial distance over the modalities scanned so far only grows, so
 // the partial IP is an upper bound on the joint IP that only shrinks: Scan
 // implements the Lemma 4 early termination by checking that bound at

@@ -9,20 +9,23 @@
 //  1. Embedding: every object and query is represented by one vector per
 //     modality (multi-vector representation, §V). Any encoder can produce
 //     these vectors; this package consumes the vectors directly.
-//  2. Vector weight learning (§VI): LearnWeights fits per-modality
+//  2. Vector weight learning (§VI): Engine.LearnWeights fits per-modality
 //     importance weights ω with a contrastive objective so the joint
 //     similarity Σ ω_i²·IP_i ranks true results first. Weights may also be
-//     set manually (user-defined weights, §VIII-F).
-//  3. Fused indexing and joint search (§VII): Build constructs one
-//     proximity graph over the weighted concatenated vectors; Index.Search
-//     routes greedily through it under the joint similarity, with the
-//     multi-vector partial-IP optimization of Lemma 4.
+//     set manually (Engine.SetWeights, or per query through Query.Weights:
+//     user-defined weights, §VIII-F).
+//  3. Fused indexing and joint search (§VII): Engine.Build constructs one
+//     proximity graph over the weighted concatenated vectors with the
+//     pipeline EngineOptions.Build selects; Engine.Search routes greedily
+//     through it under the joint similarity, with the multi-vector
+//     partial-IP optimization of Lemma 4. Engine.ExactSearch is the
+//     exhaustive baseline (the paper's MUST--).
 //
 // # Quick start
 //
-// The Engine is the recommended entry point: named modalities, typed
-// Query/Response with per-modality score breakdowns, context-aware
-// search, and safety under concurrent Search/Insert/Delete/Rebuild:
+// The Engine is the entry point: named modalities, typed Query/Response
+// with per-modality score breakdowns, context-aware search, and safety
+// under concurrent Search/Insert/Delete/Rebuild:
 //
 //	e, _ := must.NewEngine(must.Schema{{"image", 128}, {"text", 32}}, must.EngineOptions{})
 //	for _, o := range objects { e.Insert(o) }  // NamedVectors per object
@@ -30,16 +33,9 @@
 //	e.Build()
 //	resp, _ := e.Search(ctx, must.Query{Vectors: must.NamedVectors{"image": img, "text": txt}, K: 10})
 //
-// # Low-level layer
-//
-// Collection/Build/Index remain as the positional single-goroutine layer
-// the Engine delegates to:
-//
-//	c := must.NewCollection(128, 32)          // two modalities
-//	for _, o := range objects { c.Add(o) }    // [][]float32 per object
-//	w, _ := must.LearnWeights(c, trainQueries, trainPositives, must.WeightConfig{})
-//	ix, _ := must.Build(c, w, must.BuildOptions{})
-//	matches, _ := ix.Search(query, must.SearchOptions{K: 10})
+// ShardedEngine partitions the same surface over S graphs. Both implement
+// Service; WriteSnapshot saves either one crash-safely and LoadService
+// restores whichever kind a snapshot holds.
 package must
 
 import (
@@ -48,21 +44,21 @@ import (
 
 	"must/internal/graph"
 	"must/internal/index"
-	"must/internal/search"
 	"must/internal/vec"
 	"must/internal/weights"
 )
 
 // Object is one multimodal object or query: one embedding vector per
 // modality. Modality 0 is the target modality. Vectors should be
-// L2-normalized; Collection.Add normalizes defensively.
+// L2-normalized; the engine normalizes stored objects and queries
+// defensively.
 type Object = [][]float32
 
 // Weights are the per-modality importance weights ω of §VI. The joint
 // similarity between two objects is Σ ω_i² · IP(a_i, b_i) (Lemma 1).
 type Weights = []float32
 
-// Collection accumulates multimodal objects with a fixed modality layout.
+// collection accumulates multimodal objects with a fixed modality layout.
 //
 // Vectors live in one shared arena-backed vec.FlatStore from the moment
 // they are added: Add normalizes each modality directly into the next
@@ -70,41 +66,18 @@ type Weights = []float32
 // searcher, brute-force scans, and persistence operate on — the corpus is
 // resident exactly once. The store's arena is chunked, so appends never
 // move existing rows and zero-copy views handed out earlier stay valid.
-type Collection struct {
+type collection struct {
 	dims []int
-	// names optionally labels the modalities (set by the Engine's Schema
-	// and preserved by the v2+ persistence formats); nil for collections
-	// created positionally.
+	// names labels the modalities (the Engine's schema, preserved by the
+	// persistence format); nil when no modality is named.
 	names []string
 	// store is the single packed corpus; nil until the first Add (or
-	// installed whole by the collection loaders).
+	// installed whole by the collection loader).
 	store *vec.FlatStore
 }
 
-// NewCollection creates a collection whose objects have one vector per
-// modality with the given dimensions. Modality 0 is the target modality.
-func NewCollection(dims ...int) *Collection {
-	out := &Collection{dims: append([]int(nil), dims...)}
-	return out
-}
-
-// Modalities returns the number of modalities per object.
-func (c *Collection) Modalities() int { return len(c.dims) }
-
-// Dims returns the per-modality vector dimensions.
-func (c *Collection) Dims() []int { return append([]int(nil), c.dims...) }
-
-// Names returns the per-modality names, or nil if the collection was
-// created without a schema.
-func (c *Collection) Names() []string {
-	if c.names == nil {
-		return nil
-	}
-	return append([]string(nil), c.names...)
-}
-
 // Len returns the number of objects added.
-func (c *Collection) Len() int {
+func (c *collection) Len() int {
 	if c.store == nil {
 		return 0
 	}
@@ -115,7 +88,7 @@ func (c *Collection) Len() int {
 // (position). IDs are dense and stable. The vectors are packed straight
 // into the collection's shared flat store — no per-object allocation and
 // no later re-copy into a search-time layout.
-func (c *Collection) Add(o Object) (int, error) {
+func (c *collection) Add(o Object) (int, error) {
 	if len(c.dims) == 0 {
 		return 0, fmt.Errorf("must: collection has no modalities configured")
 	}
@@ -132,8 +105,8 @@ func (c *Collection) Add(o Object) (int, error) {
 	}
 	if c.store == nil {
 		// First Add: validate the layout before the store constructor (which
-		// treats bad dims as a caller bug and panics) — NewCollection does
-		// not validate, so a degenerate dimension surfaces here as an error.
+		// treats bad dims as a caller bug and panics), so a degenerate
+		// dimension surfaces here as an error.
 		for i, d := range c.dims {
 			if d <= 0 {
 				return 0, fmt.Errorf("must: modality %d has non-positive dim %d", i, d)
@@ -162,40 +135,10 @@ func checkFinite(v []float32) error {
 	return nil
 }
 
-// Object returns a copy of the stored object with the given ID.
-func (c *Collection) Object(id int) (Object, error) {
-	if id < 0 || id >= c.Len() {
-		return nil, fmt.Errorf("must: object id %d out of range [0,%d)", id, c.Len())
-	}
-	mv := c.store.Multi(id)
-	out := make(Object, len(mv))
-	for i, v := range mv {
-		out[i] = vec.Clone(v)
-	}
-	return out, nil
-}
-
-// multi returns the stored object as zero-copy views into the shared
-// store's packed row.
-func (c *Collection) multi(id int) vec.Multi { return c.store.Multi(id) }
-
-// UniformWeights returns equal weights for every modality (ω_i² = 1/m),
-// the no-learning default.
-func (c *Collection) UniformWeights() Weights {
-	return vec.Uniform(len(c.dims))
-}
-
-// flatStore returns the collection's shared corpus store (nil only while
-// the collection is empty and has never loaded). Every layer — build,
-// search, brute force, persistence — views this one store; incremental
-// Adds append to it without invalidating outstanding views, so there is
-// no untrusted-arena slow path anymore.
-func (c *Collection) flatStore() *vec.FlatStore { return c.store }
-
 // query converts and validates an external query against the collection
 // layout. Like Add, it rejects non-finite coordinates: they would reach
 // the kernels, whose results are only defined on finite inputs.
-func (c *Collection) query(q Object) (vec.Multi, error) {
+func (c *collection) query(q Object) (vec.Multi, error) {
 	if len(q) != len(c.dims) {
 		return nil, fmt.Errorf("must: query has %d modalities, collection expects %d", len(q), len(c.dims))
 	}
@@ -221,8 +164,8 @@ func (c *Collection) query(q Object) (vec.Multi, error) {
 	return mv, nil
 }
 
-// WeightConfig configures LearnWeights; the zero value uses the paper's
-// defaults (learning rate 0.002, 700 epochs, 10 hard negatives).
+// WeightConfig configures Engine.LearnWeights; the zero value uses the
+// paper's defaults (learning rate 0.002, 700 epochs, 10 hard negatives).
 type WeightConfig struct {
 	// LearningRate is the gradient-descent step size.
 	LearningRate float64
@@ -237,10 +180,11 @@ type WeightConfig struct {
 	Seed int64
 }
 
-// LearnWeights fits modality weights from training pairs: queries[i]'s
+// learnWeights fits modality weights from training pairs: queries[i]'s
 // true answer is the collection object positives[i]. The pool of true
-// objects (the paper's T) is exactly the referenced objects.
-func LearnWeights(c *Collection, queries []Object, positives []int, cfg WeightConfig) (Weights, error) {
+// objects (the paper's T) is exactly the referenced objects. Engine and
+// ShardedEngine both train through it, so they share its validation.
+func learnWeights(c *collection, queries []Object, positives []int, cfg WeightConfig) (Weights, error) {
 	if len(queries) != len(positives) {
 		return nil, fmt.Errorf("must: %d queries but %d positives", len(queries), len(positives))
 	}
@@ -264,7 +208,7 @@ func LearnWeights(c *Collection, queries []Object, positives []int, cfg WeightCo
 		if !ok {
 			idx = len(pool)
 			poolIDs[p] = idx
-			pool = append(pool, c.multi(p))
+			pool = append(pool, c.store.Multi(p))
 		}
 		remapped[i] = idx
 	}
@@ -331,204 +275,55 @@ type BuildOptions struct {
 	Seed int64
 }
 
-// Index is a built fused index over a collection snapshot.
-type Index struct {
-	c   *Collection
-	f   *index.Fused
-	opt BuildOptions
-	// dead marks tombstoned objects (§IX index updates): they keep
-	// routing traffic — proximity graphs need them for connectivity — but
-	// are never returned. A rebuild (Build on a compacted collection)
-	// removes them for real.
-	dead []bool
-	// deadCount tracks the set bits of dead so Deleted (called on every
-	// Engine.Len and by maintenance sampling) stays O(1).
-	deadCount int
+// withDefaults fills the paper's γ = 30 and ε = 3 into zero fields. The
+// Engine keeps its options as given, so a snapshot records them verbatim,
+// and resolves the defaults where it builds or links.
+func (o BuildOptions) withDefaults() BuildOptions {
+	if o.Gamma == 0 {
+		o.Gamma = 30
+	}
+	if o.Iterations == 0 {
+		o.Iterations = 3
+	}
+	return o
 }
 
-// Build constructs the fused proximity-graph index over the collection
-// under the given weights.
-func Build(c *Collection, w Weights, opts BuildOptions) (*Index, error) {
+// buildFused constructs the fused proximity-graph index over the
+// collection under the given weights. It consumes the collection's shared
+// store directly: the weighted fused block is materialized only for the
+// duration of construction and released before buildFused returns, so
+// the built system holds the corpus exactly once.
+func buildFused(c *collection, w Weights, opts BuildOptions) (*index.Fused, error) {
 	if c.Len() == 0 {
 		return nil, fmt.Errorf("must: cannot index an empty collection")
 	}
-	if len(w) != c.Modalities() {
-		return nil, fmt.Errorf("must: %d weights for %d modalities", len(w), c.Modalities())
-	}
-	if opts.Gamma == 0 {
-		opts.Gamma = 30
-	}
-	if opts.Iterations == 0 {
-		opts.Iterations = 3
-	}
+	opts = opts.withDefaults()
 	wv := vec.Weights(w)
-	// Build consumes the collection's shared store directly: the weighted
-	// fused block is materialized only for the duration of construction
-	// and released before Build returns, so the built system holds the
-	// corpus exactly once.
-	st := c.flatStore()
-	var (
-		f   *index.Fused
-		err error
-	)
+	st := c.store
 	switch opts.Algorithm {
 	case AlgoOurs:
-		f, err = index.BuildFusedStore(st, wv, graph.Ours(opts.Gamma, opts.Iterations, opts.Seed))
+		return index.BuildFusedStore(st, wv, graph.Ours(opts.Gamma, opts.Iterations, opts.Seed))
 	case AlgoKGraph:
-		f, err = index.BuildFusedStore(st, wv, graph.KGraphAssembly(opts.Gamma, opts.Iterations, opts.Seed))
+		return index.BuildFusedStore(st, wv, graph.KGraphAssembly(opts.Gamma, opts.Iterations, opts.Seed))
 	case AlgoNSG:
-		f, err = index.BuildFusedStore(st, wv, graph.NSGAssembly(opts.Gamma, opts.Iterations, 2*opts.Gamma, opts.Seed))
+		return index.BuildFusedStore(st, wv, graph.NSGAssembly(opts.Gamma, opts.Iterations, 2*opts.Gamma, opts.Seed))
 	case AlgoNSSG:
-		f, err = index.BuildFusedStore(st, wv, graph.NSSGAssembly(opts.Gamma, opts.Iterations, opts.Seed))
+		return index.BuildFusedStore(st, wv, graph.NSSGAssembly(opts.Gamma, opts.Iterations, opts.Seed))
 	case AlgoHNSW:
-		f, err = index.BuildFusedGraphStore(st, wv, "HNSW", func(s *graph.Space) *graph.Graph {
+		return index.BuildFusedGraphStore(st, wv, "HNSW", func(s *graph.Space) *graph.Graph {
 			return graph.BuildHNSW(s, graph.HNSWConfig{M: opts.Gamma / 2, EfConstruction: 4 * opts.Gamma, Seed: opts.Seed})
 		})
 	case AlgoVamana:
-		f, err = index.BuildFusedGraphStore(st, wv, "Vamana", func(s *graph.Space) *graph.Graph {
+		return index.BuildFusedGraphStore(st, wv, "Vamana", func(s *graph.Space) *graph.Graph {
 			return graph.BuildVamana(s, graph.VamanaConfig{Gamma: opts.Gamma, Beam: 2 * opts.Gamma, Alpha: 1.2, Seed: opts.Seed})
 		})
 	case AlgoHCNNG:
-		f, err = index.BuildFusedGraphStore(st, wv, "HCNNG", func(s *graph.Space) *graph.Graph {
+		return index.BuildFusedGraphStore(st, wv, "HCNNG", func(s *graph.Space) *graph.Graph {
 			return graph.BuildHCNNG(s, graph.HCNNGConfig{Rounds: 3, LeafSize: 200, MaxDegree: opts.Gamma, Seed: opts.Seed})
 		})
 	default:
 		return nil, fmt.Errorf("must: unknown graph algorithm %v", opts.Algorithm)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return &Index{c: c, f: f, opt: opts}, nil
-}
-
-// Match is one search result.
-type Match struct {
-	// ID is the collection object ID.
-	ID int
-	// Similarity is the joint similarity to the query under the weights
-	// in effect.
-	Similarity float32
-}
-
-// SearchOptions configures one search; the zero value means K=10,
-// L=4·K, learned/index weights, Lemma 4 optimization on.
-type SearchOptions struct {
-	// K is the number of results (default 10).
-	K int
-	// L is the result-set size l of Algorithm 2 (default max(4K, 100));
-	// larger L trades speed for recall (Tab. XII).
-	L int
-	// Weights optionally overrides the index weights at query time — the
-	// user-defined weight preference of §VIII-F (Tab. IX). Must have one
-	// weight per modality; a zero weight skips that modality (§VII-B).
-	Weights Weights
-	// DisableOptimization turns off the Lemma 4 partial-IP early
-	// termination (used by the Fig. 10(c) ablation).
-	DisableOptimization bool
-	// Filter restricts results to objects it accepts — the hybrid
-	// vector-plus-constraint query setting of §III. Rejected objects
-	// still route; raise L when the filter is selective.
-	Filter func(id int) bool
-	// Patience enables adaptive early termination: stop routing after
-	// this many consecutive non-improving hops (0 = full Algorithm 2).
-	// Trades a little recall for latency.
-	Patience int
-}
-
-// Search returns the approximate top-K objects for the multimodal query.
-// A nil entry in the query marks a missing modality; pair it with a zero
-// weight override (or rely on learned weights for present modalities).
-func (ix *Index) Search(q Object, opts SearchOptions) ([]Match, error) {
-	if opts.K == 0 {
-		opts.K = 10
-	}
-	if opts.L == 0 {
-		opts.L = 4 * opts.K
-		if opts.L < 100 {
-			opts.L = 100
-		}
-	}
-	mv, err := ix.c.query(q)
-	if err != nil {
-		return nil, err
-	}
-	w := vec.Weights(ix.f.Weights)
-	if opts.Weights != nil {
-		if len(opts.Weights) != ix.c.Modalities() {
-			return nil, fmt.Errorf("must: %d override weights for %d modalities", len(opts.Weights), ix.c.Modalities())
-		}
-		w = vec.Weights(opts.Weights)
-	}
-	// The searcher shares the index's flat store; everything per-call goes
-	// through SearchParams.
-	s := ix.f.NewSearcher()
-	res, _, err := s.SearchParams(mv, search.Params{
-		K:          opts.K,
-		L:          opts.L,
-		Weights:    w,
-		Filter:     opts.Filter,
-		Tombstones: ix.dead,
-		Patience:   opts.Patience,
-		Optimize:   !opts.DisableOptimization,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Match, len(res))
-	for i, r := range res {
-		out[i] = Match{ID: r.ID, Similarity: r.IP}
-	}
-	return out, nil
-}
-
-// Weights returns the weights the index was built with.
-func (ix *Index) Weights() Weights {
-	return append(Weights(nil), ix.f.Weights...)
-}
-
-// Delete tombstones an object (§IX of the paper): it is excluded from all
-// future results but keeps participating in graph routing, since removing
-// vertices can disconnect a proximity graph. The object is physically
-// dropped at the next rebuild. Delete is idempotent.
-func (ix *Index) Delete(id int) error {
-	n := ix.f.Graph.NumVertices()
-	if id < 0 || id >= n {
-		return fmt.Errorf("must: delete id %d out of range [0,%d)", id, n)
-	}
-	if len(ix.dead) < n {
-		grown := make([]bool, n)
-		copy(grown, ix.dead)
-		ix.dead = grown
-	}
-	if !ix.dead[id] {
-		ix.dead[id] = true
-		ix.deadCount++
-	}
-	return nil
-}
-
-// Insert adds a new object to both the collection and the live index
-// using incremental linking (§IX dynamic updates): the object searches
-// for its own neighborhood and is wired in with MRNG-selected edges, the
-// scheme HNSW and Vamana use. Periodic rebuilds (Build) remain advisable
-// after many inserts and deletes, per the paper.
-func (ix *Index) Insert(o Object) (int, error) {
-	id, err := ix.c.Add(o)
-	if err != nil {
-		return 0, err
-	}
-	// The row is already in the shared store; the index just links it.
-	if err := ix.f.Insert(id, ix.opt.Gamma, 0); err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-// Deleted reports how many objects are tombstoned. When this grows large
-// relative to the collection, rebuild the index (the paper's periodic
-// reconstruction, §IX).
-func (ix *Index) Deleted() int {
-	return ix.deadCount
 }
 
 // Stats summarizes the built index, including the per-component memory
@@ -587,96 +382,4 @@ type Stats struct {
 	BuildTime int64 `json:"build_time_ns"`
 	// Algorithm names the construction pipeline.
 	Algorithm string `json:"algorithm"`
-}
-
-// Stats reports index statistics.
-func (ix *Index) Stats() Stats {
-	raw := int64(0)
-	quant := int64(0)
-	if st := ix.f.Store; st != nil {
-		raw = int64(st.Len()) * int64(st.RowDim()) * 4
-		quant = st.QuantizedBytes()
-	}
-	edges := ix.f.Graph.NumEdges()
-	var perEdge float64
-	if edges > 0 {
-		perEdge = float64(ix.f.SizeBytes()) / float64(edges)
-	}
-	objects := ix.f.Graph.NumVertices()
-	overlay := ix.f.Graph.OverlayVertices()
-	var overlayRatio, tombstoneRatio float64
-	if objects > 0 {
-		overlayRatio = float64(overlay) / float64(objects)
-		tombstoneRatio = float64(ix.deadCount) / float64(objects)
-	}
-	return Stats{
-		Objects:           objects,
-		Edges:             edges,
-		AvgDegree:         ix.f.Graph.AvgDegree(),
-		SizeBytes:         ix.f.SizeBytes(),
-		GraphBytesPerEdge: perEdge,
-		CorpusBytes:       ix.f.CorpusBytes(),
-		RawVectorBytes:    raw,
-		FusedBytes:        ix.f.FusedBytes(),
-		QuantizedBytes:    quant,
-		OverlayVertices:   overlay,
-		OverlayRatio:      overlayRatio,
-		TombstoneRatio:    tombstoneRatio,
-		KernelVariant:     vec.KernelName(),
-		BuildTime:         int64(ix.f.BuildTime),
-		Algorithm:         ix.f.Pipeline,
-	}
-}
-
-// Save writes the index structure to a file; the collection itself is not
-// stored (persist your vectors separately and pass the same collection to
-// LoadIndex).
-func (ix *Index) Save(path string) error { return ix.f.Save(path) }
-
-// LoadIndex reads an index saved with Save and attaches it to the
-// collection it was built over. Build options are not stored in the index
-// file, so the loaded index assumes the paper defaults (γ=30, ε=3) for
-// subsequent Insert linking; set them explicitly with SetBuildOptions if
-// the index was built with different parameters.
-func LoadIndex(path string, c *Collection) (*Index, error) {
-	// The index attaches the collection's shared store directly — loaded
-	// systems are single-copy from the first search, and subsequent
-	// Collection.Add/Index.Insert appends extend the same store.
-	f, err := index.Load(path, c.flatStore())
-	if err != nil {
-		return nil, err
-	}
-	opt := BuildOptions{Gamma: 30, Iterations: 3}
-	return &Index{c: c, f: f, opt: opt}, nil
-}
-
-// SetBuildOptions overrides the build parameters a loaded index uses for
-// incremental Insert linking (Gamma and Iterations default when zero).
-func (ix *Index) SetBuildOptions(opts BuildOptions) {
-	if opts.Gamma == 0 {
-		opts.Gamma = 30
-	}
-	if opts.Iterations == 0 {
-		opts.Iterations = 3
-	}
-	ix.opt = opts
-}
-
-// ExactSearch performs exhaustive exact retrieval (the paper's MUST--),
-// useful for ground truth and for small collections.
-func (c *Collection) ExactSearch(q Object, w Weights, k int) ([]Match, error) {
-	mv, err := c.query(q)
-	if err != nil {
-		return nil, err
-	}
-	if len(w) != c.Modalities() {
-		return nil, fmt.Errorf("must: %d weights for %d modalities", len(w), c.Modalities())
-	}
-	bf := &index.BruteForce{Store: c.flatStore(), Weights: vec.Weights(w)}
-	res := bf.TopK(mv, k)
-	out := make([]Match, len(res))
-	for i, r := range res {
-		out[i] = Match{ID: r.ID, Similarity: r.IP}
-	}
-	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -25,40 +26,77 @@ func perturb(rng *rand.Rand, v []float32, eps float64) []float32 {
 	return out
 }
 
-// buildCorpus populates a 2-modality collection with planted query/answer
-// pairs followed by random background objects.
-func buildCorpus(t *testing.T, n, nq int, seed int64) (*Collection, []Object, []int) {
+// corpusEngine creates an unbuilt engine over shardedSchema ("a": 24,
+// "b": 12) holding nq planted query/answer pairs followed by random
+// background objects, n in total. Engine IDs equal insertion order until
+// the first Rebuild.
+func corpusEngine(t *testing.T, n, nq int, seed int64, bo BuildOptions) (*Engine, []Object, []int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	c := NewCollection(24, 12)
+	e, err := NewEngine(shardedSchema, EngineOptions{Build: bo})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var queries []Object
-	var truths []int
+	var truths []int64
 	for i := 0; i < nq; i++ {
 		content := randVec(rng, 24)
 		attr := randVec(rng, 12)
-		id, err := c.Add(Object{perturb(rng, content, 0.05), perturb(rng, attr, 0.05)})
+		id, err := e.InsertObject(Object{perturb(rng, content, 0.05), perturb(rng, attr, 0.05)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		queries = append(queries, Object{perturb(rng, content, 0.05), perturb(rng, attr, 0.05)})
 		truths = append(truths, id)
 	}
-	for c.Len() < n {
-		if _, err := c.Add(Object{randVec(rng, 24), randVec(rng, 12)}); err != nil {
+	for e.Len() < n {
+		if _, err := e.InsertObject(Object{randVec(rng, 24), randVec(rng, 12)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return c, queries, truths
+	return e, queries, truths
+}
+
+// buildCorpus is corpusEngine followed by Build.
+func buildCorpus(t *testing.T, n, nq int, seed int64, bo BuildOptions) (*Engine, []Object, []int64) {
+	t.Helper()
+	e, queries, truths := corpusEngine(t, n, nq, seed, bo)
+	if err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	return e, queries, truths
+}
+
+// corpusQuery names a positional query in shardedSchema order; a nil
+// entry leaves that modality missing.
+func corpusQuery(o Object, k, l int) Query {
+	v := NamedVectors{}
+	for i, m := range shardedSchema {
+		if o[i] != nil {
+			v[m.Name] = o[i]
+		}
+	}
+	return Query{Vectors: v, K: k, L: l}
+}
+
+// searchIDs runs q and returns the matched IDs, failing the test on error.
+func searchIDs(t *testing.T, s Service, q Query) []int64 {
+	t.Helper()
+	resp, err := s.Search(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return matchIDs(resp)
 }
 
 func TestCollectionAddValidation(t *testing.T) {
-	// NewCollection does not validate dims; the first Add must reject a
-	// degenerate layout with an error, not a store-constructor panic.
-	bad := NewCollection(8, 0)
+	// The first Add must reject a degenerate layout with an error, not a
+	// store-constructor panic.
+	bad := &collection{dims: []int{8, 0}}
 	if _, err := bad.Add(Object{make([]float32, 8), nil}); err == nil {
 		t.Error("zero-dim modality did not error")
 	}
-	c := NewCollection(4, 2)
+	c := &collection{dims: []int{4, 2}}
 	if _, err := c.Add(Object{{1, 0, 0, 0}}); err == nil {
 		t.Error("wrong modality count did not error")
 	}
@@ -73,39 +111,17 @@ func TestCollectionAddValidation(t *testing.T) {
 		t.Fatalf("id=%d len=%d", id, c.Len())
 	}
 	// Stored vectors are normalized copies.
-	o, err := c.Object(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o[0][0] != 0.6 || o[0][1] != 0.8 {
-		t.Errorf("stored vector not normalized: %v", o[0])
-	}
-	if _, err := c.Object(5); err == nil {
-		t.Error("out-of-range Object did not error")
-	}
-	if c.Modalities() != 2 || c.Dims()[0] != 4 {
-		t.Error("layout accessors wrong")
+	if v := c.store.Modality(0, 0); v[0] != 0.6 || v[1] != 0.8 {
+		t.Errorf("stored vector not normalized: %v", v)
 	}
 }
 
 func TestEndToEndSearch(t *testing.T) {
-	c, queries, truths := buildCorpus(t, 800, 30, 1)
-	w := c.UniformWeights()
-	ix, err := Build(c, w, BuildOptions{Gamma: 16, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, queries, truths := buildCorpus(t, 800, 30, 1, BuildOptions{Gamma: 16, Seed: 2})
 	hits := 0
 	for i, q := range queries {
-		ms, err := ix.Search(q, SearchOptions{K: 5, L: 200})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range ms {
-			if m.ID == truths[i] {
-				hits++
-				break
-			}
+		if slices.Contains(searchIDs(t, e, corpusQuery(q, 5, 200)), truths[i]) {
+			hits++
 		}
 	}
 	if hits < len(queries)*9/10 {
@@ -114,8 +130,12 @@ func TestEndToEndSearch(t *testing.T) {
 }
 
 func TestLearnWeightsEndToEnd(t *testing.T) {
-	c, queries, truths := buildCorpus(t, 400, 40, 3)
-	w, err := LearnWeights(c, queries, truths, WeightConfig{Epochs: 60, Negatives: 5, LearningRate: 0.02, Seed: 4})
+	e, queries, truths := corpusEngine(t, 400, 40, 3, BuildOptions{Gamma: 12, Seed: 5})
+	named := make([]NamedVectors, len(queries))
+	for i, q := range queries {
+		named[i] = corpusQuery(q, 0, 0).Vectors
+	}
+	w, err := e.LearnWeights(named, truths, WeightConfig{Epochs: 60, Negatives: 5, LearningRate: 0.02, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,72 +147,77 @@ func TestLearnWeightsEndToEnd(t *testing.T) {
 			t.Errorf("weight %d = %v", i, x)
 		}
 	}
-	ix, err := Build(c, w, BuildOptions{Gamma: 12, Seed: 5})
-	if err != nil {
+	if err := e.Build(); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := ix.Search(queries[0], SearchOptions{K: 1, L: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 1 {
-		t.Fatalf("got %d matches", len(ms))
+	if ids := searchIDs(t, e, corpusQuery(queries[0], 1, 100)); len(ids) != 1 {
+		t.Fatalf("got %d matches", len(ids))
 	}
 }
 
+// Engine and ShardedEngine train through the same learnWeights, so they
+// reject the same malformed training sets.
 func TestLearnWeightsValidation(t *testing.T) {
-	c, queries, truths := buildCorpus(t, 100, 10, 6)
-	if _, err := LearnWeights(c, queries, truths[:5], WeightConfig{}); err == nil {
-		t.Error("length mismatch did not error")
+	e, queries, truths := corpusEngine(t, 100, 10, 6, BuildOptions{})
+	s := newSharded(t, shardedObjects(100, 6), 3, false)
+	named := make([]NamedVectors, len(queries))
+	for i, q := range queries {
+		named[i] = corpusQuery(q, 0, 0).Vectors
 	}
-	bad := append([]int(nil), truths...)
-	bad[0] = -1
-	if _, err := LearnWeights(c, queries, bad, WeightConfig{Epochs: 1}); err == nil {
-		t.Error("bad positive did not error")
-	}
-	badQ := append([]Object(nil), queries...)
-	badQ[0] = Object{{1}}
-	if _, err := LearnWeights(c, badQ, truths, WeightConfig{Epochs: 1}); err == nil {
-		t.Error("bad query did not error")
+	badPos := append([]int64(nil), truths...)
+	badPos[0] = -1
+	badDim := append([]NamedVectors(nil), named...)
+	badDim[0] = NamedVectors{"a": {1}}
+	badName := append([]NamedVectors(nil), named...)
+	badName[0] = NamedVectors{"audio": randVec(rand.New(rand.NewSource(1)), 24)}
+	for _, svc := range []Service{e, s} {
+		if _, err := svc.LearnWeights(named, truths[:5], WeightConfig{}); err == nil {
+			t.Errorf("%T: length mismatch did not error", svc)
+		}
+		if _, err := svc.LearnWeights(named, badPos, WeightConfig{Epochs: 1}); err == nil {
+			t.Errorf("%T: unknown positive did not error", svc)
+		}
+		if _, err := svc.LearnWeights(badDim, truths, WeightConfig{Epochs: 1}); err == nil {
+			t.Errorf("%T: wrong-dimension query did not error", svc)
+		}
+		if _, err := svc.LearnWeights(badName, truths, WeightConfig{Epochs: 1}); err == nil {
+			t.Errorf("%T: unknown modality did not error", svc)
+		}
 	}
 }
 
 func TestBuildValidation(t *testing.T) {
-	c := NewCollection(4, 2)
-	if _, err := Build(c, []float32{1, 1}, BuildOptions{}); err == nil {
-		t.Error("empty collection did not error")
+	empty, err := NewEngine(shardedSchema, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c, _, _ = buildCorpus(t, 50, 5, 7)
-	if _, err := Build(c, []float32{1}, BuildOptions{}); err == nil {
+	if err := empty.Build(); err == nil {
+		t.Error("empty engine built")
+	}
+	if _, err := NewEngine(shardedSchema, EngineOptions{Weights: Weights{1}}); err == nil {
 		t.Error("wrong weight count did not error")
 	}
-	if _, err := Build(c, c.UniformWeights(), BuildOptions{Algorithm: GraphAlgorithm(99)}); err == nil {
+	e, _, _ := corpusEngine(t, 50, 5, 7, BuildOptions{Algorithm: GraphAlgorithm(99)})
+	if err := e.Build(); err == nil {
 		t.Error("unknown algorithm did not error")
 	}
 }
 
 func TestAllAlgorithmsBuildAndSearch(t *testing.T) {
-	c, queries, _ := buildCorpus(t, 300, 10, 8)
-	w := c.UniformWeights()
 	for _, algo := range []GraphAlgorithm{AlgoOurs, AlgoKGraph, AlgoNSG, AlgoNSSG, AlgoHNSW, AlgoVamana, AlgoHCNNG} {
-		ix, err := Build(c, w, BuildOptions{Gamma: 12, Algorithm: algo, Seed: 9})
+		e, queries, _ := buildCorpus(t, 300, 10, 8, BuildOptions{Gamma: 12, Algorithm: algo, Seed: 9})
+		if ids := searchIDs(t, e, corpusQuery(queries[0], 5, 60)); len(ids) != 5 {
+			t.Fatalf("%v: got %d matches", algo, len(ids))
+		}
+		st, err := e.Stats()
 		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
+			t.Fatal(err)
 		}
-		ms, err := ix.Search(queries[0], SearchOptions{K: 5, L: 60})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if len(ms) != 5 {
-			t.Fatalf("%v: got %d matches", algo, len(ms))
-		}
-		st := ix.Stats()
 		if st.Objects != 300 || st.Edges == 0 || st.Algorithm == "" {
 			t.Errorf("%v: stats %+v", algo, st)
 		}
 	}
 }
-
 func TestAlgorithmString(t *testing.T) {
 	names := map[GraphAlgorithm]string{
 		AlgoOurs: "Ours", AlgoKGraph: "KGraph", AlgoNSG: "NSG", AlgoNSSG: "NSSG",
@@ -209,67 +234,47 @@ func TestAlgorithmString(t *testing.T) {
 }
 
 func TestUserDefinedWeightOverride(t *testing.T) {
-	c, queries, _ := buildCorpus(t, 300, 10, 10)
-	ix, err := Build(c, c.UniformWeights(), BuildOptions{Gamma: 12, Seed: 11})
+	e, queries, _ := buildCorpus(t, 300, 10, 10, BuildOptions{Gamma: 12, Seed: 11})
+	// Weight only modality "b": results must rank by attribute similarity.
+	q := corpusQuery(queries[0], 5, 100)
+	q.Weights = map[string]float32{"a": 0, "b": 1}
+	resp, err := e.Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Weight only modality 1: results must rank by attribute similarity.
-	ms, err := ix.Search(queries[0], SearchOptions{K: 5, L: 100, Weights: []float32{0, 1}})
-	if err != nil {
-		t.Fatal(err)
+	if len(resp.Matches) != 5 {
+		t.Fatalf("got %d matches", len(resp.Matches))
 	}
-	if len(ms) != 5 {
-		t.Fatalf("got %d matches", len(ms))
+	for _, m := range resp.Matches {
+		if m.ByModality["a"] != 0 {
+			t.Errorf("zero-weighted modality contributed %v", m.ByModality["a"])
+		}
 	}
-	if _, err := ix.Search(queries[0], SearchOptions{K: 5, Weights: []float32{1}}); err == nil {
-		t.Error("wrong override weight count did not error")
+	q.Weights = map[string]float32{"c": 1}
+	if _, err := e.Search(context.Background(), q); err == nil {
+		t.Error("override for an unknown modality did not error")
 	}
 }
 
 func TestMissingModalityQuery(t *testing.T) {
-	c, queries, truths := buildCorpus(t, 300, 10, 12)
-	ix, err := Build(c, c.UniformWeights(), BuildOptions{Gamma: 12, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drop the auxiliary modality (§IX single-modality input): nil vector
-	// plus a zero weight for it.
-	q := Object{queries[0][0], nil}
-	ms, err := ix.Search(q, SearchOptions{K: 10, L: 150, Weights: []float32{1, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, m := range ms {
-		if m.ID == truths[0] {
-			found = true
-			break
-		}
-	}
-	if !found {
+	e, queries, truths := buildCorpus(t, 300, 10, 12, BuildOptions{Gamma: 12, Seed: 13})
+	// Drop the auxiliary modality (§IX single-modality input): a missing
+	// vector is weighted zero for the query.
+	ids := searchIDs(t, e, corpusQuery(Object{queries[0][0], nil}, 10, 150))
+	if !slices.Contains(ids, truths[0]) {
 		t.Error("target-only search missed the planted near-duplicate")
 	}
 }
 
 func TestExactSearchMatchesIndexAtHighL(t *testing.T) {
-	c, queries, _ := buildCorpus(t, 400, 10, 14)
-	w := c.UniformWeights()
-	ix, err := Build(c, w, BuildOptions{Gamma: 16, Seed: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, queries, _ := buildCorpus(t, 400, 10, 14, BuildOptions{Gamma: 16, Seed: 15})
 	agree := 0
 	for _, q := range queries {
-		exact, err := c.ExactSearch(q, w, 1)
+		exact, err := e.ExactSearch(context.Background(), corpusQuery(q, 1, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, err := ix.Search(q, SearchOptions{K: 1, L: 400})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exact[0].ID == approx[0].ID {
+		if searchIDs(t, e, corpusQuery(q, 1, 400))[0] == exact.Matches[0].ID {
 			agree++
 		}
 	}
@@ -278,71 +283,84 @@ func TestExactSearchMatchesIndexAtHighL(t *testing.T) {
 	}
 }
 
+// A built engine written to a file with WriteSnapshot loads back with the
+// same weights and searches identically.
 func TestSaveLoadIndex(t *testing.T) {
-	c, queries, _ := buildCorpus(t, 200, 5, 16)
-	ix, err := Build(c, c.UniformWeights(), BuildOptions{Gamma: 10, Seed: 17})
+	e, queries, _ := buildCorpus(t, 200, 5, 16, BuildOptions{Gamma: 10, Seed: 17})
+	if err := e.SetWeights(Weights{0.7, 0.3}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "engine.bin")
+	if err := WriteSnapshot(e, path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEngine(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ix.bin")
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
+	a := searchIDs(t, e, corpusQuery(queries[0], 5, 80))
+	b := searchIDs(t, loaded, corpusQuery(queries[0], 5, 80))
+	if !slices.Equal(a, b) {
+		t.Fatalf("loaded engine searches differently: %v vs %v", a, b)
 	}
-	loaded, err := LoadIndex(path, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := ix.Search(queries[0], SearchOptions{K: 5, L: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := loaded.Search(queries[0], SearchOptions{K: 5, L: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID {
-			t.Fatal("loaded index searches differently")
-		}
-	}
-	if loaded.Weights()[0] != ix.Weights()[0] {
-		t.Error("weights not restored")
+	if !slices.Equal(loaded.Weights(), e.Weights()) {
+		t.Errorf("weights not restored: %v vs %v", loaded.Weights(), e.Weights())
 	}
 }
 
 func TestSearchDefaults(t *testing.T) {
-	c, queries, _ := buildCorpus(t, 200, 5, 18)
-	ix, err := Build(c, c.UniformWeights(), BuildOptions{Gamma: 10, Seed: 19})
+	e, queries, _ := buildCorpus(t, 200, 5, 18, BuildOptions{Gamma: 10, Seed: 19})
+	q := corpusQuery(queries[0], 0, 0)
+	if ids := searchIDs(t, e, q); len(ids) != 10 {
+		t.Fatalf("default K: got %d matches", len(ids))
+	}
+	exact, err := e.ExactSearch(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := ix.Search(queries[0], SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if len(exact.Matches) != 10 {
+		t.Fatalf("default K, exact: got %d matches", len(exact.Matches))
 	}
-	if len(ms) != 10 {
-		t.Fatalf("default K: got %d matches", len(ms))
+}
+
+// A negative K is an error on every search entry point, graph and
+// exhaustive alike, single engine and sharded.
+func TestSearchRejectsNegativeK(t *testing.T) {
+	ctx := context.Background()
+	e, queries, _ := buildCorpus(t, 100, 1, 20, BuildOptions{Gamma: 8, Seed: 21})
+	s := newSharded(t, shardedObjects(90, 22), 3, true)
+	q := corpusQuery(queries[0], -1, 0)
+	for _, svc := range []Service{e, s} {
+		if resp, err := svc.Search(ctx, q); err == nil {
+			t.Errorf("%T.Search accepted K=-1 (%d matches)", svc, len(resp.Matches))
+		}
+		if resp, err := svc.ExactSearch(ctx, q); err == nil {
+			t.Errorf("%T.ExactSearch accepted K=-1 (%d matches)", svc, len(resp.Matches))
+		}
 	}
 }
 
 func TestAddRejectsNonFinite(t *testing.T) {
-	c := NewCollection(2, 2)
+	e, err := NewEngine(Schema{{Name: "a", Dim: 2}, {Name: "b", Dim: 2}}, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	nan := float32(math.NaN())
-	if _, err := c.Add(Object{{nan, 1}, {1, 0}}); err == nil {
+	if _, err := e.InsertObject(Object{{nan, 1}, {1, 0}}); err == nil {
 		t.Error("NaN coordinate did not error")
 	}
 	inf := float32(math.Inf(1))
-	if _, err := c.Add(Object{{1, 0}, {inf, 0}}); err == nil {
+	if _, err := e.Insert(NamedVectors{"a": {1, 0}, "b": {inf, 0}}); err == nil {
 		t.Error("Inf coordinate did not error")
 	}
-	if c.Len() != 0 {
+	if e.Len() != 0 {
 		t.Error("rejected objects were stored")
 	}
 }
 
 // A query coordinate that is NaN or ±Inf must be rejected, with the
 // modality named, on every search entry point — not answered with NaN
-// similarities. Every path converts through Collection.query.
+// similarities. Every path converts through collection.query.
 func TestSearchRejectsNonFiniteQuery(t *testing.T) {
 	ctx := context.Background()
 	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1))} {
@@ -376,13 +394,5 @@ func TestSearchRejectsNonFiniteQuery(t *testing.T) {
 		check("ShardedEngine.Search", err, `"b"`)
 		_, err = s.ExactSearch(ctx, sq)
 		check("ShardedEngine.ExactSearch", err, `"b"`)
-
-		c, queries, _ := buildCorpus(t, 120, 1, 7)
-		ix, err := Build(c, c.UniformWeights(), BuildOptions{Gamma: 8, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = ix.Search(Object{queries[0][0], poison(queries[0][1])}, SearchOptions{K: 5})
-		check("Index.Search", err, "modality 1")
 	}
 }

@@ -12,15 +12,16 @@ import (
 	"must/internal/vec"
 )
 
-// Collection binary format, little-endian.
+// Collection binary format, little-endian (the collection section of an
+// engine snapshot):
 //
-// Version 4 (written by this package; arena dump):
-//
-//	magic "MUSTCL4\n"
+//	magic "MUSTCL4\n" (or "MUSTCL5\n", see below)
 //	m uint32, dims: m × uint32
 //	names: m × (len uint32, bytes)   — len 0 for unnamed modalities
 //	numObjects uint64
 //	vectors: numObjects × rowDim × float32, one contiguous block
+//	v5 only: m × (min float32, delta float32) SQ8 scales,
+//	  then numObjects × rowDim uint8 codes
 //
 // The writer sources the float block straight from the collection's
 // shared arena-backed store — a handful of bulk writes over the arena's
@@ -28,41 +29,9 @@ import (
 // reads it back into a single arena that becomes the collection's store
 // verbatim. A loaded system is therefore single-copy before the first
 // query: build, search, brute force, and future appends all view the
-// adopted arena. v4 also widens the count *field* to 64 bits so the wire
-// format can outgrow uint32 without another version bump; both the
-// writer and the loader currently enforce the same maxPersistObjects
-// sanity bound, so every file that saves also loads.
-//
-// Version 3 (still readable; flat vector block, uint32 count):
-//
-//	magic "MUSTCL3\n"
-//	m uint32, dims: m × uint32
-//	names: m × (len uint32, bytes)
-//	numObjects uint32
-//	vectors: numObjects × rowDim × float32, one contiguous block
-//
-// Version 2 (still readable; adds modality names over v1):
-//
-//	magic "MUSTCL2\n"
-//	m uint32, dims: m × uint32
-//	names: m × (len uint32, bytes)
-//	numObjects uint32
-//	objects: numObjects × (per modality: dim × float32)
-//
-// Version 1 (still readable; no names):
-//
-//	magic "MUSTCL1\n"
-//	m uint32, dims: m × uint32
-//	numObjects uint32
-//	objects: numObjects × (per modality: dim × float32)
-//
-// Every read path — v1 through v4 — lands the vectors in one arena-backed
-// store, so legacy files also end up single-copy after load: v1/v2 rows
-// are decoded directly into consecutive store rows, and v3/v4 blocks are
-// adopted wholesale.
-//
-// Pairs with Index.Save/LoadIndex so a built system can be persisted and
-// restored in full: save the collection and the index, load both, search.
+// adopted arena. The count field is 64 bits wide so the format can outgrow
+// uint32 without another version bump; the writer and the loader both
+// enforce maxPersistObjects, so every file that saves also loads.
 
 // maxPersistObjects bounds the object count the persistence formats
 // accept, enforced symmetrically: the writer rejects collections above it
@@ -70,16 +39,18 @@ import (
 // it to reject corrupt headers before allocating.
 const maxPersistObjects = 1 << 28
 
+// maxUpfront caps how many elements a decoder allocates before the stream
+// has delivered them (4M: 16 MiB of float32s, 32 MiB of IDs). Larger
+// blocks grow as data arrives, so a corrupt count fails with a read error
+// once the stream runs dry instead of committing the claimed size up
+// front.
+const maxUpfront = 1 << 22
+
 var (
-	clMagicV1 = [8]byte{'M', 'U', 'S', 'T', 'C', 'L', '1', '\n'}
-	clMagicV2 = [8]byte{'M', 'U', 'S', 'T', 'C', 'L', '2', '\n'}
-	clMagicV3 = [8]byte{'M', 'U', 'S', 'T', 'C', 'L', '3', '\n'}
 	clMagicV4 = [8]byte{'M', 'U', 'S', 'T', 'C', 'L', '4', '\n'}
-	// v5 = v4 plus a trailing SQ8 block: m × (min float32, delta float32)
-	// per-modality scales followed by n·rowDim code bytes. Written only
-	// when the store carries a trained SQ8 shadow covering every row;
-	// collections without quantization keep writing v4, so files stay
-	// byte-identical for non-quantized users and v1–v4 files keep loading.
+	// v5 = v4 plus the trailing SQ8 block. Written only when the store
+	// carries a trained SQ8 shadow covering every row; collections without
+	// quantization keep writing v4, so their files stay byte-identical.
 	clMagicV5 = [8]byte{'M', 'U', 'S', 'T', 'C', 'L', '5', '\n'}
 )
 
@@ -106,19 +77,11 @@ func readString(br *bufio.Reader, maxLen uint32) (string, error) {
 	return string(buf), nil
 }
 
-// WriteCollection serializes c to w: the v4 arena-dump format, or v5 when
-// the collection carries a trained SQ8 shadow store (v5 appends the
+// writeCollectionBody serializes c in the v4 arena-dump format, or v5
+// when the collection carries a trained SQ8 shadow store (v5 appends the
 // quantizer scales and code arena so a loaded engine serves quantized
 // searches without retraining).
-func WriteCollection(w io.Writer, c *Collection) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if err := writeCollectionBody(bw, c); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func writeCollectionBody(bw *bufio.Writer, c *Collection) error {
+func writeCollectionBody(bw *bufio.Writer, c *collection) error {
 	if c.Len() > maxPersistObjects {
 		return fmt.Errorf("must: collection has %d objects, persistence caps at %d", c.Len(), maxPersistObjects)
 	}
@@ -211,8 +174,7 @@ func writeCollectionBody(bw *bufio.Writer, c *Collection) error {
 
 // readFloatBlock fills dst with little-endian float32s from br through
 // the caller-provided scratch buffer (no full-size intermediate byte
-// slice; the scratch is allocated once per load, not per call — the
-// v1/v2 legacy path calls this once per object).
+// slice; the scratch is allocated once per load, not per call).
 func readFloatBlock(br *bufio.Reader, dst []float32, scratch []byte) error {
 	for len(dst) > 0 {
 		want := len(dst) * 4
@@ -230,31 +192,14 @@ func readFloatBlock(br *bufio.Reader, dst []float32, scratch []byte) error {
 	return nil
 }
 
-// ReadCollection deserializes a collection from r, accepting every format
-// back to v1. All versions load into a single arena-backed store.
-func ReadCollection(r io.Reader) (*Collection, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	return readCollectionBody(br)
-}
-
-func readCollectionBody(br *bufio.Reader) (*Collection, error) {
+// readCollectionBody deserializes a v4 or v5 collection into a single
+// arena-backed store.
+func readCollectionBody(br *bufio.Reader) (*collection, error) {
 	var got [8]byte
 	if _, err := io.ReadFull(br, got[:]); err != nil {
 		return nil, fmt.Errorf("must: reading collection magic: %w", err)
 	}
-	version := 0
-	switch got {
-	case clMagicV1:
-		version = 1
-	case clMagicV2:
-		version = 2
-	case clMagicV3:
-		version = 3
-	case clMagicV4:
-		version = 4
-	case clMagicV5:
-		version = 5
-	default:
+	if got != clMagicV4 && got != clMagicV5 {
 		return nil, fmt.Errorf("must: bad collection magic %q", got[:])
 	}
 	var m uint32
@@ -277,145 +222,104 @@ func readCollectionBody(br *bufio.Reader) (*Collection, error) {
 		dims[i] = int(d)
 		total += int(d)
 	}
-	var names []string
-	if version >= 2 {
-		any := false
-		names = make([]string, m)
-		for i := range names {
-			s, err := readString(br, maxModalityNameLen)
-			if err != nil {
-				return nil, fmt.Errorf("must: reading modality %d name: %w", i, err)
-			}
-			names[i] = s
-			if s != "" {
-				any = true
-			}
+	names := make([]string, m)
+	any := false
+	for i := range names {
+		s, err := readString(br, maxModalityNameLen)
+		if err != nil {
+			return nil, fmt.Errorf("must: reading modality %d name: %w", i, err)
 		}
-		if !any {
-			names = nil
+		names[i] = s
+		if s != "" {
+			any = true
 		}
 	}
+	if !any {
+		names = nil
+	}
 	var n uint64
-	if version >= 4 {
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return nil, err
-		}
-	} else {
-		var n32 uint32
-		if err := binary.Read(br, binary.LittleEndian, &n32); err != nil {
-			return nil, err
-		}
-		n = uint64(n32)
+	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+		return nil, err
 	}
 	if n > maxPersistObjects {
 		return nil, fmt.Errorf("must: unreasonable object count %d", n)
 	}
-	c := NewCollection(dims...)
-	c.names = names
-	if version >= 3 {
-		// v3/v4: the whole vector block lands in one flat arena that
-		// becomes the collection's store verbatim. The arena grows as
-		// data actually arrives (capped initial allocation) so a corrupt
-		// header claiming billions of floats fails with a read error
-		// instead of attempting one enormous upfront allocation.
-		totalFloats := int(n) * total
-		capHint := totalFloats
-		const maxUpfront = 1 << 22 // 4M floats = 16 MiB before any data is seen
-		if capHint > maxUpfront {
-			capHint = maxUpfront
+	c := &collection{dims: dims, names: names}
+	// The whole vector block lands in one flat arena that becomes the
+	// collection's store verbatim, grown as data actually arrives.
+	totalFloats := int(n) * total
+	capHint := min(totalFloats, maxUpfront)
+	arena := make([]float32, 0, capHint)
+	scratch := make([]byte, 1<<16)
+	for len(arena) < totalFloats {
+		chunk := totalFloats - len(arena)
+		if chunk > 1<<20 {
+			chunk = 1 << 20
 		}
-		arena := make([]float32, 0, capHint)
-		scratch := make([]byte, 1<<16)
-		for len(arena) < totalFloats {
-			chunk := totalFloats - len(arena)
+		if cap(arena)-len(arena) < chunk {
+			newCap := 2 * cap(arena)
+			if newCap > totalFloats {
+				newCap = totalFloats
+			}
+			grown := make([]float32, len(arena), newCap)
+			copy(grown, arena)
+			arena = grown
+		}
+		start := len(arena)
+		arena = arena[:start+chunk]
+		if err := readFloatBlock(br, arena[start:], scratch); err != nil {
+			return nil, fmt.Errorf("must: reading flat vector block: %w", err)
+		}
+	}
+	c.store = vec.FlatStoreFromArena(dims, arena)
+	if got == clMagicV5 {
+		// SQ8 block: scales, then one code byte per stored float. The code
+		// arena is adopted by the shadow store verbatim, mirroring the float
+		// arena above.
+		mins := make([]float32, m)
+		deltas := make([]float32, m)
+		for i := uint32(0); i < m; i++ {
+			var mb, db uint32
+			if err := binary.Read(br, binary.LittleEndian, &mb); err != nil {
+				return nil, fmt.Errorf("must: reading sq8 scale %d: %w", i, err)
+			}
+			if err := binary.Read(br, binary.LittleEndian, &db); err != nil {
+				return nil, fmt.Errorf("must: reading sq8 scale %d: %w", i, err)
+			}
+			mins[i] = math.Float32frombits(mb)
+			deltas[i] = math.Float32frombits(db)
+		}
+		codes := make([]uint8, 0, capHint)
+		for len(codes) < totalFloats {
+			chunk := totalFloats - len(codes)
 			if chunk > 1<<20 {
 				chunk = 1 << 20
 			}
-			if cap(arena)-len(arena) < chunk {
-				newCap := 2 * cap(arena)
-				if newCap > totalFloats {
-					newCap = totalFloats
-				}
-				grown := make([]float32, len(arena), newCap)
-				copy(grown, arena)
-				arena = grown
-			}
-			start := len(arena)
-			arena = arena[:start+chunk]
-			if err := readFloatBlock(br, arena[start:], scratch); err != nil {
-				return nil, fmt.Errorf("must: reading flat vector block: %w", err)
+			start := len(codes)
+			codes = append(codes, make([]uint8, chunk)...)
+			if _, err := io.ReadFull(br, codes[start:]); err != nil {
+				return nil, fmt.Errorf("must: reading sq8 code block: %w", err)
 			}
 		}
-		c.store = vec.FlatStoreFromArena(dims, arena)
-		if version >= 5 {
-			// SQ8 block: scales, then one code byte per stored float. The
-			// code arena is adopted by the shadow store verbatim, mirroring
-			// the float arena above.
-			mins := make([]float32, m)
-			deltas := make([]float32, m)
-			for i := uint32(0); i < m; i++ {
-				var mb, db uint32
-				if err := binary.Read(br, binary.LittleEndian, &mb); err != nil {
-					return nil, fmt.Errorf("must: reading sq8 scale %d: %w", i, err)
-				}
-				if err := binary.Read(br, binary.LittleEndian, &db); err != nil {
-					return nil, fmt.Errorf("must: reading sq8 scale %d: %w", i, err)
-				}
-				mins[i] = math.Float32frombits(mb)
-				deltas[i] = math.Float32frombits(db)
-			}
-			codes := make([]uint8, 0, capHint)
-			for len(codes) < totalFloats {
-				chunk := totalFloats - len(codes)
-				if chunk > 1<<20 {
-					chunk = 1 << 20
-				}
-				start := len(codes)
-				codes = append(codes, make([]uint8, chunk)...)
-				if _, err := io.ReadFull(br, codes[start:]); err != nil {
-					return nil, fmt.Errorf("must: reading sq8 code block: %w", err)
-				}
-			}
-			c.store.AdoptSQ8(vec.SQ8FromParts(c.store.Offsets(), c.store.RowDim(), mins, deltas, codes))
-		}
-		return c, nil
-	}
-	// v1/v2: per-object layout. Decode each object's floats directly into
-	// the next store row, so legacy files also land in one arena. The
-	// store's upfront commitment is capped the same way (overflow rows go
-	// to the store's growable chunks), keeping corrupt headers cheap.
-	bulkRows := int(n)
-	const maxUpfront = 1 << 22
-	if total > 0 && bulkRows > maxUpfront/total {
-		bulkRows = maxUpfront / total
-	}
-	c.store = vec.NewFlatStore(dims, bulkRows)
-	scratch := make([]byte, 1<<16)
-	for i := uint64(0); i < n; i++ {
-		if err := readFloatBlock(br, c.store.AppendRow(), scratch); err != nil {
-			return nil, fmt.Errorf("must: reading object %d: %w", i, err)
-		}
+		c.store.AdoptSQ8(vec.SQ8FromParts(c.store.Offsets(), c.store.RowDim(), mins, deltas, codes))
 	}
 	return c, nil
 }
 
 // Engine binary format, little-endian:
 //
-//	magic "MUSTEG2\n" (v1 files with "MUSTEG1\n" still load)
+//	magic "MUSTEG2\n"
 //	schema: m uint32, m × (nameLen uint32, name bytes, dim uint32)
 //	weights: m × float32
 //	build: gamma uint32, iterations uint32, algorithm uint32, seed int64
 //	nextID uint64
-//	epoch uint64 (v2 only; the mutation epoch at snapshot time — WAL
-//	  replay applies only records logged after it. v1 loads as epoch 0.)
+//	epoch uint64 (the mutation epoch at snapshot time — WAL replay
+//	  applies only records logged after it)
 //	ids: n uint32, n × uint64
 //	tombstones: n × uint8
-//	collection body (v4 format, see above; v1-v3 bodies load too)
-//	built uint8; if 1: index body (internal/index format)
-var (
-	egMagic  = [8]byte{'M', 'U', 'S', 'T', 'E', 'G', '1', '\n'}
-	egMagic2 = [8]byte{'M', 'U', 'S', 'T', 'E', 'G', '2', '\n'}
-)
+//	collection body (v4 or v5 format, see above)
+//	built uint8; if 1: index body (internal/index MUSTIX2 format)
+var egMagic = [8]byte{'M', 'U', 'S', 'T', 'E', 'G', '2', '\n'}
 
 // SaveTo serializes the whole engine — schema, weights, build options,
 // objects, stable IDs, tombstones, and the built graph — to w. The engine
@@ -428,7 +332,7 @@ func (e *Engine) SaveTo(w io.Writer) error {
 		return fmt.Errorf("must: engine has %d objects, persistence caps at %d", e.c.Len(), maxPersistObjects)
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(egMagic2[:]); err != nil {
+	if _, err := bw.Write(egMagic[:]); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(e.schema))); err != nil {
@@ -477,7 +381,7 @@ func (e *Engine) SaveTo(w io.Writer) error {
 	}
 	for i := 0; i < n; i++ {
 		var b byte
-		if e.ix != nil && i < len(e.ix.dead) && e.ix.dead[i] {
+		if i < len(e.dead) && e.dead[i] {
 			b = 1
 		}
 		if err := bw.WriteByte(b); err != nil {
@@ -488,7 +392,7 @@ func (e *Engine) SaveTo(w io.Writer) error {
 		return err
 	}
 	built := byte(0)
-	if e.ix != nil {
+	if e.f != nil {
 		built = 1
 	}
 	if err := bw.WriteByte(built); err != nil {
@@ -497,25 +401,12 @@ func (e *Engine) SaveTo(w io.Writer) error {
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	if e.ix != nil {
+	if e.f != nil {
 		// The index section is last, so its internal buffering cannot
 		// over-read anything that follows on load.
-		return e.ix.f.Write(w)
+		return e.f.Write(w)
 	}
 	return nil
-}
-
-// Save writes the engine to the file at path.
-func (e *Engine) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := e.SaveTo(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // ReadEngine deserializes an engine written with SaveTo, restoring
@@ -527,10 +418,9 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 	if _, err := io.ReadFull(br, got[:]); err != nil {
 		return nil, fmt.Errorf("must: reading engine magic: %w", err)
 	}
-	if got != egMagic && got != egMagic2 {
+	if got != egMagic {
 		return nil, fmt.Errorf("must: bad engine magic %q", got[:])
 	}
-	hasEpoch := got == egMagic2
 	readU32 := func() (uint32, error) {
 		var x uint32
 		err := binary.Read(br, binary.LittleEndian, &x)
@@ -585,42 +475,44 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 		return nil, err
 	}
 	var epoch uint64
-	if hasEpoch {
-		if err := binary.Read(br, binary.LittleEndian, &epoch); err != nil {
-			return nil, err
-		}
+	if err := binary.Read(br, binary.LittleEndian, &epoch); err != nil {
+		return nil, err
 	}
 	n, err := readU32()
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]int64, n)
-	for i := range ids {
+	if n > maxPersistObjects {
+		return nil, fmt.Errorf("must: unreasonable object count %d", n)
+	}
+	// ids and tombstones grow as bytes arrive (see maxUpfront).
+	ids := make([]int64, 0, min(int(n), maxUpfront))
+	for len(ids) < int(n) {
 		var x uint64
 		if err := binary.Read(br, binary.LittleEndian, &x); err != nil {
 			return nil, err
 		}
-		ids[i] = int64(x)
+		ids = append(ids, int64(x))
 	}
-	dead := make([]bool, n)
+	dead := make([]bool, 0, min(int(n), maxUpfront))
 	anyDead := false
-	for i := range dead {
+	for len(dead) < int(n) {
 		b, err := br.ReadByte()
 		if err != nil {
 			return nil, err
 		}
-		dead[i] = b != 0
-		anyDead = anyDead || dead[i]
+		dead = append(dead, b != 0)
+		anyDead = anyDead || b != 0
 	}
 	c, err := readCollectionBody(br)
 	if err != nil {
 		return nil, err
 	}
-	if c.Modalities() != int(m) || c.Len() != int(n) {
+	if len(c.dims) != int(m) || c.Len() != int(n) {
 		return nil, fmt.Errorf("must: engine file inconsistent: schema %d/%d modalities, %d/%d objects",
-			c.Modalities(), m, c.Len(), n)
+			len(c.dims), m, c.Len(), n)
 	}
-	for i, d := range c.Dims() {
+	for i, d := range c.dims {
 		if d != schema[i].Dim {
 			return nil, fmt.Errorf("must: engine file inconsistent: modality %q dim %d in schema, %d in collection",
 				schema[i].Name, schema[i].Dim, d)
@@ -650,21 +542,19 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 		// The loaded collection's arena-backed store is the corpus, full
 		// stop: the index attaches it directly and every searcher scores
 		// against it.
-		f, err := index.ReadFused(br, e.c.flatStore())
+		f, err := index.ReadFused(br, e.c.store)
 		if err != nil {
 			return nil, err
 		}
-		ix := &Index{c: e.c, f: f}
-		ix.SetBuildOptions(bo)
+		e.f = f
 		if anyDead {
-			ix.dead = dead
+			e.dead = dead
 			for _, d := range dead {
 				if d {
-					ix.deadCount++
+					e.deadCount++
 				}
 			}
 		}
-		e.ix = ix
 		e.resetSearchersLocked()
 		e.updateDebtLocked()
 	}
@@ -679,27 +569,4 @@ func LoadEngine(path string) (*Engine, error) {
 	}
 	defer func() { _ = f.Close() }()
 	return ReadEngine(f)
-}
-
-// SaveCollection writes c to the file at path.
-func SaveCollection(path string, c *Collection) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteCollection(f, c); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadCollection reads a collection from the file at path.
-func LoadCollection(path string) (*Collection, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }()
-	return ReadCollection(f)
 }

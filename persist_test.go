@@ -1,103 +1,95 @@
 package must
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
-	"path/filepath"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 )
 
-func TestCollectionRoundTrip(t *testing.T) {
-	c, queries, _ := buildCorpus(t, 200, 5, 91)
+// collectionBytes serializes c as the collection section of a snapshot.
+func collectionBytes(t *testing.T, c *collection) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteCollection(&buf, c); err != nil {
+	bw := bufio.NewWriter(&buf)
+	if err := writeCollectionBody(bw, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCollection(&buf)
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func readCollection(b []byte) (*collection, error) {
+	return readCollectionBody(bufio.NewReader(bytes.NewReader(b)))
+}
+
+func TestCollectionRoundTrip(t *testing.T) {
+	e, _, _ := corpusEngine(t, 200, 5, 91, BuildOptions{})
+	c := e.c
+	got, err := readCollection(collectionBytes(t, c))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != c.Len() || got.Modalities() != c.Modalities() {
-		t.Fatalf("shape mismatch: %d/%d vs %d/%d", got.Len(), got.Modalities(), c.Len(), c.Modalities())
+	if got.Len() != c.Len() || len(got.dims) != len(c.dims) {
+		t.Fatalf("shape mismatch: %d/%d vs %d/%d", got.Len(), len(got.dims), c.Len(), len(c.dims))
 	}
 	for id := 0; id < c.Len(); id++ {
-		a, _ := c.Object(id)
-		b, _ := got.Object(id)
-		for i := range a {
-			for j := range a[i] {
-				if a[i][j] != b[i][j] {
-					t.Fatalf("object %d differs after round trip", id)
-				}
+		a, b := c.store.Row(id), got.store.Row(id)
+		for j := range a {
+			if a[j] != b[j] {
+				t.Fatalf("object %d differs after round trip", id)
 			}
 		}
 	}
-	_ = queries
 }
 
-// Full persistence: save collection + index, load both, search identically.
+// Full persistence: snapshot a built engine, read it back, and search
+// identically.
 func TestFullPersistenceRoundTrip(t *testing.T) {
-	c, queries, _ := buildCorpus(t, 300, 10, 92)
-	ix, err := Build(c, c.UniformWeights(), BuildOptions{Gamma: 12, Seed: 93})
-	if err != nil {
+	e, queries, _ := buildCorpus(t, 300, 10, 92, BuildOptions{Gamma: 12, Seed: 93})
+	var buf bytes.Buffer
+	if err := e.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	cPath := filepath.Join(dir, "collection.bin")
-	iPath := filepath.Join(dir, "index.bin")
-	if err := SaveCollection(cPath, c); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Save(iPath); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := LoadCollection(cPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix2, err := LoadIndex(iPath, c2)
+	e2, err := ReadEngine(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range queries[:5] {
-		a, err := ix.Search(q, SearchOptions{K: 5, L: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := ix2.Search(q, SearchOptions{K: 5, L: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := searchIDs(t, e, corpusQuery(q, 5, 100))
+		b := searchIDs(t, e2, corpusQuery(q, 5, 100))
 		for i := range a {
-			if a[i].ID != b[i].ID {
-				t.Fatal("restored system searches differently")
+			if a[i] != b[i] {
+				t.Fatal("restored engine searches differently")
 			}
 		}
 	}
 }
 
-// WriteCollection must emit the v4 magic, and the v4 loader must adopt
-// the vector block as one arena that the collection's shared store views
-// directly (no per-object re-copy).
+// The writer must emit the v4 magic, and the loader must adopt the vector
+// block as one arena that the collection's shared store views directly
+// (no per-object re-copy).
 func TestCollectionWritesV4ArenaFormat(t *testing.T) {
-	c, _, _ := buildCorpus(t, 20, 3, 90)
-	var buf bytes.Buffer
-	if err := WriteCollection(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(buf.Bytes()[:8]); got != "MUSTCL4\n" {
+	e, _, _ := corpusEngine(t, 20, 3, 90, BuildOptions{})
+	raw := collectionBytes(t, e.c)
+	if got := string(raw[:8]); got != "MUSTCL4\n" {
 		t.Fatalf("magic = %q, want MUSTCL4", got)
 	}
-	got, err := ReadCollection(&buf)
+	got, err := readCollection(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, d := range got.Dims() {
+	for _, d := range got.dims {
 		total += d
 	}
-	st := got.flatStore()
+	st := got.store
 	if st == nil {
 		t.Fatal("v4 load did not install a store")
 	}
@@ -115,7 +107,7 @@ func TestCollectionWritesV4ArenaFormat(t *testing.T) {
 		t.Fatal("store rows do not alias the adopted arena")
 	}
 	off := 3 * total
-	for m := 0; m < got.Modalities(); m++ {
+	for m := range got.dims {
 		v := st.Modality(3, m)
 		if &v[0] != &arena[off] {
 			t.Fatalf("modality %d view does not alias the arena", m)
@@ -124,94 +116,27 @@ func TestCollectionWritesV4ArenaFormat(t *testing.T) {
 	}
 }
 
-// legacyStream re-encodes a written v4 stream in an older format:
-// version 3 keeps the layout but narrows the object count to uint32;
-// versions 2 and 1 share v3's byte layout (v1 additionally drops the
-// names section).
-func legacyStream(t *testing.T, raw []byte, version int) []byte {
-	t.Helper()
-	if string(raw[:8]) != "MUSTCL4\n" {
-		t.Fatalf("unexpected magic %q", raw[:8])
-	}
-	m := int(binary.LittleEndian.Uint32(raw[8:]))
-	// Walk the names section: m × (len uint32, bytes).
-	off := 12 + 4*m
-	namesStart := off
-	for i := 0; i < m; i++ {
-		off += 4 + int(binary.LittleEndian.Uint32(raw[off:]))
-	}
-	namesEnd := off
-	n := binary.LittleEndian.Uint64(raw[off:])
-	block := raw[off+8:]
-
-	var out bytes.Buffer
-	out.WriteString("MUSTCL")
-	out.WriteByte(byte('0' + version))
-	out.WriteByte('\n')
-	out.Write(raw[8 : 12+4*m])
-	if version >= 2 {
-		out.Write(raw[namesStart:namesEnd])
-	}
-	if err := binary.Write(&out, binary.LittleEndian, uint32(n)); err != nil {
-		t.Fatal(err)
-	}
-	out.Write(block)
-	return out.Bytes()
-}
-
-// Streams in the three legacy formats must still load, and every one of
-// them must land in an arena-backed store (single-copy even for old
-// files).
-func TestReadCollectionAcceptsLegacyFormats(t *testing.T) {
-	c, _, _ := buildCorpus(t, 30, 3, 89)
-	var buf bytes.Buffer
-	if err := WriteCollection(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	for _, version := range []int{3, 2, 1} {
-		got, err := ReadCollection(bytes.NewReader(legacyStream(t, raw, version)))
-		if err != nil {
-			t.Fatalf("v%d stream rejected: %v", version, err)
-		}
-		if got.Len() != c.Len() {
-			t.Fatalf("v%d load: %d objects, want %d", version, got.Len(), c.Len())
-		}
-		if got.flatStore() == nil {
-			t.Fatalf("v%d load did not land in a shared store", version)
-		}
-		for id := 0; id < c.Len(); id++ {
-			a, _ := c.Object(id)
-			b, _ := got.Object(id)
-			for i := range a {
-				for j := range a[i] {
-					if a[i][j] != b[i][j] {
-						t.Fatalf("object %d differs between v%d and v4 loads", id, version)
-					}
-				}
-			}
-		}
-	}
-}
-
-// A v3 header claiming an enormous vector block with no data behind it
-// must fail with a read error quickly, not attempt the full allocation.
+// A header claiming an enormous vector block with no data behind it must
+// fail with a read error quickly, not attempt the full allocation.
 func TestReadCollectionRejectsHugeClaimedBlock(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteString("MUSTCL3\n")
-	for _, v := range []uint32{2, 1 << 16, 1 << 16, 0, 0, 1 << 28} {
+	buf.WriteString("MUSTCL4\n")
+	for _, v := range []uint32{2, 1 << 16, 1 << 16, 0, 0} {
 		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ReadCollection(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := binary.Write(&buf, binary.LittleEndian, uint64(1<<28)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readCollection(buf.Bytes()); err == nil {
 		t.Error("huge claimed block with no data did not error")
 	}
 }
 
-// The same must hold for v4, whose 64-bit count admits even wilder
-// claims: load must never commit memory proportional to the claimed
-// header, only to the data that actually arrives.
+// The 64-bit count admits even wilder claims: load must never commit
+// memory proportional to the claimed header, only to the data that
+// actually arrives.
 func TestReadCollectionV4NeverOverAllocates(t *testing.T) {
 	mkHeader := func(n uint64) []byte {
 		var buf bytes.Buffer
@@ -230,7 +155,7 @@ func TestReadCollectionV4NeverOverAllocates(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for _, n := range []uint64{1 << 27, 1 << 28, 1 << 40, 1 << 62} {
-		if _, err := ReadCollection(bytes.NewReader(mkHeader(n))); err == nil {
+		if _, err := readCollection(mkHeader(n)); err == nil {
 			t.Errorf("claimed count %d with no data did not error", n)
 		}
 	}
@@ -243,62 +168,173 @@ func TestReadCollectionV4NeverOverAllocates(t *testing.T) {
 }
 
 func TestReadCollectionRejectsGarbage(t *testing.T) {
-	if _, err := ReadCollection(bytes.NewReader([]byte("nonsense"))); err == nil {
+	if _, err := readCollection([]byte("nonsense")); err == nil {
 		t.Error("garbage did not error")
 	}
-	c, _, _ := buildCorpus(t, 50, 5, 94)
-	var buf bytes.Buffer
-	if err := WriteCollection(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/3]
-	if _, err := ReadCollection(bytes.NewReader(trunc)); err == nil {
+	e, _, _ := corpusEngine(t, 50, 5, 94, BuildOptions{})
+	raw := collectionBytes(t, e.c)
+	if _, err := readCollection(raw[:len(raw)/3]); err == nil {
 		t.Error("truncated stream did not error")
 	}
 }
 
-func TestFilteredSearch(t *testing.T) {
-	c, queries, _ := buildCorpus(t, 300, 10, 95)
-	ix, err := Build(c, c.UniformWeights(), BuildOptions{Gamma: 12, Seed: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Keep only even object IDs — the attribute-constraint analogue.
-	even := func(id int) bool { return id%2 == 0 }
-	for _, q := range queries {
-		ms, err := ix.Search(q, SearchOptions{K: 5, L: 200, Filter: even})
-		if err != nil {
-			t.Fatal(err)
+// engineHeader is a MUSTEG2 header for one 4-dim modality that claims n
+// objects and ends there: no ids, tombstones or vectors follow.
+func engineHeader(n uint32) []byte {
+	var buf bytes.Buffer
+	buf.WriteString("MUSTEG2\n")
+	le := binary.LittleEndian
+	_ = binary.Write(&buf, le, uint32(1)) // m
+	_ = binary.Write(&buf, le, uint32(5)) // name length
+	buf.WriteString("image")
+	_ = binary.Write(&buf, le, uint32(4))           // dim
+	_ = binary.Write(&buf, le, math.Float32bits(1)) // weight
+	_ = binary.Write(&buf, le, [3]uint32{30, 3, 0}) // gamma, iterations, algorithm
+	_ = binary.Write(&buf, le, [3]uint64{1, 0, 0})  // seed, nextID, epoch
+	_ = binary.Write(&buf, le, n)                   // object count
+	return buf.Bytes()
+}
+
+// A corrupt MUSTEG2 object count must be an error, not an allocation the
+// runtime cannot satisfy: that failure is fatal and unrecoverable, so a
+// snapshot load (mustd -load, WAL recovery) would crash the process.
+func TestReadEngineRejectsHugeClaimedCount(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, n := range []uint32{math.MaxUint32, maxPersistObjects + 1, maxPersistObjects} {
+		if _, err := ReadEngine(bytes.NewReader(engineHeader(n))); err == nil {
+			t.Errorf("claimed count %d with no data did not error", n)
 		}
-		if len(ms) == 0 {
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<20 {
+		t.Errorf("corrupt headers allocated %d bytes total, want bounded by the upfront cap", grew)
+	}
+}
+
+// snapshotSeeds returns SaveTo output for the engine shapes the decoder
+// must handle: built float32 with tombstones and an insert overlay, built
+// SQ8 (collection v5), and unbuilt.
+func snapshotSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	schema := Schema{{Name: "image", Dim: 4}, {Name: "text", Dim: 2}}
+	object := func(i int) Object {
+		x := float32(i)
+		return Object{{1, x, -x, 0.5}, {x, 1}}
+	}
+	var out [][]byte
+	for _, shape := range []struct{ build, sq8 bool }{{true, false}, {true, true}, {false, false}} {
+		e, err := NewEngine(schema, EngineOptions{Build: BuildOptions{Gamma: 6, Seed: 1}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for i := 0; i < 24; i++ {
+			if _, err := e.InsertObject(object(i)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if shape.sq8 {
+			if err := e.EnableQuantization(0); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if shape.build {
+			if err := e.Build(); err != nil {
+				tb.Fatal(err)
+			}
+			for _, id := range []int64{2, 11} {
+				if err := e.Delete(id); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			for i := 24; i < 27; i++ {
+				if _, err := e.InsertObject(object(i)); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			if st, err := e.Stats(); err != nil || st.OverlayVertices == 0 {
+				tb.Fatalf("seed engine has no insert overlay: %+v, %v", st, err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := e.SaveTo(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	return out
+}
+
+// FuzzReadEngine drives the snapshot decoder, which covers every reader
+// of an engine blob: MUSTEG2, the v4/v5 collection section and MUSTIX2.
+// ReadEngine must reject bad input with an error, never a panic or an
+// unbounded allocation. Whatever it accepts re-encodes to a fixed point,
+// and each unmutated seed re-encodes to itself byte for byte.
+func FuzzReadEngine(f *testing.F) {
+	seeds := make(map[string]bool)
+	for _, s := range snapshotSeeds(f) {
+		seeds[string(s)] = true
+		f.Add(s)
+	}
+	f.Add(engineHeader(math.MaxUint32))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := ReadEngine(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once bytes.Buffer
+		if err := e.SaveTo(&once); err != nil {
+			t.Fatalf("saving an accepted snapshot: %v", err)
+		}
+		if seeds[string(data)] && !bytes.Equal(once.Bytes(), data) {
+			t.Fatal("seed snapshot did not round-trip byte for byte")
+		}
+		e2, err := ReadEngine(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading a written snapshot: %v", err)
+		}
+		var twice bytes.Buffer
+		if err := e2.SaveTo(&twice); err != nil {
+			t.Fatalf("saving a re-read snapshot: %v", err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("re-encoding an accepted snapshot is not a fixed point")
+		}
+	})
+}
+
+func TestFilteredSearch(t *testing.T) {
+	e, queries, _ := buildCorpus(t, 300, 10, 95, BuildOptions{Gamma: 12, Seed: 96})
+	// Keep only even object IDs — the attribute-constraint analogue.
+	for _, q := range queries {
+		fq := corpusQuery(q, 5, 200)
+		fq.Filter = func(id int64) bool { return id%2 == 0 }
+		ids := searchIDs(t, e, fq)
+		if len(ids) == 0 {
 			t.Fatal("filtered search returned nothing")
 		}
-		for _, m := range ms {
-			if m.ID%2 != 0 {
-				t.Fatalf("filter violated: id %d", m.ID)
+		for _, id := range ids {
+			if id%2 != 0 {
+				t.Fatalf("filter violated: id %d", id)
 			}
 		}
 	}
 }
 
 func TestEarlyTerminationTradeoff(t *testing.T) {
-	c, queries, truths := buildCorpus(t, 600, 20, 97)
-	ix, err := Build(c, c.UniformWeights(), BuildOptions{Gamma: 14, Seed: 98})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, queries, truths := buildCorpus(t, 600, 20, 97, BuildOptions{Gamma: 14, Seed: 98})
 	recall := func(patience int) float64 {
 		hits := 0
 		for i, q := range queries {
-			ms, err := ix.Search(q, SearchOptions{K: 5, L: 200, Patience: patience})
+			pq := corpusQuery(q, 5, 200)
+			pq.Patience = patience
+			resp, err := e.Search(context.Background(), pq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range ms {
-				if m.ID == truths[i] {
-					hits++
-					break
-				}
+			if slices.Contains(matchIDs(resp), truths[i]) {
+				hits++
 			}
 		}
 		return float64(hits) / float64(len(queries))

@@ -263,7 +263,7 @@ func TestShardedEngineQuantization(t *testing.T) {
 	// Quantization survives a sharded snapshot/restore round trip.
 	dir := t.TempDir()
 	path := dir + "/sharded.must"
-	if err := s.Save(path); err != nil {
+	if err := WriteSnapshot(s, path); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := LoadService(path)

@@ -118,6 +118,24 @@ type Query struct {
 	DisableOptimization bool
 }
 
+// size resolves the result count k and beam width l, applying the
+// defaults K = 10 and L = max(4K, 100). Graph and exhaustive search both
+// resolve through it, so they agree on defaults and reject the same K.
+func (q Query) size() (k, l int, err error) {
+	k = q.K
+	if k == 0 {
+		k = 10
+	}
+	if k < 0 {
+		return 0, 0, fmt.Errorf("must: k must be positive, got %d", k)
+	}
+	l = q.L
+	if l == 0 {
+		l = max(4*k, 100)
+	}
+	return k, l, nil
+}
+
 // SearchStats reports the work one search performed.
 type SearchStats struct {
 	// FullEvals counts candidates whose joint IP was computed across all

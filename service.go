@@ -55,9 +55,9 @@ type Service interface {
 	SearchBatch(ctx context.Context, queries []Query, workers int) ([]*Response, error)
 	ExactSearch(ctx context.Context, q Query) (*Response, error)
 
-	// Persistence.
+	// Persistence. SaveTo streams a snapshot; WriteSnapshot is the one
+	// way to write it to a file (temp file, fsync, rename, directory fsync).
 	SaveTo(w io.Writer) error
-	Save(path string) error
 }
 
 // ShardRebuilder is the incremental-maintenance surface of a

@@ -430,28 +430,16 @@ func (s *ShardedEngine) Quantized() bool {
 // over the same pairs. The learned weights are applied to every shard and
 // returned.
 func (s *ShardedEngine) LearnWeights(queries []NamedVectors, positives []int64, cfg WeightConfig) (Weights, error) {
-	if len(queries) != len(positives) {
-		return nil, fmt.Errorf("must: %d queries but %d positives", len(queries), len(positives))
-	}
 	ref := s.shards[0]
-	posQueries := make([]Object, len(queries))
-	for i, q := range queries {
-		o := make(Object, len(s.schema))
-		for name, v := range q {
-			j, ok := ref.byName[name]
-			if !ok {
-				return nil, fmt.Errorf("must: training query %d: unknown modality %q", i, name)
-			}
-			o[j] = v
-		}
-		posQueries[i] = o
+	posQueries, err := ref.trainingQueries(queries, positives)
+	if err != nil {
+		return nil, err
 	}
 	// Gather the referenced positives into a temporary pool collection.
 	// LearnWeights only ever samples from the referenced objects (the
 	// paper's T), so this loses nothing relative to handing it the full
 	// corpus.
-	pool := NewCollection(s.schema.Dims()...)
-	pool.names = s.schema.Names()
+	pool := &collection{dims: s.schema.Dims(), names: s.schema.Names()}
 	slotOf := make(map[int64]int, len(positives))
 	internal := make([]int, len(positives))
 	for i, id := range positives {
@@ -473,7 +461,7 @@ func (s *ShardedEngine) LearnWeights(queries []NamedVectors, positives []int64, 
 		}
 		internal[i] = slot
 	}
-	w, err := LearnWeights(pool, posQueries, internal, cfg)
+	w, err := learnWeights(pool, posQueries, internal, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -809,10 +797,8 @@ func (s *ShardedEngine) SearchEach(ctx context.Context, queries []Query, workers
 		}
 	}
 	for i := range queries {
-		k := queries[i].K
-		if k == 0 {
-			k = 10
-		}
+		// An invalid K failed on every shard, so it never reaches the merge.
+		k, _, _ := queries[i].size()
 		lists := make([][]ScoredMatch, 0, len(active))
 		var stats SearchStats
 		var latency time.Duration
@@ -907,10 +893,7 @@ func (s *ShardedEngine) ExactSearch(ctx context.Context, q Query) (*Response, er
 			return nil, err
 		}
 	}
-	k := q.K
-	if k == 0 {
-		k = 10
-	}
+	k, _, _ := q.size() // the shards above rejected an invalid K
 	lists := make([][]ScoredMatch, n)
 	var stats SearchStats
 	for j, resp := range resps {

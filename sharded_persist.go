@@ -14,18 +14,17 @@ import (
 )
 
 // MUSTSH1 sharded container: a small header followed by one embedded
-// engine blob (MUSTEG2; MUSTEG1 in older files) per shard, each
-// preceded by its byte length.
+// MUSTEG2 engine blob per shard, each preceded by its byte length.
 //
 //	magic   [8]byte  "MUSTSH1\n"
 //	shards  uint32   shard count S (1..shard.MaxShards)
 //	rr      uint64   round-robin insert cursor
 //	S × { size uint64; blob [size]byte }   engine blobs, shard order
 //
-// The explicit per-blob length exists because ReadEngine buffers its
-// reader internally (its read-ahead would otherwise consume bytes of the
-// next shard); it also lets LoadShardedEngine skip across the file to
-// compute section offsets and load every shard in parallel.
+// The explicit per-blob length lets LoadShardedEngine skip across the
+// file to compute section offsets and load every shard in parallel, each
+// from its own bounded section (ReadEngine buffers its reader, so an
+// unbounded one would read ahead into the next shard).
 var shMagic = [8]byte{'M', 'U', 'S', 'T', 'S', 'H', '1', '\n'}
 
 // SaveTo serializes the sharded engine to w in the MUSTSH1 container
@@ -59,19 +58,6 @@ func (s *ShardedEngine) SaveTo(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Save writes the sharded engine to the file at path.
-func (s *ShardedEngine) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.SaveTo(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // readShardedHeader validates the MUSTSH1 magic and returns (S, rr).
@@ -119,42 +105,13 @@ func assembleSharded(shards []*Engine, rr uint64) (*ShardedEngine, error) {
 					j, i, m.Name, m.Dim, want[i], s.schema[i].Dim)
 			}
 		}
-		if e.ix != nil {
+		if e.f != nil {
 			s.state[j].Store(uint32(ShardBuilt))
 			s.builtShards.Add(1)
 		}
 	}
 	s.rr.Store(rr)
 	return s, nil
-}
-
-// ReadShardedEngine deserializes a MUSTSH1 container from a stream,
-// loading shards sequentially. Prefer LoadShardedEngine for files — it
-// loads shards in parallel.
-func ReadShardedEngine(r io.Reader) (*ShardedEngine, error) {
-	n, rr, err := readShardedHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	shards := make([]*Engine, n)
-	for j := range shards {
-		var size uint64
-		if err := binary.Read(r, binary.LittleEndian, &size); err != nil {
-			return nil, fmt.Errorf("must: shard %d: reading blob size: %w", j, err)
-		}
-		lr := io.LimitReader(r, int64(size))
-		e, err := ReadEngine(lr)
-		if err != nil {
-			return nil, fmt.Errorf("must: shard %d: %w", j, err)
-		}
-		// ReadEngine's internal buffering may leave unread bytes inside
-		// the blob region; drain them so the next shard starts aligned.
-		if _, err := io.Copy(io.Discard, lr); err != nil {
-			return nil, fmt.Errorf("must: shard %d: %w", j, err)
-		}
-		shards[j] = e
-	}
-	return assembleSharded(shards, rr)
 }
 
 // LoadShardedEngine reads a MUSTSH1 container from the file at path,
@@ -183,7 +140,9 @@ func LoadShardedEngine(path string) (*ShardedEngine, error) {
 			return nil, fmt.Errorf("must: shard %d: reading blob size: %w", j, err)
 		}
 		size := int64(binary.LittleEndian.Uint64(szBuf[:]))
-		if size < 0 || off+8+size > fi.Size() {
+		// Compared against the bytes left rather than as off+8+size, which
+		// a corrupt size near MaxInt64 would overflow.
+		if size < 0 || size > fi.Size()-off-8 {
 			return nil, fmt.Errorf("must: shard %d: blob size %d exceeds file", j, size)
 		}
 		offsets[j] = off + 8
@@ -205,10 +164,11 @@ func LoadShardedEngine(path string) (*ShardedEngine, error) {
 	return assembleSharded(shards, rr)
 }
 
-// LoadService reads an engine snapshot from the file at path, sniffing
-// the container magic: MUSTSH1 loads a ShardedEngine (shards in
-// parallel), MUSTEG1/2 a single Engine. This is what serving layers use to
-// restore whichever engine kind produced the snapshot.
+// LoadService reads a snapshot written by WriteSnapshot from the file at
+// path, sniffing the container magic: MUSTSH1 loads a ShardedEngine
+// (shards in parallel), anything else is read as a MUSTEG2 Engine. This is
+// what serving layers use to restore whichever engine kind produced the
+// snapshot.
 func LoadService(path string) (Service, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -393,7 +394,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "sharded.bin")
-	if err := s.Save(path); err != nil {
+	if err := WriteSnapshot(s, path); err != nil {
 		t.Fatal(err)
 	}
 
@@ -406,17 +407,6 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 		t.Fatalf("loaded shape: shards=%d len=%d deleted=%d", loaded.ShardCount(), loaded.Len(), loaded.Deleted())
 	}
 	shardedEqualResults(t, s, loaded, queries)
-
-	// Sequential stream load agrees.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := ReadShardedEngine(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardedEqualResults(t, s, streamed, queries)
 
 	// The round-robin cursor survives: the next insert lands on the same
 	// shard and gets the same global ID in both engines.
@@ -442,7 +432,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	}
 	single := newSingle(t, objs[:30], true)
 	singlePath := filepath.Join(t.TempDir(), "single.bin")
-	if err := single.Save(singlePath); err != nil {
+	if err := WriteSnapshot(single, singlePath); err != nil {
 		t.Fatal(err)
 	}
 	svc, err = LoadService(singlePath)
@@ -450,7 +440,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := svc.(*Engine); !ok {
-		t.Fatalf("LoadService(MUSTEG1) returned %T", svc)
+		t.Fatalf("LoadService(MUSTEG2) returned %T", svc)
 	}
 }
 
@@ -463,11 +453,19 @@ func TestShardedPersistCorruptHeader(t *testing.T) {
 	}
 	good := buf.Bytes()
 
+	dir := t.TempDir()
+	load := func(b []byte) error {
+		path := filepath.Join(dir, "corrupt.bin")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadShardedEngine(path)
+		return err
+	}
 	corrupt := func(mutate func(b []byte)) error {
 		b := append([]byte(nil), good...)
 		mutate(b)
-		_, err := ReadShardedEngine(bytes.NewReader(b))
-		return err
+		return load(b)
 	}
 
 	if err := corrupt(func(b []byte) { b[0] = 'X' }); err == nil {
@@ -485,26 +483,24 @@ func TestShardedPersistCorruptHeader(t *testing.T) {
 	}); err == nil {
 		t.Error("zero shard count accepted")
 	}
-	// First blob length pointing past the end of the data must fail
-	// cleanly (truncated read), not hang or over-read into a panic.
+	// Blob sizes are bounded against the file size before any shard loads.
 	if err := corrupt(func(b []byte) {
 		binary.LittleEndian.PutUint64(b[20:], 1<<40)
 	}); err == nil {
-		t.Error("oversized blob length accepted")
+		t.Error("blob size beyond file size accepted")
 	}
-	if _, err := ReadShardedEngine(bytes.NewReader(good[:len(good)/2])); err == nil {
+	if err := load(good[:len(good)/2]); err == nil {
 		t.Error("truncated container accepted")
 	}
-
-	// The parallel file loader bounds blob sizes against the file size.
-	path := filepath.Join(t.TempDir(), "corrupt.bin")
-	b := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint64(b[20:], 1<<40)
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	// A size near MaxInt64 must not overflow the bound into a negative
+	// end offset: in a one-shard container it used to load as valid.
+	var one bytes.Buffer
+	if err := newSharded(t, objs, 1, true).SaveTo(&one); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadShardedEngine(path); err == nil {
-		t.Error("LoadShardedEngine accepted blob size beyond file size")
+	binary.LittleEndian.PutUint64(one.Bytes()[20:], math.MaxInt64-10)
+	if err := load(one.Bytes()); err == nil {
+		t.Error("blob size near MaxInt64 accepted")
 	}
 }
 

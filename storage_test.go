@@ -1,10 +1,12 @@
 package must
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -13,14 +15,18 @@ import (
 // payload (arena slack is at most one overflow chunk) and the transient
 // fused build buffer is gone by the time Build returns.
 func TestSingleCopyAccounting(t *testing.T) {
-	c, _, _ := buildCorpus(t, 2000, 10, 70)
-	ix, err := Build(c, c.UniformWeights(), BuildOptions{Gamma: 12, Seed: 71})
-	if err != nil {
-		t.Fatal(err)
+	e, _, _ := buildCorpus(t, 2000, 10, 70, BuildOptions{Gamma: 12, Seed: 71})
+	stats := func() Stats {
+		t.Helper()
+		st, err := e.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	st := ix.Stats()
-	if st.RawVectorBytes != int64(c.Len())*(24+12)*4 {
-		t.Fatalf("raw payload = %d bytes, want %d", st.RawVectorBytes, c.Len()*(24+12)*4)
+	st := stats()
+	if st.RawVectorBytes != int64(e.Len())*(24+12)*4 {
+		t.Fatalf("raw payload = %d bytes, want %d", st.RawVectorBytes, e.Len()*(24+12)*4)
 	}
 	if st.CorpusBytes < st.RawVectorBytes {
 		t.Fatalf("corpus bytes %d below raw payload %d — accounting broken", st.CorpusBytes, st.RawVectorBytes)
@@ -34,11 +40,11 @@ func TestSingleCopyAccounting(t *testing.T) {
 	// Inserts keep the property: rows append to the same store.
 	rng := rand.New(rand.NewSource(72))
 	for i := 0; i < 200; i++ {
-		if _, err := ix.Insert(Object{randVec(rng, 24), randVec(rng, 12)}); err != nil {
+		if _, err := e.InsertObject(Object{randVec(rng, 24), randVec(rng, 12)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st = ix.Stats()
+	st = stats()
 	if ratio := float64(st.CorpusBytes) / float64(st.RawVectorBytes); ratio > 1.2 {
 		t.Fatalf("after inserts: corpus bytes %.2f× raw payload, want ≤ 1.2×", ratio)
 	}
@@ -48,78 +54,51 @@ func TestSingleCopyAccounting(t *testing.T) {
 }
 
 // Regression for the arena-trust gap: a loaded collection used to drop to
-// a nil-flatStore slow path as soon as Add appended past the loaded
-// arena, silently re-copying the corpus for search. With the growable
-// arena the loaded store simply grows: load, append, and search all share
-// one store with no re-copy.
+// a slow path as soon as an insert appended past the loaded arena,
+// silently re-copying the corpus for search. With the growable arena the
+// loaded store simply grows: load, append, and search all share one store
+// with no re-copy.
 func TestLoadAppendSearchSharesOneStore(t *testing.T) {
-	c, queries, _ := buildCorpus(t, 300, 5, 73)
-	ix, err := Build(c, c.UniformWeights(), BuildOptions{Gamma: 12, Seed: 74})
+	e, queries, _ := buildCorpus(t, 300, 5, 73, BuildOptions{Gamma: 12, Seed: 74})
+	var buf bytes.Buffer
+	if err := e.SaveTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := ReadEngine(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	cPath := filepath.Join(dir, "collection.bin")
-	iPath := filepath.Join(dir, "index.bin")
-	if err := SaveCollection(cPath, c); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Save(iPath); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := LoadCollection(cPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix2, err := LoadIndex(iPath, c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix2.f.Store != c2.flatStore() {
+	if e2.f.Store != e2.c.store {
 		t.Fatal("loaded index does not share the collection's store")
 	}
-	rowBefore := &c2.flatStore().Row(0)[0]
+	rowBefore := &e2.c.store.Row(0)[0]
 
 	// Append past the loaded arena — the step that used to lose the store.
 	rng := rand.New(rand.NewSource(75))
 	target := randVec(rng, 24)
 	aux := randVec(rng, 12)
-	id, err := ix2.Insert(Object{target, aux})
+	id, err := e2.InsertObject(Object{target, aux})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if ix2.f.Store != c2.flatStore() {
+	if e2.f.Store != e2.c.store {
 		t.Fatal("append split the index store from the collection store")
 	}
-	if &c2.flatStore().Row(0)[0] != rowBefore {
+	if &e2.c.store.Row(0)[0] != rowBefore {
 		t.Fatal("append moved the loaded arena (re-copy)")
 	}
-	if st := ix2.Stats(); st.FusedBytes != 0 {
-		t.Fatalf("insert after load materialized a fused buffer: %d bytes", st.FusedBytes)
+	if st, err := e2.Stats(); err != nil || st.FusedBytes != 0 {
+		t.Fatalf("insert after load materialized a fused buffer: %+v, %v", st, err)
 	}
 
 	// The appended object must be reachable by search...
-	ms, err := ix2.Search(Object{target, aux}, SearchOptions{K: 5, L: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, m := range ms {
-		if m.ID == id {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(searchIDs(t, e2, corpusQuery(Object{target, aux}, 5, 200)), id) {
 		t.Fatalf("appended object %d not found by search", id)
 	}
 	// ...and old queries must still answer through the grown store.
 	for _, q := range queries {
-		if _, err := ix2.Search(q, SearchOptions{K: 5, L: 100}); err != nil {
-			t.Fatal(err)
-		}
+		searchIDs(t, e2, corpusQuery(q, 5, 100))
 	}
 }
 
@@ -150,7 +129,7 @@ func TestEngineLifecycleSharedStore(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "engine.bin")
-	if err := e.Save(path); err != nil {
+	if err := WriteSnapshot(e, path); err != nil {
 		t.Fatal(err)
 	}
 	e2, err := LoadEngine(path)
@@ -252,14 +231,14 @@ func TestEngineRoundTripSingleCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "e.bin")
-	if err := e.Save(path); err != nil {
+	if err := WriteSnapshot(e, path); err != nil {
 		t.Fatal(err)
 	}
 	e2, err := LoadEngine(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.ix.f.Store != e2.c.flatStore() {
+	if e2.f.Store != e2.c.store {
 		t.Fatal("loaded engine index and collection do not share one store")
 	}
 	st, err := e2.Stats()
