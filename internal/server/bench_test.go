@@ -78,9 +78,10 @@ func BenchmarkServePipeline(b *testing.B) {
 // writes it, ~10 KB: request decode cost scales with the embedding
 // dimension, not with the corpus, so 256 objects are enough.
 var (
-	clipOnce sync.Once
-	clipEng  *must.Engine
-	clipBody []byte
+	clipOnce   sync.Once
+	clipEng    *must.Engine
+	clipBody   []byte
+	clipPyBody []byte // the same search as json.dumps writes it from numpy
 )
 
 func clipSetup(b *testing.B) (*must.Engine, []byte) {
@@ -110,24 +111,46 @@ func clipSetup(b *testing.B) (*must.Engine, []byte) {
 		if clipBody, err = json.Marshal(SearchRequest{Vectors: q, K: 10, L: 160}); err != nil {
 			b.Fatal(err)
 		}
+		// json.dumps({"vectors": {m: v.tolist()}, ...}): each float32 as
+		// the repr of its float64, mostly 16–17 significant digits.
+		py := []byte(`{"vectors": {`)
+		for i, name := range []string{"image", "text"} {
+			if i > 0 {
+				py = append(py, ", "...)
+			}
+			py = append(py, `"`+name+`": [`...)
+			for j, x := range q[name] {
+				if j > 0 {
+					py = append(py, ", "...)
+				}
+				py = append(py, pythonRepr(float64(x))...)
+			}
+			py = append(py, ']')
+		}
+		clipPyBody = append(py, `}, "k": 10, "l": 160}`...)
 	})
 	return clipEng, clipBody
 }
 
 // BenchmarkDecodeSearchRequest is the parse alone, on a body already in
-// memory: the fast scan against the encoding/json decoder it falls back
-// to.
+// memory: the fast scan of a json.Marshal body and of a Python json.dumps
+// body, against the encoding/json decoder it falls back to.
 func BenchmarkDecodeSearchRequest(b *testing.B) {
 	_, body := clipSetup(b)
-	b.Run("fast", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
-		for b.Loop() {
-			if _, ok := scanSearch(body); !ok {
-				b.Fatal("fast scan declined a json.Marshal body")
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{{"fast", body}, {"fast-python", clipPyBody}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(tc.body)))
+			for b.Loop() {
+				if _, ok := scanSearch(tc.body); !ok {
+					b.Fatal("fast scan declined a client body")
+				}
 			}
-		}
-	})
+		})
+	}
 	b.Run("std", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(body)))

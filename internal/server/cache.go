@@ -3,6 +3,7 @@ package server
 import (
 	"container/list"
 	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"sort"
 	"strings"
@@ -24,6 +25,7 @@ type resultCache struct {
 	// perShard is the entry capacity of each shard (total/cacheShards,
 	// min 1); 0 disables the cache entirely.
 	perShard int
+	seed     maphash.Seed // picks a key's shard
 	hits     atomic.Uint64
 	misses   atomic.Uint64
 }
@@ -50,22 +52,12 @@ func newResultCache(capacity int) *resultCache {
 		return c
 	}
 	c.perShard = (capacity + cacheShards - 1) / cacheShards
+	c.seed = maphash.MakeSeed()
 	for i := range c.shards {
 		c.shards[i].ll = list.New()
 		c.shards[i].m = make(map[string]*list.Element)
 	}
 	return c
-}
-
-// fnv1a64 is inlined here (instead of hash/fnv) to hash the key without
-// allocating a hasher per lookup.
-func fnv1a64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // Get returns the cached response for key if it was stored at the
@@ -76,7 +68,7 @@ func (c *resultCache) Get(key string, epoch uint64) (*must.Response, bool) {
 		c.misses.Add(1)
 		return nil, false
 	}
-	sh := &c.shards[fnv1a64(key)%cacheShards]
+	sh := &c.shards[maphash.String(c.seed, key)%cacheShards]
 	sh.mu.Lock()
 	el, ok := sh.m[key]
 	if !ok {
@@ -107,7 +99,7 @@ func (c *resultCache) Put(key string, epoch uint64, resp *must.Response) {
 	if c.perShard == 0 {
 		return
 	}
-	sh := &c.shards[fnv1a64(key)%cacheShards]
+	sh := &c.shards[maphash.String(c.seed, key)%cacheShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if el, ok := sh.m[key]; ok {
@@ -150,12 +142,13 @@ func (c *resultCache) Counters() (hits, misses uint64) {
 // scalar parameters, then weight overrides sorted by name, then vectors
 // sorted by name with raw IEEE-754 bits. Two requests that search
 // identically always produce the same key; any parameter that changes
-// results changes the key. The key (~3 KB at 768 dimensions) is computed
-// on every search, hit or miss, so it is written once into a builder
-// grown to its exact size: no regrowth and no []byte-to-string copy.
+// results changes the key: k, l and patience are written whole, as 64
+// bits. The key (~3 KB at 768 dimensions) is computed on every search,
+// hit or miss, so it is written once into a builder grown to its exact
+// size: no regrowth and no []byte-to-string copy.
 func cacheKey(req *SearchRequest) string {
 	names := make([]string, 0, len(req.Vectors))
-	size := 6 * 4 // k, l, patience, flags, two counts
+	size := 3*8 + 3*4 // k, l, patience; flags, two counts
 	for name, v := range req.Vectors {
 		names = append(names, name)
 		size += 4 + len(name) + 4 + 4*len(v)
@@ -170,9 +163,13 @@ func cacheKey(req *SearchRequest) string {
 
 	var b strings.Builder
 	b.Grow(size)
-	var scratch [4]byte
+	var scratch [8]byte
 	u32 := func(v uint32) {
 		binary.LittleEndian.PutUint32(scratch[:], v)
+		b.Write(scratch[:4])
+	}
+	u64 := func(v int) {
+		binary.LittleEndian.PutUint64(scratch[:], uint64(v))
 		b.Write(scratch[:])
 	}
 	str := func(s string) {
@@ -180,9 +177,9 @@ func cacheKey(req *SearchRequest) string {
 		b.WriteString(s)
 	}
 
-	u32(uint32(req.K))
-	u32(uint32(req.L))
-	u32(uint32(req.Patience))
+	u64(req.K)
+	u64(req.L)
+	u64(req.Patience)
 	flags := uint32(0)
 	if req.DisableOptimization {
 		flags = 1

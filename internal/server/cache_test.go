@@ -39,6 +39,10 @@ func TestCacheKeyCanonical(t *testing.T) {
 		{Vectors: a.Vectors, Weights: map[string]float32{"image": 0.5}, K: 7, L: 40},
 		{Vectors: map[string][]float32{"image": {1, 2}}, Weights: a.Weights, K: 7, L: 40},
 		{Vectors: map[string][]float32{"image": {1, 2.5}, "text": {3}}, Weights: a.Weights, K: 7, L: 40},
+		// The same values modulo 2^32: the key holds the full width.
+		{Vectors: a.Vectors, Weights: a.Weights, K: 7 + 1<<32, L: 40},
+		{Vectors: a.Vectors, Weights: a.Weights, K: 7, L: 40 + 1<<32},
+		{Vectors: a.Vectors, Weights: a.Weights, K: 7, L: 40, Patience: 1 << 32},
 	}
 	base := cacheKey(a)
 	seen := map[string]int{base: -1}

@@ -63,7 +63,8 @@ var latencyBuckets = []float64{
 }
 
 // decodeBuckets start at 10µs: the fast scan decodes a 768-d body in
-// ~50µs, inside the first latency bucket.
+// ~20µs (~25µs with Python's 17-digit floats), inside the first latency
+// bucket.
 var decodeBuckets = append([]float64{0.00001, 0.000025, 0.00005}, latencyBuckets...)
 
 // batchBuckets are upper bounds on the coalesced batch size.

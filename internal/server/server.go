@@ -88,6 +88,8 @@ type Server struct {
 
 	byName map[string]int
 	schema must.Schema
+	// modalityKeys are the schema's names as by_modality keys in replies.
+	modalityKeys []jsonKey
 }
 
 // walReporter is the optional write-ahead-log statistics surface of a
@@ -115,6 +117,7 @@ func New(eng must.Service, cfg Config) *Server {
 	for i, m := range s.schema {
 		s.byName[m.Name] = i
 	}
+	s.modalityKeys = quoteKeys(s.schema.Names())
 	s.batcher = newBatcher(eng, cfg.MaxBatch, cfg.BatchWorkers, s.metrics)
 	mux := http.NewServeMux()
 	mux.Handle("/v1/search", s.endpoint("search", http.MethodPost, admitRead, s.handleSearch))
@@ -211,7 +214,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	epoch := s.eng.Epoch()
 	if !req.NoCache {
 		if resp, ok := s.cache.Get(key, epoch); ok {
-			writeJSON(w, s.searchResponse(resp, start, decoded, 0, 0, true))
+			s.writeSearch(w, s.searchResponse(resp, start, decoded, 0, 0, true))
 			return
 		}
 	}
@@ -229,7 +232,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.cache.Put(key, epoch, resp)
 	}
-	writeJSON(w, s.searchResponse(resp, start, decoded, size, queued, false))
+	s.writeSearch(w, s.searchResponse(resp, start, decoded, size, queued, false))
 }
 
 // searchResponse converts an engine response into the wire shape.

@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -115,6 +117,35 @@ func TestServerSearchEndToEnd(t *testing.T) {
 	// A hit skips the batcher but not the decoder.
 	if sr2.DecodeMS <= 0 || sr2.DecodeMS > sr2.QueryTimeMS {
 		t.Fatalf("cache hit: decode_ms %v of query_time_ms %v", sr2.DecodeMS, sr2.QueryTimeMS)
+	}
+}
+
+// TestServerCacheKeyFullWidth sends l=160 and then l=160+2^32, which the
+// engine clamps to the corpus size, an exhaustive search: the second must
+// be searched afresh and return ExactSearch's IDs, not the first's entry.
+func TestServerCacheKeyFullWidth(t *testing.T) {
+	s, ts, queries, _ := testServer(t, Config{})
+	q := queries[5]
+	exact, err := s.eng.ExactSearch(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int64, len(exact.Matches))
+	for i, m := range exact.Matches {
+		want[i] = m.ID
+	}
+	for i, l := range []int{160, 160 + 1<<32, 160 + 1<<32} {
+		_, data := postJSON(t, ts.URL+"/v1/search", &SearchRequest{Vectors: q.Vectors, K: q.K, L: l})
+		var sr SearchResponse
+		if err := json.Unmarshal(data, &sr); err != nil {
+			t.Fatalf("l=%d: %v: %s", l, err, data)
+		}
+		if sr.Cached != (i == 2) {
+			t.Errorf("search %d, l=%d: cached=%v", i, l, sr.Cached)
+		}
+		if got := matchIDs(t, string(data)); l > 160 && !reflect.DeepEqual(got, want) {
+			t.Errorf("search %d, l=%d: ids %v, ExactSearch %v", i, l, got, want)
+		}
 	}
 }
 

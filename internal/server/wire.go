@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -223,9 +225,15 @@ func (s *scanner) number() (text []byte, integer, ok bool) {
 	return text, integer, true
 }
 
-// float32 converts with strconv.ParseFloat(text, 32), the call
-// encoding/json makes for a float32 field, so the bits are the same.
+// float32 returns the bits strconv.ParseFloat(text, 32) gives, the call
+// encoding/json makes for a float32 field: parseFloat32 answers nearly
+// every number a client sends, and strconv itself the rest.
 func (s *scanner) float32() (float32, bool) {
+	s.skipSpace()
+	if f, n, ok := parseFloat32(s.b[s.i:]); ok {
+		s.i += n
+		return f, true
+	}
 	text, _, ok := s.number()
 	if !ok {
 		return 0, false
@@ -233,6 +241,145 @@ func (s *scanner) float32() (float32, bool) {
 	f, err := strconv.ParseFloat(string(text), 32)
 	return float32(f), err == nil
 }
+
+// pow10 are the powers of ten a float64 holds exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// parseFloat32 reads the number at the start of b in the grammar number
+// enforces and returns its float32 and length, or declines (ok false) a
+// number whose bits it cannot prove equal to strconv.ParseFloat's.
+//
+// The number is m·10^e with m its significant digits, at most 19 of
+// them. For m ≤ 2^53 and |e| ≤ 22 both float64(m) and 10^|e| are exact,
+// so one multiply or divide is m·10^e correctly rounded to float64.
+// Rounding that again to float32 equals rounding once unless the float64
+// is a float32 midpoint: midpoints are float64s and rounding is
+// monotone, so a value and its float64 lie on the same side of every
+// midpoint, except when the float64 is one — and then this declines. A
+// longer m (Python's 17-digit repr of a float32) is cut to m' < 2^53:
+// the value lies in [m'·10^e', (m'+1)·10^e'), so when both ends round
+// to one float32 without touching a midpoint, so does the value.
+// Every nonzero result lands in float32's normal range: m·10^e is at
+// least 1e-22 and below 2^53·1e22.
+func parseFloat32(b []byte) (f float32, n int, ok bool) {
+	i := 0
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		i = 1
+	}
+	var m uint64
+	e := 0
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else {
+		j := i
+		if i, m, ok = mantissa(b, i, 0); !ok || i == j {
+			return 0, 0, false
+		}
+	}
+	if i < len(b) && b[i] == '.' {
+		j := i + 1
+		if i, m, ok = mantissa(b, j, m); !ok || i == j {
+			return 0, 0, false
+		}
+		e = j - i
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j, x := i, 0
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if x < 1e4 { // past any exponent this accepts, and no overflow
+				x = x*10 + int(b[i]-'0')
+			}
+		}
+		if i == j {
+			return 0, 0, false
+		}
+		if eneg {
+			x = -x
+		}
+		e += x
+	}
+
+	var v float64
+	if m <= 1<<53 {
+		v, ok = mulPow10(m, e)
+		ok = ok && !midpoint32(v)
+	} else {
+		for m >= 1<<53 {
+			m /= 10
+			e++
+		}
+		hi, okHi := mulPow10(m+1, e)
+		v, ok = mulPow10(m, e)
+		ok = ok && okHi && !midpoint32(v) && !midpoint32(hi) && float32(v) == float32(hi)
+	}
+	if !ok {
+		return 0, 0, false
+	}
+	f = float32(v)
+	if neg {
+		f = -f
+	}
+	return f, i, true
+}
+
+// mantissa folds the run of digits at b[i:] into m, eight at a time
+// while they fit, and returns the index after the run; ok is false once
+// m would pass 19 significant digits. Leading zeros leave m at 0.
+func mantissa(b []byte, i int, m uint64) (int, uint64, bool) {
+	for m < 1e11 && i+8 <= len(b) {
+		v := binary.LittleEndian.Uint64(b[i:])
+		if !eightDigits(v) {
+			break
+		}
+		m = m*1e8 + digits8(v)
+		i += 8
+	}
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		if m >= 1e18 {
+			return i, m, false
+		}
+		m = m*10 + uint64(b[i]-'0')
+	}
+	return i, m, true
+}
+
+// eightDigits reports that all eight bytes of v are ASCII digits: each
+// high nibble is 3, and adding 6 to its low nibble does not carry.
+func eightDigits(v uint64) bool {
+	return (v&0xF0F0F0F0F0F0F0F0)|((v+0x0606060606060606)&0xF0F0F0F0F0F0F0F0)>>4 == 0x3333333333333333
+}
+
+// digits8 is the value of eight ASCII digits loaded little-endian: pairs,
+// then quads, then the whole, by multiply-and-shift within the word.
+func digits8(v uint64) uint64 {
+	v -= 0x3030303030303030
+	v = v*10 + v>>8
+	return ((v&0x000000FF000000FF)*(100+1000000<<32) + (v>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+}
+
+// mulPow10 is m·10^e rounded once to float64, when one exact operation
+// gives it (m ≤ 2^53, |e| ≤ 22).
+func mulPow10(m uint64, e int) (float64, bool) {
+	switch {
+	case e < -22 || e > 22:
+		return 0, false
+	case e < 0:
+		return float64(m) / pow10[-e], true
+	}
+	return float64(m) * pow10[e], true
+}
+
+// midpoint32 reports that f, in float32's normal range, lies exactly
+// halfway between two float32s: the 29 low mantissa bits float32 drops
+// read 1000…0.
+func midpoint32(f float64) bool { return math.Float64bits(f)&(1<<29-1) == 1<<28 }
 
 // integer consumes a number without fraction or exponent that fits in
 // bits, which is what encoding/json requires of an integer field.

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,6 +33,9 @@ var plainBodies = []wireCase{
 	// Underflow to zero, the largest float32, a value that rounds, more
 	// digits than a float32 holds, a negative exponent on an integer.
 	{"search", `{"vectors":{"image":[1e-400,3.4028234e38,16777217,0.1234567890123456789,-0,5e-1]},"k":-0}`},
+	// Python floats of float32 values (17-digit reprs), float32 midpoints
+	// and ties between them, and exponents at the fast path's edge.
+	{"search", `{"vectors": {"image": [0.12345679104328156, -0.036142528057098389, 1.2345678720289911e-05, 33554434, 9007199254740993, 1e22, 1e23, 1e-22, 1e-23, 0.50000002980232239]}}`},
 	{"insert", `{"vectors":{"image":[1,0],"text":[0.5]}}`},
 	{"insert", `{"objects":[{"image":[1,0],"text":[1]},{},{"image":[]}]}`},
 	{"insert", `{"objects": [], "vectors": {}}`},
@@ -205,6 +210,172 @@ func FuzzDecodeRequest(f *testing.F) {
 		checkWire(t, body, scanInsert)
 		checkWire(t, body, scanDelete)
 	})
+}
+
+// float32Ref is the conversion before parseFloat32: number, then
+// strconv.ParseFloat(text, 32). n is the length number consumed.
+func float32Ref(b []byte) (f float32, n int, ok bool) {
+	s := scanner{b: b}
+	text, _, ok := s.number()
+	if !ok {
+		return 0, 0, false
+	}
+	v, err := strconv.ParseFloat(string(text), 32)
+	return float32(v), s.i, err == nil
+}
+
+// checkFloat32 holds scanner.float32 to float32Ref on one number, bits
+// and consumed length, and reports whether parseFloat32 answered it.
+func checkFloat32(t *testing.T, num string) (fast bool) {
+	t.Helper()
+	b := []byte(num)
+	want, wantN, wantOK := float32Ref(b)
+	s := scanner{b: b}
+	got, ok := s.float32()
+	if ok != wantOK || ok && (math.Float32bits(got) != math.Float32bits(want) || s.i != wantN) {
+		t.Errorf("%q: scanner gives %v (%#x) ok=%v after %d bytes; strconv %v (%#x) ok=%v after %d",
+			num, got, math.Float32bits(got), ok, s.i, want, math.Float32bits(want), wantOK, wantN)
+	}
+	_, n, fast := parseFloat32(b)
+	if fast && (!wantOK || n != wantN) {
+		t.Errorf("%q: fast path took %d bytes, number takes %d (ok=%v)", num, n, wantN, wantOK)
+	}
+	return fast
+}
+
+// pythonRepr is Python's repr of a float, which json.dumps writes: the
+// shortest digits that round-trip, positional for decimal exponents in
+// [-4, 16) with at least one fraction digit, else d.ddde±XX.
+func pythonRepr(x float64) string {
+	s := strconv.FormatFloat(x, 'e', -1, 64)
+	if exp, _ := strconv.Atoi(s[strings.IndexByte(s, 'e')+1:]); exp < -4 || exp >= 16 {
+		return s
+	}
+	s = strconv.FormatFloat(x, 'f', -1, 64)
+	if !strings.Contains(s, ".") {
+		s += ".0"
+	}
+	return s
+}
+
+// unitVector is a random 768-d unit vector, as an embedder returns it.
+func unitVector(rng *rand.Rand) []float32 {
+	v := randVec(rng, 768)
+	norm := 0.0
+	for _, x := range v {
+		norm += float64(x) * float64(x)
+	}
+	for i := range v {
+		v[i] = float32(float64(v[i]) / math.Sqrt(norm))
+	}
+	return v
+}
+
+// TestParseFloat32MatchesStrconv compares the scanner's float32 with
+// strconv bit for bit on ~2.5M numbers: the shortest float32 output of
+// Go, the 17-digit and shortest float64 reprs Python writes for float32
+// values, near-midpoint decimals, random digit strings and hand cases.
+// It also bounds the share of client floats that fall back to strconv,
+// so a fast path that declines everything fails.
+func TestParseFloat32MatchesStrconv(t *testing.T) {
+	for _, num := range []string{
+		"16777217", "16777219", "33554434", "9007199254740993", "9007199254740992", "18014398509481985",
+		"1e22", "1e23", "1e-22", "1e-23", "4e22", "-0", "0", "-0.0", "0e5", "0e99999", "-0e-99999", "0.000",
+		"1234567890123456789", "9999999999999999999", "12345678901234567890", "0.00000000000000000001234567890123456789",
+		"3.4028234e38", "3.4028235e38", "3.40282357e38", "1.1754944e-38", "1.17549435e-38", "1e-45", "1e-46", "1e400",
+		"0.1", "1E+2", "1e-07", "5e-1", "0.5000000298023224", "0.50000002980232238769531250",
+		"-", "01", "1.", "1e", "1e+", ".5", "+1", "-x", "1.5e+3x", "12345678.12345678e1",
+	} {
+		checkFloat32(t, num)
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 200000; i++ {
+		var v float32
+		if i%2 == 0 {
+			if v = math.Float32frombits(rng.Uint32()); math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				continue
+			}
+		} else {
+			v = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(31)-15)))
+		}
+		x := float64(v)
+		nums := []string{
+			strconv.FormatFloat(x, 'f', -1, 32),
+			strconv.FormatFloat(x, 'e', -1, 32),
+			strconv.FormatFloat(x, 'g', 17, 64),
+			pythonRepr(x),
+		}
+		// The float32 midpoint above v, exactly and as decimals of 9 to
+		// 19 digits on either side of it.
+		if up := math.Nextafter32(v, float32(math.Inf(1))); !math.IsInf(float64(up), 0) {
+			mid := (x + float64(up)) / 2
+			nums = append(nums, strconv.FormatFloat(mid, 'e', -1, 64),
+				strconv.FormatFloat(math.Nextafter(mid, math.Inf(-1)), 'g', 17, 64),
+				strconv.FormatFloat(math.Nextafter(mid, math.Inf(1)), 'g', 17, 64))
+			for _, prec := range []int{8, 15, 16, 17, 18} {
+				nums = append(nums, strconv.FormatFloat(mid, 'e', prec, 64))
+			}
+		}
+		for _, num := range nums {
+			checkFloat32(t, num)
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		d := make([]byte, 1+rng.Intn(21))
+		for j := range d {
+			d[j] = byte('0' + rng.Intn(10))
+		}
+		if d[0] == '0' && len(d) > 1 {
+			d[0] = byte('1' + rng.Intn(9))
+		}
+		num := string(d)
+		if p := rng.Intn(len(d) + 1); p > 0 && p < len(d) {
+			num = num[:p] + "." + num[p:]
+		} else if p == 0 {
+			num = "0." + num
+		}
+		if rng.Intn(2) == 0 {
+			num += fmt.Sprintf("e%d", rng.Intn(61)-30)
+		}
+		checkFloat32(t, num)
+	}
+	if t.Failed() {
+		return
+	}
+
+	// The share of the floats in client bodies the fast path answers:
+	// json.Marshal of []float32, and json.dumps(v.tolist()) of a float32
+	// array (the float64 repr of each element).
+	var marshalled, python, fastM, fastP int
+	for range 100 {
+		v := unitVector(rng)
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, num := range strings.Split(strings.Trim(string(raw), "[]"), ",") {
+			marshalled++
+			if checkFloat32(t, num) {
+				fastM++
+			}
+		}
+		for _, x := range v {
+			python++
+			if checkFloat32(t, pythonRepr(float64(x))) {
+				fastP++
+			}
+		}
+	}
+	for _, c := range []struct {
+		name       string
+		fast, runs int
+	}{{"json.Marshal", fastM, marshalled}, {"json.dumps", fastP, python}} {
+		t.Logf("%s floats: %d of %d on the fast path", c.name, c.fast, c.runs)
+		if c.fast*100 < c.runs*99 {
+			t.Errorf("%s floats: only %d of %d on the fast path, want ≥ 99 %%", c.name, c.fast, c.runs)
+		}
+	}
 }
 
 func postRaw(t *testing.T, h http.Handler, path, body string) (int, string) {
