@@ -40,14 +40,13 @@ func (o AdmissionOptions) validate() error {
 	return nil
 }
 
-// admission is the engine-side write gate shared by Engine and
-// ShardedEngine. All state is atomic: the gate sits in front of the
-// engine lock precisely so shed writes never touch it.
+// admission is an Engine's write gate. All state is atomic: the gate
+// sits in front of the shard locks precisely so shed writes never touch
+// them.
 type admission struct {
 	opts    atomic.Pointer[AdmissionOptions]
 	pending atomic.Int64  // writes admitted and not yet completed
 	shed    atomic.Uint64 // writes refused with ErrOverloaded
-	debt    atomic.Uint64 // float64 bits of the cached debt ratio
 }
 
 // configure installs new options; nil-safe validation done by callers'
@@ -58,17 +57,6 @@ func (a *admission) configure(o AdmissionOptions) error {
 	}
 	a.opts.Store(&o)
 	return nil
-}
-
-// setDebt caches the current maintenance-debt ratio; engines refresh it
-// under their write lock after every mutation, so the admit fast path
-// only loads one atomic.
-func (a *admission) setDebt(r float64) {
-	a.debt.Store(math.Float64bits(r))
-}
-
-func (a *admission) debtRatio() float64 {
-	return math.Float64frombits(a.debt.Load())
 }
 
 // admit gates one write against the given debt reading. On success it

@@ -7,16 +7,26 @@ import (
 	"testing"
 )
 
+// searchAll runs a batch through SearchEach, failing on any per-query
+// error.
+func searchAll(t *testing.T, e *Engine, queries []Query, workers int) []*Response {
+	t.Helper()
+	out, errs := e.SearchEach(context.Background(), queries, workers)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("batch query %d: %v", i, err)
+		}
+	}
+	return out
+}
+
 func TestSearchBatchMatchesSerial(t *testing.T) {
 	e, queries, _ := buildCorpus(t, 500, 30, 71, BuildOptions{Gamma: 14, Seed: 72})
 	typed := make([]Query, len(queries))
 	for i, q := range queries {
 		typed[i] = corpusQuery(q, 5, 150)
 	}
-	batch, err := e.SearchBatch(context.Background(), typed, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := searchAll(t, e, typed, 4)
 	if len(batch) != len(queries) {
 		t.Fatalf("batch returned %d result sets", len(batch))
 	}
@@ -46,20 +56,26 @@ func TestSearchBatchValidation(t *testing.T) {
 	for i, q := range queries {
 		typed[i] = corpusQuery(q, 3, 0)
 	}
+	// A bad query fails alone; its neighbours still answer.
+	check := func(what string, bad []Query) {
+		t.Helper()
+		out, errs := e.SearchEach(ctx, bad, 2)
+		for i := range bad {
+			if (errs[i] == nil) == (i == 2) || (out[i] == nil) == (errs[i] == nil) {
+				t.Errorf("%s: query %d: out=%v err=%v", what, i, out[i], errs[i])
+			}
+		}
+	}
 	bad := append([]Query(nil), typed...)
 	bad[2] = Query{Vectors: NamedVectors{"a": {1}}, K: 3}
-	if _, err := e.SearchBatch(ctx, bad, 2); err == nil {
-		t.Error("invalid query in batch did not error")
-	}
+	check("invalid query", bad)
 	bad[2] = typed[2]
 	bad[2].Weights = map[string]float32{"c": 1}
-	if _, err := e.SearchBatch(ctx, bad, 2); err == nil {
-		t.Error("bad override weights did not error")
-	}
+	check("bad override weights", bad)
 	// Zero workers defaults sanely; empty batch is fine.
-	out, err := e.SearchBatch(ctx, nil, 0)
-	if err != nil || len(out) != 0 {
-		t.Errorf("empty batch: %v, %v", out, err)
+	out, errs := e.SearchEach(ctx, nil, 0)
+	if len(out) != 0 || len(errs) != 0 {
+		t.Errorf("empty batch: %v, %v", out, errs)
 	}
 }
 
@@ -74,11 +90,7 @@ func TestSearchBatchRespectsDeletions(t *testing.T) {
 	for i, q := range queries {
 		typed[i] = corpusQuery(q, 5, 150)
 	}
-	batch, err := e.SearchBatch(context.Background(), typed, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, resp := range batch {
+	for i, resp := range searchAll(t, e, typed, 3) {
 		if slices.Contains(matchIDs(resp), truths[i]) {
 			t.Fatal("batch search returned a tombstoned object")
 		}

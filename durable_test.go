@@ -32,15 +32,7 @@ func durableRandObject(rng *rand.Rand) NamedVectors {
 
 func newDurableEngine(t *testing.T, shards int) Service {
 	t.Helper()
-	opts := EngineOptions{Build: BuildOptions{Gamma: 8, Seed: 42}}
-	if shards > 1 {
-		s, err := NewShardedEngine(durableSchema, shards, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	e, err := NewEngine(durableSchema, opts)
+	e, err := NewShardedEngine(durableSchema, shards, EngineOptions{Build: BuildOptions{Gamma: 8, Seed: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}

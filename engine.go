@@ -6,33 +6,36 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"must/internal/index"
-	"must/internal/search"
+	"must/internal/graph"
+	"must/internal/maint"
+	"must/internal/shard"
 	"must/internal/vec"
+	"must/internal/weights"
 )
-
-// defaultWorkers caps a batch's default concurrency at GOMAXPROCS.
-func defaultWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	return w
-}
 
 // ErrNotBuilt is returned by Engine operations that need a built index.
 var ErrNotBuilt = errors.New("must: engine index not built (call Build first)")
 
 // ErrUnknownID is wrapped by errors that reference an object ID the
-// engine has never handed out (or has already compacted away). Match it
-// with errors.Is; a ShardedEngine uses it to re-report shard-local
-// failures under the caller's global ID.
+// engine has never handed out (or has already compacted away, or that
+// is tombstoned). Match it with errors.Is; the message names the ID the
+// caller passed.
 var ErrUnknownID = errors.New("unknown object id")
 
-// EngineOptions configures NewEngine; the zero value means uniform
-// weights and the default build parameters (γ=30, ε=3, AlgoOurs).
+// ErrAllQuarantined is returned by Search/SearchEach when every built
+// shard's health breaker is open, so the fan-out has nowhere to route
+// the query. The condition is transient: each breaker re-admits a
+// half-open probe within its probe interval (default 5s), and a
+// maintenance rebuild resets it sooner. Callers should retry shortly;
+// mustd maps it to 503 + Retry-After.
+var ErrAllQuarantined = errors.New("must: all shards quarantined")
+
+// EngineOptions configures NewEngine and NewShardedEngine; the zero value
+// means uniform weights and the default build parameters (γ=30, ε=3,
+// AlgoOurs).
 type EngineOptions struct {
 	// Weights are the initial per-modality weights ω in schema order;
 	// nil means uniform. LearnWeights or SetWeights replace them later.
@@ -42,71 +45,136 @@ type EngineOptions struct {
 }
 
 // Engine is the library's entry point: a schema-typed, concurrency-safe
-// multimodal search engine over one fused proximity graph.
+// multimodal search engine over S ≥ 1 shards, each one fused proximity
+// graph over its part of the corpus. NewEngine makes one shard — the
+// paper's single fused graph; NewShardedEngine partitions the corpus
+// over S shards for parallel builds and fan-out search.
 //
 // An Engine is safe for concurrent use: Search calls run in parallel with
-// each other (each borrows a searcher from an internal pool), and Insert,
+// each other (each borrows a searcher from a per-shard pool), and Insert,
 // Delete, SetWeights, and Rebuild may be called from other goroutines at
-// any time. Mutations take a write lock, so they briefly block searches;
-// Rebuild does its graph construction off-lock and only blocks to swap
-// the new graph in.
+// any time. A write takes only its own shard's write lock, so it briefly
+// blocks searches of that shard; Rebuild constructs each shard's graph
+// off-lock and only blocks to swap it in, one shard at a time.
 //
-// Object IDs handed out by Insert are stable for the lifetime of the
-// Engine, across Rebuild compactions included.
+// Object IDs are pure arithmetic over (shard j, local ID): global =
+// local·S + j. Inserts are assigned round-robin, which yields the dense
+// sequence 0,1,2,… for any S, and keeps shards within one object of
+// balanced. IDs are stable for the lifetime of the engine, across Rebuild
+// compactions included. S is fixed at creation (it is baked into every
+// ID); pick it once, at most a small multiple of the core count.
+//
+// With more than one built shard, Search fans out and merges (see
+// SearchEach); with one, that shard answers inline.
 type Engine struct {
 	schema Schema
 	byName map[string]int
+	parts  []*part
 
-	// rebuildMu serializes Build/Rebuild so two rebuilds cannot
-	// interleave their snapshot/swap phases.
-	rebuildMu sync.Mutex
+	// rr is the round-robin insert cursor; rr mod S picks the next
+	// shard. Atomic so Insert never takes an engine-wide lock.
+	rr atomic.Uint64
 
+	// buildMu serializes Build and Rebuild.
+	buildMu sync.Mutex
+	// mu makes the first Build atomic with respect to every other
+	// operation, which holds it for reading. Rebuild deliberately does not
+	// take it: shards rebuild under their own locks, so serving never
+	// stalls.
 	mu sync.RWMutex
-	c  *collection
-	f  *index.Fused // nil until Build
-	// dead marks tombstoned slots (§IX index updates): they keep routing
-	// traffic — proximity graphs need them for connectivity — but are never
-	// returned. Rebuild drops them for real. deadCount tracks the set bits
-	// so Deleted (called on every Len and by maintenance sampling) is O(1).
-	dead      []bool
-	deadCount int
-	weights   Weights
-	// build is kept as given (zero fields included) so snapshots record it
-	// verbatim; withDefaults resolves it where it is used.
-	build     BuildOptions
-	ids       []int64       // ids[internal slot] = engine ID
-	lookup    map[int64]int // engine ID -> internal slot
-	nextID    int64
-	searchers *sync.Pool // *search.Searcher over the current graph
-	// epoch counts result-visible mutations (insert, delete, weight
-	// change, build, rebuild). Serving layers key caches on it: any
-	// mutation bumps it, invalidating every cached result at once.
-	epoch uint64
-	// quantize routes searches over the SQ8 shadow store (see
-	// EnableQuantization); rerankK is the exact re-rank depth (0 = 4·k).
-	quantize bool
-	rerankK  int
+	// built counts shards that have a graph. Zero means the engine is
+	// not built (searches return ErrNotBuilt).
+	built atomic.Int32
 
-	// adm gates the write path (see SetAdmission); its cached debt ratio
-	// is refreshed under the write lock by updateDebtLocked.
+	// adm gates writes: one in-flight budget for the whole engine, with
+	// debt read as the worst shard's ratio (see SetAdmission).
 	adm admission
 }
 
-// Epoch returns the engine's mutation epoch: a counter that increments
-// on every change that can alter search results (Insert, Delete,
-// SetWeights, LearnWeights, Build, Rebuild). Two searches issued at the
-// same epoch with the same query return the same results, so the epoch
-// is a correct cache-invalidation key for result caches above the
-// engine.
-func (e *Engine) Epoch() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.epoch
+// ShardedEngine is Engine. The name is kept because callers written
+// against the former two-type API (and the benchmark ladder) name it.
+type ShardedEngine = Engine
+
+// ShardState is the build-progress state of one shard.
+type ShardState uint32
+
+// Shard build-progress states, visible through ShardStats.
+const (
+	// ShardPending means the shard has no graph yet. Only empty shards
+	// stay pending after a successful Build; the first Insert routed to a
+	// pending shard builds it lazily.
+	ShardPending ShardState = iota
+	// ShardBuilding means a Build or Rebuild of the shard's graph is in
+	// flight. During a Rebuild the shard keeps serving from its previous
+	// graph.
+	ShardBuilding
+	// ShardBuilt means the shard has a live graph.
+	ShardBuilt
+)
+
+func (s ShardState) String() string {
+	switch s {
+	case ShardPending:
+		return "pending"
+	case ShardBuilding:
+		return "building"
+	case ShardBuilt:
+		return "built"
+	}
+	return fmt.Sprintf("ShardState(%d)", uint32(s))
 }
 
-// NewEngine creates an empty engine with the given schema. Schema[0] is
-// the target modality.
+// ShardInfo is one shard's slice of Engine.ShardStats.
+type ShardInfo struct {
+	// State is the shard's build-progress state ("pending", "building",
+	// "built").
+	State string `json:"state"`
+	// Objects is the shard's live object count (tombstones excluded).
+	Objects int `json:"objects"`
+	// Deleted is the shard's tombstone count.
+	Deleted int `json:"deleted"`
+	// Epoch is the shard's own mutation epoch. The engine-level Epoch is
+	// the sum of these, so any single-shard mutation changes the
+	// engine-level value — per-shard writes stay per-shard, but caches
+	// keyed on the summed epoch still invalidate correctly.
+	Epoch uint64 `json:"epoch"`
+	// Health is the shard's circuit-breaker state ("healthy", "degraded",
+	// "quarantined", "probing"). Quarantined shards are skipped by the
+	// search fan-out until a half-open probe or an automatic rebuild
+	// re-admits them.
+	Health string `json:"health"`
+	// Stats is the shard's index statistics; zero until the shard is
+	// built.
+	Stats Stats `json:"stats"`
+}
+
+// HealthConfig tunes the per-shard circuit breakers; see ConfigureHealth.
+type HealthConfig struct {
+	// Threshold is K: consecutive shard-attributable failures (panics on
+	// a minority of shards, or a fan-out timeout that only this shard
+	// missed) within Window before the shard is quarantined (default 3).
+	Threshold int
+	// Window bounds how far apart consecutive failures may be and still
+	// count as one run (default 10s).
+	Window time.Duration
+	// Probe is how long a quarantined shard stays fully skipped before
+	// one half-open probe request is routed to it (default 5s).
+	Probe time.Duration
+}
+
+// NewEngine creates an empty one-shard engine with the given schema.
+// Schema[0] is the target modality.
 func NewEngine(schema Schema, opts EngineOptions) (*Engine, error) {
+	return NewShardedEngine(schema, 1, opts)
+}
+
+// NewShardedEngine creates an empty engine with the given schema and
+// shard count. shards must be in [1, 4096]; every shard applies the same
+// EngineOptions. Schema[0] is the target modality.
+func NewShardedEngine(schema Schema, shards int, opts EngineOptions) (*Engine, error) {
+	if err := shard.Validate(shards); err != nil {
+		return nil, fmt.Errorf("must: %w", err)
+	}
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
@@ -117,22 +185,70 @@ func NewEngine(schema Schema, opts EngineOptions) (*Engine, error) {
 	} else if len(w) != len(sc) {
 		return nil, fmt.Errorf("must: %d weights for %d modalities", len(w), len(sc))
 	}
-	e := &Engine{
-		schema:  sc,
-		byName:  make(map[string]int, len(sc)),
-		c:       &collection{dims: sc.Dims(), names: sc.Names()},
-		weights: append(Weights(nil), w...),
-		build:   opts.Build,
-		lookup:  make(map[int64]int),
+	parts := make([]*part, shards)
+	for j := range parts {
+		parts[j] = newPart(sc, w, opts.Build)
 	}
+	return assemble(sc, parts, 0), nil
+}
+
+// assemble wires parts into an engine — for a new engine and for one read
+// from a snapshot alike: it shares the schema, places each part, gives it
+// a breaker, and counts the parts that already have a graph.
+func assemble(sc Schema, parts []*part, rr uint64) *Engine {
+	e := &Engine{schema: sc, byName: make(map[string]int, len(sc)), parts: parts}
 	for i, m := range sc {
 		e.byName[m.Name] = i
 	}
-	return e, nil
+	for j, p := range parts {
+		p.schema, p.byName, p.j, p.n = sc, e.byName, j, len(parts)
+		p.health = maint.NewBreaker(maint.BreakerConfig{})
+		if p.f != nil {
+			p.state.Store(uint32(ShardBuilt))
+			e.built.Add(1)
+		}
+	}
+	e.rr.Store(rr)
+	return e
 }
 
 // Schema returns a copy of the engine's schema.
 func (e *Engine) Schema() Schema { return append(Schema(nil), e.schema...) }
+
+// ShardCount returns the number of shards S.
+func (e *Engine) ShardCount() int { return len(e.parts) }
+
+// Epoch returns the engine's mutation epoch: the sum of the per-shard
+// counters, each of which increments on every change that can alter
+// search results (Insert, Delete, SetWeights, LearnWeights, Build,
+// Rebuild). Two searches issued at the same epoch with the same query
+// return the same results, so the epoch is a correct cache-invalidation
+// key for result caches above the engine.
+func (e *Engine) Epoch() uint64 {
+	var sum uint64
+	for _, p := range e.parts {
+		sum += p.Epoch()
+	}
+	return sum
+}
+
+// Len returns the number of live (non-tombstoned) objects.
+func (e *Engine) Len() int {
+	n := 0
+	for _, p := range e.parts {
+		n += p.Len()
+	}
+	return n
+}
+
+// Deleted returns the number of tombstoned objects awaiting Rebuild.
+func (e *Engine) Deleted() int {
+	n := 0
+	for _, p := range e.parts {
+		n += p.Deleted()
+	}
+	return n
+}
 
 // positional converts named vectors to the schema's positional layout,
 // requiring every modality to be present (corpus objects carry all
@@ -155,8 +271,8 @@ func (e *Engine) positional(v NamedVectors) (Object, error) {
 }
 
 // Insert adds an object and returns its stable engine ID. Before Build it
-// only accumulates into the collection; after Build it also links the
-// object into the live graph incrementally (§IX dynamic updates).
+// only accumulates; after Build it also links the object into its shard's
+// live graph incrementally (§IX dynamic updates).
 func (e *Engine) Insert(v NamedVectors) (int64, error) {
 	o, err := e.positional(v)
 	if err != nil {
@@ -168,112 +284,91 @@ func (e *Engine) Insert(v NamedVectors) (int64, error) {
 // InsertObject is Insert with vectors already in schema order — the
 // bulk-loading fast path that avoids building a map per object.
 // Returns ErrOverloaded when admission control sheds the write.
+//
+// If the engine is built and the object lands in a shard that is still
+// pending (a shard can only be pending while empty), the shard's graph is
+// built on the spot so the object becomes searchable: post-Build inserts
+// are immediately visible. In the vanishingly unlikely case that this
+// lazy build fails, the object is stored, the error is returned, and the
+// next insert into the shard retries the build.
 func (e *Engine) InsertObject(o Object) (int64, error) {
-	release, err := e.adm.admit(e.adm.debtRatio())
+	release, err := e.adm.admit(e.debtRatio())
 	if err != nil {
 		return 0, err
 	}
 	defer release()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	slot, err := e.c.Add(o)
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	j := int((e.rr.Add(1) - 1) % uint64(len(e.parts)))
+	id, err := e.parts[j].insert(o)
 	if err != nil {
 		return 0, err
 	}
-	if e.f != nil {
-		// The row is already in the shared store; the graph just links it
-		// (§IX incremental insert).
-		if err := e.f.Insert(slot, e.build.withDefaults().Gamma, 0); err != nil {
-			return 0, err
+	if e.built.Load() > 0 && e.parts[j].State() == ShardPending {
+		if err := e.buildShard(j, false); err != nil {
+			return id, fmt.Errorf("must: shard %d lazy build: %w", j, err)
 		}
 	}
-	id := e.nextID
-	e.nextID++
-	e.ids = append(e.ids, id)
-	e.lookup[id] = slot
-	e.epoch++
-	if e.f != nil {
-		// Quantize the appended row before the searcher snapshot below;
-		// no-op unless quantization is enabled and trained.
-		e.c.store.SyncSQ8()
-		// The graph and object slice grew; pooled searchers sized to the
-		// old vertex count must not be reused.
-		e.resetSearchersLocked()
-		e.updateDebtLocked()
-	}
 	return id, nil
+}
+
+// owner routes an engine ID to the shard that holds it.
+func (e *Engine) owner(id int64) (*part, error) {
+	if id < 0 {
+		return nil, unknownID(id)
+	}
+	j, _ := shard.Split(id, len(e.parts))
+	return e.parts[j], nil
 }
 
 // Delete tombstones an object by engine ID (§IX): excluded from all
 // future results, still routing until the next Rebuild. Requires a built
 // index. Returns ErrOverloaded when admission control sheds the write.
 func (e *Engine) Delete(id int64) error {
-	release, err := e.adm.admit(e.adm.debtRatio())
+	release, err := e.adm.admit(e.debtRatio())
 	if err != nil {
 		return err
 	}
 	defer release()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.f == nil {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.built.Load() == 0 {
 		return ErrNotBuilt
 	}
-	slot, ok := e.lookup[id]
-	if !ok {
-		return fmt.Errorf("must: %w %d", ErrUnknownID, id)
+	p, err := e.owner(id)
+	if err != nil {
+		return err
 	}
-	if markDead(&e.dead, e.f.Graph.NumVertices(), slot) {
-		e.deadCount++
-	}
-	e.epoch++
-	e.updateDebtLocked()
-	return nil
+	return p.delete(id)
 }
 
-// Len returns the number of live (non-tombstoned) objects.
-func (e *Engine) Len() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.c.Len() - e.deadCount
-}
-
-// Deleted returns the number of tombstoned objects awaiting Rebuild.
-func (e *Engine) Deleted() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.deadCount
-}
-
-// Object returns a copy of a stored object's vectors by modality name.
-// Tombstoned objects are unknown: once deleted, an ID stays invisible
-// here even though its row still routes until the next Rebuild.
+// Object returns a copy of a stored (normalized) object's vectors by
+// modality name. Tombstoned objects are unknown: once deleted, an ID
+// stays invisible here even though its row still routes until the next
+// Rebuild.
 func (e *Engine) Object(id int64) (NamedVectors, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	slot, ok := e.lookup[id]
-	if !ok || (slot < len(e.dead) && e.dead[slot]) {
-		return nil, fmt.Errorf("must: %w %d", ErrUnknownID, id)
+	p, err := e.owner(id)
+	if err != nil {
+		return nil, err
 	}
-	out := make(NamedVectors, len(e.schema))
-	for i, m := range e.schema {
-		out[m.Name] = vec.Clone(e.c.store.Modality(slot, i))
-	}
-	return out, nil
+	return p.object(id)
 }
 
 // Weights returns the engine's current per-modality weights in schema
 // order.
-func (e *Engine) Weights() Weights {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return append(Weights(nil), e.weights...)
-}
+func (e *Engine) Weights() Weights { return e.parts[0].Weights() }
 
 // SetWeights replaces the engine's per-modality weights (schema order).
-// New searches use them immediately for scoring; the graph keeps routing
+// New searches use them immediately for scoring; each graph keeps routing
 // under the weights it was built with until the next Rebuild, which is
 // exactly the user-defined-weights setting of §VIII-F and loses little
 // recall (Tab. IX). Rebuild to re-optimize routing for the new weights.
+//
+// The update is atomic per shard, not across shards: a search
+// overlapping the call may score different shards under old and new
+// weights. Every shard's epoch bumps, so caches invalidate regardless.
 func (e *Engine) SetWeights(w Weights) error {
 	if len(w) != len(e.schema) {
 		return fmt.Errorf("must: %d weights for %d modalities", len(w), len(e.schema))
@@ -283,58 +378,26 @@ func (e *Engine) SetWeights(w Weights) error {
 			return fmt.Errorf("must: weight %d: %w", i, err)
 		}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.weights = append(Weights(nil), w...)
-	e.epoch++
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, p := range e.parts {
+		p.setWeights(w)
+	}
 	return nil
 }
 
 // LearnWeights fits modality weights from training pairs (§VI): the true
-// answer of queries[i] is the object with engine ID positives[i]. The
-// learned weights are stored on the engine and returned. Training runs on
-// a snapshot, off-lock, so it can overlap serving.
+// answer of queries[i] is the live object with engine ID positives[i].
+// The pool of true objects (the paper's T) is exactly the referenced
+// objects, in order of first reference, so the learned weights do not
+// depend on the shard count. They are stored on the engine and returned;
+// training runs off-lock, so it can overlap serving.
 func (e *Engine) LearnWeights(queries []NamedVectors, positives []int64, cfg WeightConfig) (Weights, error) {
-	posQueries, err := e.trainingQueries(queries, positives)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.RLock()
-	// The snapshot pins the store length: training reads rows through
-	// zero-copy views off-lock, while concurrent Inserts only ever write
-	// rows past the pinned length.
-	snap := &collection{dims: e.c.dims}
-	if e.c.store != nil {
-		snap.store = e.c.store.Snapshot()
-	}
-	internal := make([]int, len(positives))
-	for i, id := range positives {
-		slot, ok := e.lookup[id]
-		if !ok {
-			e.mu.RUnlock()
-			return nil, fmt.Errorf("must: positive %d: %w %d", i, ErrUnknownID, id)
-		}
-		internal[i] = slot
-	}
-	e.mu.RUnlock()
-	w, err := learnWeights(snap, posQueries, internal, cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	e.weights = append(Weights(nil), w...)
-	e.epoch++
-	e.mu.Unlock()
-	return w, nil
-}
-
-// trainingQueries validates LearnWeights' pairing and converts the named
-// training queries to schema order; ShardedEngine.LearnWeights shares it.
-func (e *Engine) trainingQueries(queries []NamedVectors, positives []int64) ([]Object, error) {
 	if len(queries) != len(positives) {
 		return nil, fmt.Errorf("must: %d queries but %d positives", len(queries), len(positives))
 	}
-	out := make([]Object, len(queries))
+	conv := &collection{dims: e.schema.Dims(), names: e.schema.Names()}
+	anchors := make([]vec.Multi, len(queries))
 	for i, q := range queries {
 		o := make(Object, len(e.schema))
 		for name, v := range q {
@@ -344,20 +407,59 @@ func (e *Engine) trainingQueries(queries []NamedVectors, positives []int64) ([]O
 			}
 			o[j] = v
 		}
-		out[i] = o
+		mv, err := conv.query(o)
+		if err != nil {
+			return nil, fmt.Errorf("must: training query %d: %w", i, err)
+		}
+		anchors[i] = mv
 	}
-	return out, nil
+	var pool []vec.Multi
+	slotOf := make(map[int64]int, len(positives))
+	remapped := make([]int, len(positives))
+	e.mu.RLock()
+	for i, id := range positives {
+		slot, ok := slotOf[id]
+		if !ok {
+			var row vec.Multi
+			if p, err := e.owner(id); err == nil {
+				row, ok = p.liveRow(id)
+			}
+			if !ok {
+				e.mu.RUnlock()
+				return nil, fmt.Errorf("must: positive %d: %w %d", i, ErrUnknownID, id)
+			}
+			slot = len(pool)
+			pool = append(pool, row)
+			slotOf[id] = slot
+		}
+		remapped[i] = slot
+	}
+	e.mu.RUnlock()
+	res, err := weights.Train(anchors, remapped, pool, weights.Config{
+		LearningRate:  cfg.LearningRate,
+		Epochs:        cfg.Epochs,
+		NumNegatives:  cfg.Negatives,
+		HardNegatives: !cfg.RandomNegatives,
+		Seed:          cfg.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := e.SetWeights(res.Weights); err != nil {
+		return nil, err
+	}
+	return res.Weights, nil
 }
 
 // EnableQuantization attaches an SQ8 scalar-quantized shadow store (1
-// byte/dim, per-modality scales — see vec.SQ8Store) and routes all
-// subsequent searches over it, with an exact float32 re-rank of the top
-// rerankK candidates per query (0 means 4·k, clamped to the beam width).
-// Memory cost is ~¼ of the float32 corpus on top of it; the scan itself
-// touches 4× less memory, which is the point.
+// byte/dim, per-modality scales — see vec.SQ8Store) to every shard and
+// routes all subsequent searches over it, with an exact float32 re-rank
+// of the top rerankK candidates per query and shard (0 means 4·k,
+// clamped to the beam width). Memory cost is ~¼ of the float32 corpus on
+// top of it; the scan itself touches 4× less memory, which is the point.
 //
 // Called before Build, the quantizer trains inside Build (after the graph
-// seals, over the complete corpus). Called on a built engine, it trains
+// seals, over the complete shard). Called on a built engine, it trains
 // immediately. Pre-build inserts are not quantized eagerly — scales
 // trained on a partial corpus would be garbage — and rows inserted after
 // training use the trained scales, clamping out-of-range values (the
@@ -366,174 +468,28 @@ func (e *Engine) EnableQuantization(rerankK int) error {
 	if rerankK < 0 {
 		return fmt.Errorf("must: negative rerank depth %d", rerankK)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rerankK = rerankK
-	if e.quantize {
-		return nil
-	}
-	e.quantize = true
-	if st := e.c.store; st != nil {
-		st.EnableSQ8()
-		if e.f != nil {
-			st.SyncSQ8()
-			e.epoch++
-			e.resetSearchersLocked()
-		}
-	}
-	return nil
-}
-
-// Quantized reports whether searches route over the SQ8 shadow store.
-func (e *Engine) Quantized() bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.quantize
-}
-
-// Build constructs the fused index over everything inserted so far. It
-// must be called once before Search; after that, use Rebuild to compact
-// and re-optimize. Build holds the write lock for the duration.
-func (e *Engine) Build() error {
-	e.rebuildMu.Lock()
-	defer e.rebuildMu.Unlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.f != nil {
-		return fmt.Errorf("must: engine already built; use Rebuild")
+	for _, p := range e.parts {
+		p.enableQuantization(rerankK)
 	}
-	if e.quantize {
-		// The store may not have existed when EnableQuantization ran (it
-		// is created lazily on first insert); attach the shadow now so the
-		// build trains the quantizer after sealing the graph.
-		if st := e.c.store; st != nil {
-			st.EnableSQ8()
-		}
-	}
-	f, err := buildFused(e.c, e.weights, e.build)
-	if err != nil {
-		return err
-	}
-	e.f = f
-	e.epoch++
-	e.resetSearchersLocked()
-	e.updateDebtLocked()
 	return nil
 }
 
-// Rebuild reconstructs the graph from scratch: tombstoned objects are
-// physically dropped (the paper's periodic reconstruction, §IX), the
-// current engine weights become the build weights, and the new graph is
-// swapped in atomically. Construction happens on a snapshot without
-// blocking concurrent Search/Insert/Delete; inserts and deletes that land
-// during construction are replayed before the swap. Engine IDs are
-// preserved.
-func (e *Engine) Rebuild() error {
-	e.rebuildMu.Lock()
-	defer e.rebuildMu.Unlock()
-
-	e.mu.RLock()
-	if e.f == nil {
-		e.mu.RUnlock()
-		return ErrNotBuilt
-	}
-	snapLen := e.c.Len()
-	// Copy the tombstone bitset and ID prefix under the lock (Delete may
-	// flip entries the moment it is released); the store itself only needs
-	// a length-pinned snapshot — rows are immutable once appended, so the
-	// O(n·dim) compaction copy below can run off-lock without blocking
-	// concurrent Search/Insert/Delete. Deletes that land after this
-	// snapshot are replayed from the live bitset before the swap.
-	dead := append([]bool(nil), e.dead...)
-	srcStore := e.c.store.Snapshot()
-	idsSnap := append([]int64(nil), e.ids[:snapLen]...)
-	w := append(Weights(nil), e.weights...)
-	bo := e.build
-	quant := e.quantize
-	e.mu.RUnlock()
-
-	alive := 0
-	for i := 0; i < snapLen; i++ {
-		if i < len(dead) && dead[i] {
-			continue
-		}
-		alive++
-	}
-	if alive == 0 {
-		return fmt.Errorf("must: rebuild would leave the engine empty (all %d objects deleted)", snapLen)
-	}
-	// Compact the live rows into a fresh store — the one real copy a
-	// rebuild makes; the old store is dropped at the swap. Rows are
-	// copied verbatim (already normalized), preserving bit-exact vectors.
-	newC := &collection{dims: append([]int(nil), e.c.dims...), names: e.schema.Names(),
-		store: vec.NewFlatStore(e.c.dims, alive)}
-	if quant {
-		// Fresh store, fresh shadow: buildFused below retrains the quantizer
-		// over the compacted corpus, shedding any drift from clamped
-		// post-training inserts.
-		newC.store.EnableSQ8()
-	}
-	aliveIDs := make([]int64, 0, alive)
-	for i := 0; i < snapLen; i++ {
-		if i < len(dead) && dead[i] {
-			continue
-		}
-		copy(newC.store.AppendRow(), srcStore.Row(i))
-		aliveIDs = append(aliveIDs, idsSnap[i])
-	}
-
-	newF, err := buildFused(newC, w, bo)
-	if err != nil {
-		return err
-	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Replay inserts that landed while the graph was building.
-	gamma := bo.withDefaults().Gamma
-	for i := snapLen; i < e.c.Len(); i++ {
-		slot, err := newC.Add(Object(e.c.store.Multi(i)))
-		if err == nil {
-			err = newF.Insert(slot, gamma, 0)
-		}
-		if err != nil {
-			return fmt.Errorf("must: rebuild replay of object %d: %w", e.ids[i], err)
-		}
-		aliveIDs = append(aliveIDs, e.ids[i])
-	}
-	newLookup := make(map[int64]int, len(aliveIDs))
-	for slot, id := range aliveIDs {
-		newLookup[id] = slot
-	}
-	// Replay deletes that landed while the graph was building (including
-	// deletes of just-replayed inserts).
-	var newDead []bool
-	newDeadCount := 0
-	for i, id := range e.ids {
-		if i < len(e.dead) && e.dead[i] {
-			if slot, ok := newLookup[id]; ok && markDead(&newDead, newF.Graph.NumVertices(), slot) {
-				newDeadCount++
-			}
+// Quantized reports whether searches route over the SQ8 shadow stores.
+func (e *Engine) Quantized() bool {
+	for _, p := range e.parts {
+		if !p.quantized() {
+			return false
 		}
 	}
-	e.c = newC
-	e.f = newF
-	e.dead, e.deadCount = newDead, newDeadCount
-	e.ids = aliveIDs
-	e.lookup = newLookup
-	// Quantize any rows replayed after the off-lock build trained the
-	// shadow (no-op when quantization is off).
-	e.c.store.SyncSQ8()
-	e.epoch++
-	e.resetSearchersLocked()
-	e.updateDebtLocked()
-	return nil
+	return true
 }
 
 // SetAdmission installs (or, with the zero value, clears) write-path
 // admission control: Insert/InsertObject/Delete past the in-flight
-// budget or issued while maintenance debt exceeds the watermark fail
-// fast with ErrOverloaded. Searches are never gated.
+// budget, or issued while the worst shard's maintenance debt exceeds the
+// watermark, fail fast with ErrOverloaded. Searches are never gated.
 func (e *Engine) SetAdmission(o AdmissionOptions) error {
 	return e.adm.configure(o)
 }
@@ -541,232 +497,416 @@ func (e *Engine) SetAdmission(o AdmissionOptions) error {
 // WritesShed returns how many writes admission control has refused.
 func (e *Engine) WritesShed() uint64 { return e.adm.writesShed() }
 
-// updateDebtLocked refreshes the admission gate's cached maintenance
-// debt — max(overlay ratio, tombstone ratio) — so the write-path admit
-// check stays a single atomic load. Callers must hold the write lock.
-func (e *Engine) updateDebtLocked() {
-	if e.f == nil {
-		e.adm.setDebt(0)
-		return
+// debtRatio reads the worst shard's cached maintenance-debt ratio.
+func (e *Engine) debtRatio() float64 {
+	var worst float64
+	for _, p := range e.parts {
+		worst = max(worst, p.debtRatio())
 	}
-	n := e.f.Graph.NumVertices()
-	if n == 0 {
-		e.adm.setDebt(0)
-		return
-	}
-	debt := float64(e.f.Graph.OverlayVertices()) / float64(n)
-	if t := float64(e.deadCount) / float64(n); t > debt {
-		debt = t
-	}
-	e.adm.setDebt(debt)
+	return worst
 }
 
-// resetSearchersLocked replaces the searcher pool after any change to the
-// graph topology or object slice. Callers must hold the write lock.
-func (e *Engine) resetSearchersLocked() {
-	f := e.f
-	// Snapshot the shared store at the current length, under the write
-	// lock: pooled searchers must not observe rows appended by later
-	// Inserts (their visit buffers are sized to the vertex count at pool
-	// creation; the pool is replaced after every mutation).
-	store := f.Store.Snapshot()
-	e.searchers = &sync.Pool{New: func() any {
-		return search.NewFlat(f.Graph, store, f.Weights)
-	}}
+// ConfigureHealth retunes every shard's circuit breaker in place (zero
+// fields take defaults), resetting all health state to healthy.
+// Breakers run with default thresholds from creation, so this is only
+// needed to change them.
+func (e *Engine) ConfigureHealth(cfg HealthConfig) {
+	for _, p := range e.parts {
+		p.health.Configure(maint.BreakerConfig{
+			Threshold: cfg.Threshold,
+			Window:    cfg.Window,
+			Probe:     cfg.Probe,
+		})
+	}
 }
 
-// convertLocked validates a query against the schema and produces the
-// positional multi-vector plus the effective per-modality weights.
-// Callers must hold at least the read lock.
-func (e *Engine) convertLocked(q Query) (vec.Multi, Weights, error) {
-	pos := make(Object, len(e.schema))
-	for name, v := range q.Vectors {
-		i, ok := e.byName[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("must: query names unknown modality %q (schema has %v)", name, e.schema.Names())
-		}
-		pos[i] = v
-	}
-	mv, err := e.c.query(pos)
-	if err != nil {
-		return nil, nil, err
-	}
-	w := append(Weights(nil), e.weights...)
-	for name, x := range q.Weights {
-		i, ok := e.byName[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("must: weight override names unknown modality %q (schema has %v)", name, e.schema.Names())
-		}
-		if err := checkFinite([]float32{x}); err != nil {
-			return nil, nil, fmt.Errorf("must: weight override for %q: %w", name, err)
-		}
-		w[i] = x
-	}
-	active := false
-	for i := range w {
-		if pos[i] == nil {
-			// Missing query modality: force ω_i = 0 (§VII-B) so it
-			// neither scores nor steers routing.
-			w[i] = 0
-		}
-		if w[i] != 0 {
-			active = true
-		}
-	}
-	if !active {
-		return nil, nil, fmt.Errorf("must: query has no active modalities (every modality is missing or zero-weighted)")
-	}
-	return mv, w, nil
+// buildConcurrency picks how many shards build at once and how many
+// workers each shard's graph construction gets, so S parallel builds do
+// not oversubscribe the machine: across × per ≤ GOMAXPROCS (with a floor
+// of 1 each).
+func buildConcurrency(shards int) (across, per int) {
+	cores := runtime.GOMAXPROCS(0)
+	across = max(min(shards, cores), 1)
+	per = max(cores/across, 1)
+	return across, per
 }
 
-// searchOneLocked answers one query on an already-borrowed searcher.
-// Callers must hold at least the read lock and must have checked that
-// the index is built. The returned Response owns its matches: every
-// result row is cloned out of the searcher's reusable buffers before
-// returning, so the Response stays valid after the searcher is reused
-// or pooled.
-func (e *Engine) searchOneLocked(ctx context.Context, s *search.Searcher, q Query) (*Response, error) {
-	start := time.Now()
-	k, l, err := q.size()
-	if err != nil {
-		return nil, err
+// buildShards runs buildShard over every shard, at most busy of which
+// have work, on a bounded pool.
+func (e *Engine) buildShards(busy int, rebuild bool) error {
+	across, per := buildConcurrency(busy)
+	if across > 1 {
+		// Give each concurrent shard build an equal slice of the cores
+		// instead of letting every build claim all of them.
+		prev := graph.SetBuildWorkers(per)
+		defer graph.SetBuildWorkers(prev)
 	}
-	mv, w, err := e.convertLocked(q)
-	if err != nil {
-		return nil, err
-	}
-	var filter func(int) bool
-	if q.Filter != nil {
-		ids := e.ids
-		filter = func(slot int) bool { return q.Filter(ids[slot]) }
-	}
-	res, st, err := s.SearchParams(mv, search.Params{
-		K:          k,
-		L:          l,
-		Weights:    vec.Weights(w),
-		Filter:     filter,
-		Tombstones: e.dead,
-		Patience:   q.Patience,
-		Optimize:   !q.DisableOptimization,
-		Breakdown:  true,
-		Quantized:  e.quantize,
-		RerankK:    e.rerankK,
-		Ctx:        ctx,
+	return shard.Do(len(e.parts), across, func(j int) error {
+		return e.buildShard(j, rebuild)
 	})
-	if err != nil {
-		return nil, err
-	}
-	// res aliases the searcher's reusable result buffer, so it must be
-	// converted to ScoredMatches before the searcher serves another query
-	// (a later search would overwrite it).
-	matches := make([]ScoredMatch, len(res))
-	for i, r := range res {
-		by := make(map[string]float32, len(e.schema))
-		for j, m := range e.schema {
-			if j < len(r.PerModality) {
-				by[m.Name] = r.PerModality[j]
-			}
-		}
-		matches[i] = ScoredMatch{ID: e.ids[r.ID], Similarity: r.IP, ByModality: by}
-	}
-	return &Response{
-		Matches: matches,
-		Stats:   SearchStats{FullEvals: st.FullEvals, PartialSkips: st.PartialSkips, Hops: st.Hops},
-		Latency: time.Since(start),
-	}, nil
 }
 
-// Search answers one typed query. It is safe to call from any number of
-// goroutines; ctx cancels or time-bounds the routing loop. Results carry
+// buildShard builds (or, when rebuild is set, rebuilds) shard j's graph
+// under the shard's build lock, tracking its state. Empty shards are
+// skipped: Build leaves them pending for the lazy path, and Rebuild
+// skips all-tombstoned shards because compaction would leave them empty.
+func (e *Engine) buildShard(j int, rebuild bool) error {
+	p := e.parts[j]
+	p.buildMu.Lock()
+	defer p.buildMu.Unlock()
+	switch p.State() {
+	case ShardBuilt:
+		if !rebuild || p.Len() == 0 {
+			return nil
+		}
+		p.state.Store(uint32(ShardBuilding))
+		err := p.rebuild()
+		p.state.Store(uint32(ShardBuilt))
+		if err == nil {
+			// The rebuild replaced the graph the failures were blamed on:
+			// re-admit the shard (quarantine's recovery path).
+			p.health.Reset()
+		}
+		return err
+	case ShardPending:
+		if p.Len() == 0 {
+			return nil
+		}
+		p.state.Store(uint32(ShardBuilding))
+		if err := p.buildGraph(); err != nil {
+			p.state.Store(uint32(ShardPending))
+			return err
+		}
+		p.state.Store(uint32(ShardBuilt))
+		e.built.Add(1)
+		p.health.Reset()
+	}
+	return nil
+}
+
+// Build constructs the index over everything inserted so far, every
+// non-empty shard in parallel on a bounded worker pool. It must be called
+// once before Search; after that, use Rebuild to compact and re-optimize.
+// Build blocks every other operation for the duration. Empty shards are
+// left pending and built lazily by the first Insert routed to them.
+func (e *Engine) Build() error {
+	e.buildMu.Lock()
+	defer e.buildMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.built.Load() > 0 {
+		return fmt.Errorf("must: engine already built; use Rebuild")
+	}
+	nonEmpty := 0
+	for _, p := range e.parts {
+		if p.Len() > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty == 0 {
+		return fmt.Errorf("must: cannot index an empty collection")
+	}
+	return e.buildShards(nonEmpty, false)
+}
+
+// Rebuild reconstructs every shard's graph in parallel: per shard,
+// tombstoned objects are physically dropped (the paper's periodic
+// reconstruction, §IX), the current weights become the build weights,
+// and the new graph swaps in atomically. Construction happens on a
+// snapshot, so there is no engine-wide stall: each shard keeps serving
+// from its old graph until its own swap, and inserts and deletes that
+// land meanwhile are replayed before it. A shard whose objects are all
+// tombstoned is left as it is — compaction would empty it — so Rebuild of
+// an engine with no live object at all succeeds and changes nothing; the
+// tombstones go on a later rebuild once the shard holds live objects
+// again. Engine IDs are preserved.
+func (e *Engine) Rebuild() error {
+	e.buildMu.Lock()
+	defer e.buildMu.Unlock()
+	if e.built.Load() == 0 {
+		return ErrNotBuilt
+	}
+	return e.buildShards(len(e.parts), true)
+}
+
+// RebuildShard rebuilds a single shard by index — the incremental
+// maintenance hook: callers can walk shards on their own schedule (e.g.
+// by tombstone ratio) and compact one at a time, bounding rebuild work
+// and transient memory to one shard's worth.
+func (e *Engine) RebuildShard(j int) error {
+	if j < 0 || j >= len(e.parts) {
+		return fmt.Errorf("must: shard %d out of range [0,%d)", j, len(e.parts))
+	}
+	if e.built.Load() == 0 {
+		return ErrNotBuilt
+	}
+	return e.buildShard(j, true)
+}
+
+// Search answers one typed query: SearchEach of a one-query batch. It is
+// safe to call from any number of goroutines; ctx (nil means
+// context.Background) cancels or time-bounds the routing. Results carry
 // per-modality similarity breakdowns and routing statistics.
 func (e *Engine) Search(ctx context.Context, q Query) (*Response, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.f == nil {
-		return nil, ErrNotBuilt
-	}
-	pool := e.searchers
-	s := pool.Get().(*search.Searcher)
-	resp, err := e.searchOneLocked(ctx, s, q)
-	pool.Put(s)
-	return resp, err
+	out, errs := e.SearchEach(ctx, []Query{q}, 1)
+	return out[0], errs[0]
 }
 
 // SearchEach answers many queries concurrently and reports a result or
 // an error per query: out[i] and errs[i] describe queries[i], exactly
-// one of them non-nil. Unlike SearchBatch, one failed or cancelled
-// query never poisons the rest of the batch — every other query still
-// runs to completion and keeps its result.
+// one of them non-nil. One failed or cancelled query never poisons the
+// rest of the batch — every other query still runs to completion and
+// keeps its result, and a query whose filter panics gets that panic as
+// its error. workers ≤ 0 uses one worker per query up to GOMAXPROCS; ctx
+// nil means context.Background.
 //
 // This is the serving-tier entry point: each worker borrows one pooled
-// searcher for its whole stride (amortizing pool traffic across the
-// batch), the read lock is taken once for the batch, and every response
-// is cloned out of searcher-owned buffers before return. workers ≤ 0
-// uses one worker per query up to GOMAXPROCS.
+// searcher for its whole stride, the read lock is taken once for the
+// batch, and every response is cloned out of searcher-owned buffers
+// before return. When only one shard is built it answers the batch
+// inline, on the caller's goroutine when workers is 1.
+//
+// With more than one built shard the batch fans out, each shard running
+// it on its own goroutine, and each query's per-shard top-k lists merge
+// with a k-way heap. Query.K and Query.L apply per shard, so a sharded
+// search examines up to S·L candidates — recall at equal L is never lower
+// than one graph's; lower L per shard buys the latency back (see the
+// Sharding section of the README). Query.Filter receives engine IDs
+// either way. Merged Stats are summed across shards and Latency is the
+// slowest shard's (the critical path of the fan-out).
+//
+// The fan-out degrades instead of failing: each shard worker recovers
+// panics, and the collector stops waiting when ctx expires. A query
+// whose shards partly succeeded returns a Response with Partial set and
+// the failures listed in ShardErrors — one sick or hanging shard costs
+// recall, not availability. Only a query that every shard failed gets an
+// error (so validation errors, which fail on all shards identically,
+// surface unchanged). Abandoned shard workers observe ctx themselves and
+// exit shortly after.
 func (e *Engine) SearchEach(ctx context.Context, queries []Query, workers int) ([]*Response, []error) {
 	if len(queries) == 0 {
 		return nil, nil
 	}
-	if workers <= 0 {
-		workers = defaultWorkers(len(queries))
-	}
-	if workers > len(queries) {
-		workers = len(queries)
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	out := make([]*Response, len(queries))
 	errs := make([]error, len(queries))
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.f == nil {
+	switch e.built.Load() {
+	case 0:
 		for i := range errs {
 			errs[i] = ErrNotBuilt
 		}
-		return out, errs
-	}
-	pool := e.searchers
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func(wk int) {
-			defer wg.Done()
-			s := pool.Get().(*search.Searcher)
-			for i := wk; i < len(queries); i += workers {
-				out[i], errs[i] = e.searchOneRecovered(ctx, &s, pool, queries[i])
+	case 1:
+		// A lone built shard has nothing to merge, and its breaker cannot
+		// trip: every failure it has hits all of the active shards, which
+		// makes it query-correlated (see fanOut).
+		for _, p := range e.parts {
+			if p.State() != ShardPending {
+				p.searchEach(ctx, queries, workers, out, errs)
+				break
 			}
-			if s != nil {
-				pool.Put(s)
-			}
-		}(wk)
+		}
+	default:
+		e.fanOut(ctx, queries, workers, out, errs)
 	}
-	wg.Wait()
 	return out, errs
 }
 
-// errSearchPanicked marks errors produced by recovering a search
-// panic. The sharded fan-out uses it to tell shard sickness (panics
-// feed the health breaker) from ordinary per-query errors (validation
-// failures, which say nothing about shard health).
-var errSearchPanicked = errors.New("must: search panicked")
-
-// searchOneRecovered runs one query, converting a panic (e.g. from a
-// user-supplied Query.Filter) into that query's error instead of
-// killing the process. The panicked searcher's internal state is
-// suspect, so it is dropped on the floor and the worker continues with
-// a fresh one from the pool; *sp is nil transiently while swapping.
-func (e *Engine) searchOneRecovered(ctx context.Context, sp **search.Searcher, pool *sync.Pool, q Query) (resp *Response, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			resp, err = nil, fmt.Errorf("%w: %v", errSearchPanicked, r)
-			*sp = pool.Get().(*search.Searcher)
+// fanOut is SearchEach over two or more built shards. Callers hold the
+// read lock.
+func (e *Engine) fanOut(ctx context.Context, queries []Query, workers int, out []*Response, errs []error) {
+	now := time.Now()
+	var active, quarantined []int
+	for j, p := range e.parts {
+		if p.State() == ShardPending {
+			continue
 		}
-	}()
-	return e.searchOneLocked(ctx, *sp, q)
+		// The breaker admits healthy/degraded shards always and a
+		// quarantined shard once per probe interval (half-open probe);
+		// otherwise the shard is skipped and reported via ShardErrors.
+		if !p.health.Allow(now) {
+			quarantined = append(quarantined, j)
+			continue
+		}
+		active = append(active, j)
+	}
+	if len(active) == 0 {
+		for i := range errs {
+			errs[i] = ErrAllQuarantined
+		}
+		return
+	}
+	perShard := workers
+	if perShard > 0 {
+		perShard = max(perShard/len(active), 1)
+	}
+	type shardOut struct {
+		resps    []*Response
+		errs     []error
+		panicked bool
+	}
+	results := make([]shardOut, len(active))
+	done := make([]chan struct{}, len(active))
+	for ai := range active {
+		done[ai] = make(chan struct{})
+	}
+	for ai, j := range active {
+		go func() {
+			defer close(done[ai])
+			defer func() {
+				if r := recover(); r != nil {
+					perr := fmt.Errorf("must: shard %d panicked: %v", j, r)
+					es := make([]error, len(queries))
+					for i := range es {
+						es[i] = perr
+					}
+					results[ai] = shardOut{errs: es, panicked: true}
+				}
+			}()
+			r := shardOut{resps: make([]*Response, len(queries)), errs: make([]error, len(queries))}
+			e.parts[j].searchEach(ctx, queries, perShard, r.resps, r.errs)
+			results[ai] = r
+		}()
+	}
+	// Collect until the deadline: a shard that has not finished when ctx
+	// expires is reported as failed and its worker abandoned (it bails
+	// out on its own — per-query searches check ctx — and only touches
+	// its own results slot, which no one reads).
+	finished := make([]bool, len(active))
+	for ai := range active {
+		select {
+		case <-done[ai]:
+			finished[ai] = true
+		case <-ctx.Done():
+			select {
+			case <-done[ai]:
+				finished[ai] = true
+			default:
+			}
+		}
+	}
+	// Feed the health breakers. A failure must be shard-attributable, or
+	// one misbehaving client would trip every breaker at once and turn
+	// graceful degradation into a cluster-wide outage:
+	//
+	//   - A panic (in the shard worker or recovered inside the shard's
+	//     own search path) counts against a shard only when a minority of
+	//     the active shards panicked in this batch. A panic on a strict
+	//     majority — e.g. a Query.Filter that panics on every ID — is
+	//     query-correlated: it says nothing about any one shard, so it is
+	//     treated like a validation error (which also hits every shard
+	//     identically) rather than as S simultaneous shard faults.
+	//   - A shard unfinished at ctx expiry counts as a failure only when
+	//     the deadline was exceeded AND a strict majority of shards did
+	//     finish — a true straggler. Caller cancellation, or a deadline
+	//     that most shards missed together (the whole fan-out was slow
+	//     under load), is neutral: neither failure nor success.
+	//
+	// A completed, non-panicking batch is a success; non-panic per-query
+	// errors count as successes too. A failed half-open probe
+	// re-quarantines; a neutral outcome leaves the breaker probing, and
+	// Allow re-admits a fresh probe after another probe interval.
+	nFinished, nPanicked := 0, 0
+	panicked := make([]bool, len(active))
+	for ai := range active {
+		if !finished[ai] {
+			continue
+		}
+		nFinished++
+		panicked[ai] = results[ai].panicked || anyPanic(results[ai].errs)
+		if panicked[ai] {
+			nPanicked++
+		}
+	}
+	queryCorrelatedPanic := nPanicked*2 > len(active)
+	straggler := errors.Is(ctx.Err(), context.DeadlineExceeded) && nFinished*2 > len(active)
+	feedAt := time.Now()
+	for ai, j := range active {
+		switch {
+		case !finished[ai]:
+			if straggler {
+				e.parts[j].health.Failure(feedAt)
+			}
+		case panicked[ai] && !queryCorrelatedPanic:
+			e.parts[j].health.Failure(feedAt)
+		default:
+			e.parts[j].health.Success()
+		}
+	}
+	for i := range queries {
+		// An invalid K failed on every shard, so it never reaches the merge.
+		k, _, _ := queries[i].size()
+		lists := make([][]ScoredMatch, 0, len(active))
+		var stats SearchStats
+		var latency time.Duration
+		var qerr error
+		var shardErrs []ShardError
+		for _, j := range quarantined {
+			shardErrs = append(shardErrs, ShardError{Shard: j, Err: "shard quarantined"})
+		}
+		for ai, j := range active {
+			if !finished[ai] {
+				shardErrs = append(shardErrs, ShardError{Shard: j, Err: ctx.Err().Error()})
+				continue
+			}
+			if err := results[ai].errs[i]; err != nil {
+				if qerr == nil {
+					qerr = err
+				}
+				shardErrs = append(shardErrs, ShardError{Shard: j, Err: err.Error()})
+				continue
+			}
+			resp := results[ai].resps[i]
+			lists = append(lists, resp.Matches)
+			stats.FullEvals += resp.Stats.FullEvals
+			stats.PartialSkips += resp.Stats.PartialSkips
+			stats.Hops += resp.Stats.Hops
+			latency = max(latency, resp.Latency)
+		}
+		if len(lists) == 0 {
+			// Every shard failed this query: surface the first concrete
+			// error (preserving errors.Is matching for validation failures,
+			// ErrNotBuilt, ...), or the deadline if no shard got that far.
+			if qerr == nil {
+				qerr = ctx.Err()
+			}
+			errs[i] = qerr
+			continue
+		}
+		resp := &Response{Matches: mergeMatches(lists, k), Stats: stats, Latency: latency}
+		if len(shardErrs) > 0 {
+			resp.Partial = true
+			resp.ShardErrors = shardErrs
+		}
+		out[i] = resp
+	}
+}
+
+func anyPanic(errs []error) bool {
+	for _, err := range errs {
+		if errors.Is(err, errSearchPanicked) {
+			return true
+		}
+	}
+	return false
+}
+
+// mergeMatches merges per-shard top-k lists, best first.
+func mergeMatches(lists [][]ScoredMatch, k int) []ScoredMatch {
+	return shard.MergeTopK(lists, k, func(a, b ScoredMatch) bool {
+		return a.Similarity > b.Similarity
+	})
 }
 
 // ExactSearch answers one typed query by exhaustive scan (the paper's
-// MUST--): exact results for ground truth or small corpora. Unlike
-// Search it works before Build; tombstones and Query.Filter are
-// honored, Patience/L/DisableOptimization are ignored.
+// MUST--) of every shard, merged exactly: exact results for ground truth
+// or small corpora, identical for every shard count. Unlike Search it
+// works before Build; tombstones and Query.Filter are honored,
+// Patience/L/DisableOptimization are ignored, and ctx (nil means
+// context.Background) is checked once, up front.
 func (e *Engine) ExactSearch(ctx context.Context, q Query) (*Response, error) {
 	start := time.Now()
 	if ctx != nil {
@@ -780,113 +920,84 @@ func (e *Engine) ExactSearch(ctx context.Context, q Query) (*Response, error) {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	mv, w, err := e.convertLocked(q)
-	if err != nil {
+	lists := make([][]ScoredMatch, len(e.parts))
+	evals := make([]int, len(e.parts))
+	if err := shard.Do(len(e.parts), 0, func(j int) (err error) {
+		lists[j], evals[j], err = e.parts[j].exactSearch(q, k)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	dead := e.dead
-	ids := e.ids
-	// evals counts the objects actually scored; TopKFiltered calls keep
-	// sequentially, so a plain counter is safe.
-	evals := 0
-	keep := func(slot int) bool {
-		if slot < len(dead) && dead[slot] {
-			return false
-		}
-		if q.Filter != nil && !q.Filter(ids[slot]) {
-			return false
-		}
-		evals++
-		return true
+	matches := lists[0]
+	if len(lists) > 1 {
+		matches = mergeMatches(lists, k)
 	}
-	bf := &index.BruteForce{Store: e.c.store, Weights: vec.Weights(w)}
-	res := bf.TopKFiltered(mv, k, keep)
-	matches := make([]ScoredMatch, len(res))
-	for i, r := range res {
-		per := search.Breakdown(vec.Weights(w), mv, e.c.store.Multi(r.ID))
-		by := make(map[string]float32, len(e.schema))
-		for j, m := range e.schema {
-			by[m.Name] = per[j]
-		}
-		matches[i] = ScoredMatch{ID: ids[r.ID], Similarity: r.IP, ByModality: by}
+	var stats SearchStats
+	for _, n := range evals {
+		stats.FullEvals += n
 	}
-	return &Response{
-		Matches: matches,
-		Stats:   SearchStats{FullEvals: evals},
-		Latency: time.Since(start),
-	}, nil
+	return &Response{Matches: matches, Stats: stats, Latency: time.Since(start)}, nil
 }
 
-// SearchBatch answers many queries concurrently and returns responses
-// aligned with the queries slice. workers ≤ 0 uses one worker per query
-// up to GOMAXPROCS. Any query error fails the whole call with the
-// first (lowest-index) error; use SearchEach when partial results and
-// per-query errors are wanted instead.
-func (e *Engine) SearchBatch(ctx context.Context, queries []Query, workers int) ([]*Response, error) {
-	out, errs := e.SearchEach(ctx, queries, workers)
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("must: batch query %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
-// Stats reports statistics of the engine's current index.
+// Stats reports statistics of the engine's current index, aggregated
+// across built shards: counts and byte sizes sum, ratios and AvgDegree
+// re-derive from the summed totals, and BuildTime is the slowest shard's
+// (the wall-clock critical path of the parallel build). It returns
+// ErrNotBuilt until at least one shard is built.
 func (e *Engine) Stats() (Stats, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.f == nil {
+	if e.built.Load() == 0 {
 		return Stats{}, ErrNotBuilt
 	}
-	f := e.f
-	var raw, quant int64
-	if st := f.Store; st != nil {
-		raw = int64(st.Len()) * int64(st.RowDim()) * 4
-		quant = st.QuantizedBytes()
+	var agg Stats
+	tombstones := 0
+	for _, p := range e.parts {
+		st, err := p.stats()
+		if err != nil {
+			continue
+		}
+		agg.Objects += st.Objects
+		agg.Edges += st.Edges
+		agg.SizeBytes += st.SizeBytes
+		agg.CorpusBytes += st.CorpusBytes
+		agg.RawVectorBytes += st.RawVectorBytes
+		agg.FusedBytes += st.FusedBytes
+		agg.QuantizedBytes += st.QuantizedBytes
+		agg.OverlayVertices += st.OverlayVertices
+		tombstones += p.Deleted()
+		agg.KernelVariant = st.KernelVariant
+		agg.BuildTime = max(agg.BuildTime, st.BuildTime)
+		if agg.Algorithm == "" {
+			agg.Algorithm = st.Algorithm
+		}
 	}
-	edges := f.Graph.NumEdges()
-	var perEdge float64
-	if edges > 0 {
-		perEdge = float64(f.SizeBytes()) / float64(edges)
+	if agg.Objects > 0 {
+		agg.AvgDegree = float64(agg.Edges) / float64(agg.Objects)
+		agg.OverlayRatio = float64(agg.OverlayVertices) / float64(agg.Objects)
+		agg.TombstoneRatio = float64(tombstones) / float64(agg.Objects)
 	}
-	objects := f.Graph.NumVertices()
-	overlay := f.Graph.OverlayVertices()
-	var overlayRatio, tombstoneRatio float64
-	if objects > 0 {
-		overlayRatio = float64(overlay) / float64(objects)
-		tombstoneRatio = float64(e.deadCount) / float64(objects)
+	if agg.Edges > 0 {
+		agg.GraphBytesPerEdge = float64(agg.SizeBytes) / float64(agg.Edges)
 	}
-	return Stats{
-		Objects:           objects,
-		Edges:             edges,
-		AvgDegree:         f.Graph.AvgDegree(),
-		SizeBytes:         f.SizeBytes(),
-		GraphBytesPerEdge: perEdge,
-		CorpusBytes:       f.CorpusBytes(),
-		RawVectorBytes:    raw,
-		FusedBytes:        f.FusedBytes(),
-		QuantizedBytes:    quant,
-		OverlayVertices:   overlay,
-		OverlayRatio:      overlayRatio,
-		TombstoneRatio:    tombstoneRatio,
-		KernelVariant:     vec.KernelName(),
-		BuildTime:         int64(f.BuildTime),
-		Algorithm:         f.Pipeline,
-	}, nil
+	return agg, nil
 }
 
-// markDead tombstones slot in *dead, first growing the bitset to the n
-// vertices of the graph, and reports whether slot was live before.
-func markDead(dead *[]bool, n, slot int) bool {
-	if len(*dead) < n {
-		grown := make([]bool, n)
-		copy(grown, *dead)
-		*dead = grown
+// ShardStats reports per-shard build progress, sizes, epochs and health
+// — index j describes shard j.
+func (e *Engine) ShardStats() []ShardInfo {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	out := make([]ShardInfo, len(e.parts))
+	for j, p := range e.parts {
+		out[j] = ShardInfo{
+			State:   p.State().String(),
+			Objects: p.Len(),
+			Deleted: p.Deleted(),
+			Epoch:   p.Epoch(),
+			Health:  p.health.State().String(),
+		}
+		out[j].Stats, _ = p.stats()
 	}
-	if (*dead)[slot] {
-		return false
-	}
-	(*dead)[slot] = true
-	return true
+	return out
 }

@@ -487,10 +487,7 @@ func TestEngineSearchBatch(t *testing.T) {
 			K: 3,
 		}
 	}
-	resps, err := e.SearchBatch(context.Background(), queries, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resps := searchAll(t, e, queries, 4)
 	if len(resps) != len(queries) {
 		t.Fatalf("got %d responses for %d queries", len(resps), len(queries))
 	}

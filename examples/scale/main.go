@@ -2,7 +2,7 @@
 // linearly with corpus size while MUST's fused-graph search stays nearly
 // flat, at matched (near-exact) recall. Both sides run through one Engine:
 // ExactSearch is the exhaustive baseline (MUST--), Search the graph, and
-// SearchBatch serves the query workload concurrently — the production
+// SearchEach serves the query workload concurrently — the production
 // throughput mode the paper's single-threaded numbers leave on the table.
 //
 //	go run ./examples/scale [-base 4000]
@@ -84,8 +84,11 @@ func main() {
 		graphPer := time.Since(graphStart) / time.Duration(len(queries))
 
 		batchStart := time.Now()
-		if _, err := engine.SearchBatch(ctx, typed, 0); err != nil {
-			log.Fatal(err)
+		_, errs := engine.SearchEach(ctx, typed, 0)
+		for _, err := range errs {
+			if err != nil {
+				log.Fatal(err)
+			}
 		}
 		batchPer := time.Since(batchStart) / time.Duration(len(queries))
 

@@ -30,12 +30,12 @@ func TestShardQuarantineAfterConsecutivePanics(t *testing.T) {
 
 	// Two failures: degraded, still serving.
 	failShard(s, t, 1, S, 2)
-	if got := s.ShardHealth()[1]; got != maint.Degraded.String() {
+	if got := s.ShardStats()[1].Health; got != maint.Degraded.String() {
 		t.Fatalf("after 2 panics health = %q, want degraded", got)
 	}
 	// Third consecutive failure trips the breaker.
 	failShard(s, t, 1, S, 1)
-	if got := s.ShardHealth()[1]; got != maint.Quarantined.String() {
+	if got := s.ShardStats()[1].Health; got != maint.Quarantined.String() {
 		t.Fatalf("after 3 panics health = %q, want quarantined", got)
 	}
 	// Health is also visible in ShardStats for /v1/stats.
@@ -74,7 +74,7 @@ func TestShardQuarantineAfterConsecutivePanics(t *testing.T) {
 	if err := s.RebuildShard(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ShardHealth()[1]; got != maint.Healthy.String() {
+	if got := s.ShardStats()[1].Health; got != maint.Healthy.String() {
 		t.Fatalf("after rebuild health = %q, want healthy", got)
 	}
 	resp, err = s.Search(context.Background(), Query{Vectors: shardedQueries(1, 2)[0], K: 5})
@@ -98,7 +98,7 @@ func TestShardHealthSuccessResetsCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	failShard(s, t, 2, S, 1)
-	if got := s.ShardHealth()[2]; got == maint.Quarantined.String() {
+	if got := s.ShardStats()[2].Health; got == maint.Quarantined.String() {
 		t.Fatal("non-consecutive failures quarantined the shard")
 	}
 }
@@ -112,7 +112,7 @@ func TestShardHalfOpenProbeReadmission(t *testing.T) {
 	s.ConfigureHealth(HealthConfig{Threshold: 2, Window: time.Minute, Probe: 10 * time.Millisecond})
 
 	failShard(s, t, 3, S, 2)
-	if got := s.ShardHealth()[3]; got != maint.Quarantined.String() {
+	if got := s.ShardStats()[3].Health; got != maint.Quarantined.String() {
 		t.Fatalf("health = %q, want quarantined", got)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -125,7 +125,7 @@ func TestShardHalfOpenProbeReadmission(t *testing.T) {
 	if resp.Partial {
 		t.Fatalf("probe search still partial: %+v", resp.ShardErrors)
 	}
-	if got := s.ShardHealth()[3]; got != maint.Healthy.String() {
+	if got := s.ShardStats()[3].Health; got != maint.Healthy.String() {
 		t.Fatalf("after successful probe health = %q, want healthy", got)
 	}
 }
@@ -136,8 +136,8 @@ func TestAllShardsQuarantinedErrors(t *testing.T) {
 	s.ConfigureHealth(HealthConfig{Threshold: 1, Window: time.Minute, Probe: time.Hour})
 	// Trip every breaker directly (a query can no longer do this: panics
 	// that hit most shards at once are query-correlated and ignored).
-	for _, b := range s.health {
-		b.Failure(time.Now())
+	for _, p := range s.parts {
+		p.health.Failure(time.Now())
 	}
 	_, err := s.Search(context.Background(), Query{Vectors: shardedQueries(1, 2)[0], K: 5})
 	if !errors.Is(err, ErrAllQuarantined) {
@@ -168,7 +168,8 @@ func TestQueryCorrelatedPanicDoesNotQuarantine(t *testing.T) {
 		}
 	}
 	// ...but no shard is blamed, and good traffic is untouched.
-	for j, h := range s.ShardHealth() {
+	for j, info := range s.ShardStats() {
+		h := info.Health
 		if h != maint.Healthy.String() {
 			t.Fatalf("shard %d health = %q after correlated panics, want healthy", j, h)
 		}
@@ -202,7 +203,8 @@ func TestCorrelatedTimeoutDoesNotQuarantine(t *testing.T) {
 	if _, err := s.Search(ctx, q); err == nil {
 		t.Fatal("all-shards hang returned no error")
 	}
-	for j, h := range s.ShardHealth() {
+	for j, info := range s.ShardStats() {
+		h := info.Health
 		if h == maint.Quarantined.String() {
 			t.Fatalf("shard %d quarantined by a correlated timeout", j)
 		}
@@ -231,10 +233,11 @@ func TestStragglerTimeoutQuarantines(t *testing.T) {
 	if _, err := s.Search(ctx, q); err != nil {
 		t.Fatalf("one hanging shard must degrade, not fail: %v", err)
 	}
-	if got := s.ShardHealth()[2]; got != maint.Quarantined.String() {
+	if got := s.ShardStats()[2].Health; got != maint.Quarantined.String() {
 		t.Fatalf("straggler shard health = %q, want quarantined", got)
 	}
-	for j, h := range s.ShardHealth() {
+	for j, info := range s.ShardStats() {
+		h := info.Health
 		if j != 2 && h != maint.Healthy.String() {
 			t.Fatalf("shard %d health = %q, want healthy", j, h)
 		}

@@ -2,7 +2,7 @@
 // per-shard health circuit breaker and a background maintenance manager
 // that turns overlay growth and tombstone accumulation into paced,
 // automatic rebuilds. The package is engine-agnostic — the root package
-// adapts Engine/ShardedEngine/DurableService onto the small Target and
+// adapts Engine/DurableService onto the small Target and
 // breaker surfaces here, so the state machines stay unit-testable with
 // fake clocks and fake targets.
 package maint

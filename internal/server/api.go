@@ -150,8 +150,8 @@ type StatsResponse struct {
 	Engine must.Stats  `json:"engine"`
 	Server ServerStats `json:"server"`
 	// Shards carries per-shard build progress, sizes, epochs, and health
-	// when the backing service is sharded (directly or behind a durable
-	// wrapper); omitted for a single engine.
+	// when the engine has more than one shard (directly or behind a
+	// durable wrapper); omitted at one shard.
 	Shards []must.ShardInfo `json:"shards,omitempty"`
 	// Maintenance reports the background maintenance loop; omitted when
 	// maintenance is disabled.

@@ -62,9 +62,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the HTTP serving tier over a must.Service (a single Engine
-// or a ShardedEngine). Create with
-// New, mount Handler on an http.Server, and Close after draining.
+// Server is the HTTP serving tier over a must.Service (an Engine of any
+// shard count, possibly behind a DurableService). Create with New, mount
+// Handler on an http.Server, and Close after draining.
 type Server struct {
 	eng     must.Service
 	cfg     Config
@@ -93,8 +93,7 @@ type Server struct {
 }
 
 // walReporter is the optional write-ahead-log statistics surface of a
-// service (must.DurableService has it); detected the way
-// must.ShardRebuilder is.
+// service (must.DurableService has it).
 type walReporter interface {
 	WALStats() must.WALStats
 }
@@ -402,12 +401,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for i, m := range s.schema {
 		schema[i] = ModalityInfo{Name: m.Name, Dim: m.Dim}
 	}
-	// ShardRebuilder catches both a bare ShardedEngine and one behind a
-	// durable wrapper; a single engine reports ShardCount 1 and no shard
-	// block.
+	// A one-shard engine reports no shard block.
 	var shards []must.ShardInfo
-	if sr, ok := s.eng.(must.ShardRebuilder); ok && sr.ShardCount() > 1 {
-		shards = sr.ShardStats()
+	if s.eng.ShardCount() > 1 {
+		shards = s.eng.ShardStats()
 	}
 	var maintStats *must.MaintStats
 	if s.maint != nil {

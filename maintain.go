@@ -13,8 +13,7 @@ type MaintenanceOptions struct {
 	Interval time.Duration
 	// MinRebuildGap is the minimum time between two maintenance rebuilds
 	// — the pacing that keeps compaction from monopolizing the engine
-	// (default 10s). One shard (or the whole engine, when unsharded)
-	// rebuilds per gap.
+	// (default 10s). One shard rebuilds per gap.
 	MinRebuildGap time.Duration
 	// OverlayWatermark triggers a rebuild when a unit's overlay ratio
 	// reaches it (default 0.20).
@@ -45,72 +44,52 @@ type MaintStats struct {
 	// Debt is how many units (shards) were at or past a watermark — or
 	// quarantined — at the last sample.
 	Debt int `json:"debt"`
-	// LastUnit is the most recently rebuilt unit (shard index; 0 for an
-	// unsharded engine), or -1 if maintenance has not rebuilt yet.
+	// LastUnit is the most recently rebuilt unit (shard index), or -1 if
+	// maintenance has not rebuilt yet.
 	LastUnit int `json:"last_unit"`
 }
 
 // Maintainer runs background maintenance over a Service: it samples
-// overlay and tombstone ratios against the watermarks and issues paced
-// Rebuild (unsharded) or RebuildShard (sharded — one shard at a time)
-// calls, so the engine self-heals under write churn with no caller
-// Rebuild. Quarantined shards jump the queue: their rebuild is the
-// re-admission path. Close stops the loop; the Service is untouched.
+// each shard's overlay and tombstone ratios against the watermarks and
+// issues paced RebuildShard calls, one shard at a time, so the engine
+// self-heals under write churn with no caller Rebuild. Quarantined
+// shards jump the queue: their rebuild is the re-admission path. Close
+// stops the loop; the Service is untouched.
 type Maintainer struct {
 	mgr *maint.Manager
 }
 
-// serviceTarget adapts a Service onto the maint.Target surface. A
-// sharded service (ShardCount > 1) is maintained shard by shard; any
-// other service — a single Engine, durable-wrapped or not — is one
-// maintenance unit rebuilt whole.
+// serviceTarget adapts a Service onto the maint.Target surface: each
+// built shard is one maintenance unit, rebuilt through RebuildShard.
 type serviceTarget struct {
 	svc Service
 }
 
-func (t serviceTarget) sharded() (ShardRebuilder, bool) {
-	sr, ok := t.svc.(ShardRebuilder)
-	return sr, ok && sr.ShardCount() > 1
-}
-
 func (t serviceTarget) Samples() []maint.Sample {
-	if sr, ok := t.sharded(); ok {
-		infos := sr.ShardStats()
-		out := make([]maint.Sample, 0, len(infos))
-		for j, info := range infos {
-			if info.State != ShardBuilt.String() {
-				// Pending shards have nothing to compact; a building
-				// shard is already being rebuilt.
-				continue
-			}
-			out = append(out, maint.Sample{
-				Unit:           j,
-				OverlayRatio:   info.Stats.OverlayRatio,
-				TombstoneRatio: info.Stats.TombstoneRatio,
-				Quarantined:    info.Health == maint.Quarantined.String(),
-			})
+	infos := t.svc.ShardStats()
+	out := make([]maint.Sample, 0, len(infos))
+	for j, info := range infos {
+		if info.State != ShardBuilt.String() {
+			// Pending shards have nothing to compact; a building shard is
+			// already being rebuilt.
+			continue
 		}
-		return out
+		out = append(out, maint.Sample{
+			Unit:           j,
+			OverlayRatio:   info.Stats.OverlayRatio,
+			TombstoneRatio: info.Stats.TombstoneRatio,
+			Quarantined:    info.Health == maint.Quarantined.String(),
+		})
 	}
-	st, err := t.svc.Stats()
-	if err != nil {
-		// Not built yet: nothing to maintain.
-		return nil
-	}
-	return []maint.Sample{{Unit: 0, OverlayRatio: st.OverlayRatio, TombstoneRatio: st.TombstoneRatio}}
+	return out
 }
 
-func (t serviceTarget) Rebuild(unit int) error {
-	if sr, ok := t.sharded(); ok {
-		return sr.RebuildShard(unit)
-	}
-	return t.svc.Rebuild()
-}
+func (t serviceTarget) Rebuild(unit int) error { return t.svc.RebuildShard(unit) }
 
 // StartMaintenance starts a background maintenance loop over svc and
 // returns its Maintainer. For a DurableService, every maintenance
 // rebuild goes through the durable write path, so it is WAL-logged
-// (OpRebuild / OpRebuildShard) like any caller-initiated rebuild.
+// (OpRebuildShard) like any caller-initiated rebuild.
 func StartMaintenance(svc Service, o MaintenanceOptions) *Maintainer {
 	return &Maintainer{mgr: maint.NewManager(serviceTarget{svc: svc}, maint.Config{
 		Interval:           o.Interval,

@@ -105,14 +105,14 @@ func TestMaintenanceRecoversQuarantinedShard(t *testing.T) {
 	s := newSharded(t, shardedObjects(400, 1), S, true)
 	s.ConfigureHealth(HealthConfig{Threshold: 2, Window: time.Minute, Probe: time.Hour})
 	failShard(s, t, 2, S, 2)
-	if got := s.ShardHealth()[2]; got != maint.Quarantined.String() {
+	if got := s.ShardStats()[2].Health; got != maint.Quarantined.String() {
 		t.Fatalf("health = %q, want quarantined before maintenance starts", got)
 	}
 
 	m := StartMaintenance(s, fastMaint())
 	defer m.Close()
 	waitUntil(t, "quarantined shard re-admitted by maintenance rebuild", func() bool {
-		return s.ShardHealth()[2] == maint.Healthy.String()
+		return s.ShardStats()[2].Health == maint.Healthy.String()
 	})
 	if m.Rebuilds() < 1 {
 		t.Fatal("re-admission happened without a maintenance rebuild")
@@ -205,19 +205,53 @@ func TestDurableRebuildShardReplay(t *testing.T) {
 	}
 }
 
-// TestDurableRebuildShardOnUnsharded: the durable wrapper must refuse
-// shard-grain rebuilds when the inner service is not sharded.
+// TestDurableRebuildShardOnUnsharded: a one-shard service has exactly
+// one shard to rebuild — RebuildShard(0) compacts it and is logged and
+// replayed like on any shard count — and refuses every other index
+// without logging it.
 func TestDurableRebuildShardOnUnsharded(t *testing.T) {
-	ds, _, err := OpenDurable(newDurableEngine(t, 1), filepath.Join(t.TempDir(), "wal"), DurableOptions{})
+	walDir := filepath.Join(t.TempDir(), "wal")
+	ds, _, err := OpenDurable(newDurableEngine(t, 1), walDir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ds.Close()
 	if ds.ShardCount() != 1 {
 		t.Fatalf("ShardCount = %d, want 1", ds.ShardCount())
 	}
-	if err := ds.RebuildShard(0); err == nil {
-		t.Fatal("RebuildShard on an unsharded durable service succeeded")
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 40; i++ {
+		if _, err := ds.Insert(durableRandObject(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Build(); err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(0); id < 40; id += 4 {
+		if err := ds.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.RebuildShard(1); err == nil {
+		t.Fatal("RebuildShard(1) on a one-shard service succeeded")
+	}
+	if err := ds.RebuildShard(0); err != nil {
+		t.Fatal(err)
+	}
+	if ds.Deleted() != 0 {
+		t.Fatalf("RebuildShard(0) left %d tombstones", ds.Deleted())
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ds2, _, err := OpenDurable(newDurableEngine(t, 1), walDir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds2.Close()
+	sameCorpus(t, ds, ds2)
+	if ds2.Deleted() != 0 {
+		t.Fatalf("replay left %d tombstones", ds2.Deleted())
 	}
 }
 

@@ -33,9 +33,11 @@
 //	e.Build()
 //	resp, _ := e.Search(ctx, must.Query{Vectors: must.NamedVectors{"image": img, "text": txt}, K: 10})
 //
-// ShardedEngine partitions the same surface over S graphs. Both implement
-// Service; WriteSnapshot saves either one crash-safely and LoadService
-// restores whichever kind a snapshot holds.
+// The Engine is one type at every scale: NewEngine holds one graph, and
+// NewShardedEngine partitions the corpus over S graphs behind the same
+// methods (S = 1 is the degenerate case, not a second implementation).
+// Engine implements Service; WriteSnapshot saves it crash-safely, and
+// LoadEngine/LoadService restore a snapshot of any shard count.
 package must
 
 import (
@@ -45,7 +47,6 @@ import (
 	"must/internal/graph"
 	"must/internal/index"
 	"must/internal/vec"
-	"must/internal/weights"
 )
 
 // Object is one multimodal object or query: one embedding vector per
@@ -178,51 +179,6 @@ type WeightConfig struct {
 	RandomNegatives bool
 	// Seed fixes training randomness.
 	Seed int64
-}
-
-// learnWeights fits modality weights from training pairs: queries[i]'s
-// true answer is the collection object positives[i]. The pool of true
-// objects (the paper's T) is exactly the referenced objects. Engine and
-// ShardedEngine both train through it, so they share its validation.
-func learnWeights(c *collection, queries []Object, positives []int, cfg WeightConfig) (Weights, error) {
-	if len(queries) != len(positives) {
-		return nil, fmt.Errorf("must: %d queries but %d positives", len(queries), len(positives))
-	}
-	anchors := make([]vec.Multi, len(queries))
-	for i, q := range queries {
-		mv, err := c.query(q)
-		if err != nil {
-			return nil, fmt.Errorf("must: training query %d: %w", i, err)
-		}
-		anchors[i] = mv
-	}
-	// Build the pool T and remap positives into it.
-	poolIDs := make(map[int]int)
-	var pool []vec.Multi
-	remapped := make([]int, len(positives))
-	for i, p := range positives {
-		if p < 0 || p >= c.Len() {
-			return nil, fmt.Errorf("must: positive %d of query %d out of range", p, i)
-		}
-		idx, ok := poolIDs[p]
-		if !ok {
-			idx = len(pool)
-			poolIDs[p] = idx
-			pool = append(pool, c.store.Multi(p))
-		}
-		remapped[i] = idx
-	}
-	res, err := weights.Train(anchors, remapped, pool, weights.Config{
-		LearningRate:  cfg.LearningRate,
-		Epochs:        cfg.Epochs,
-		NumNegatives:  cfg.Negatives,
-		HardNegatives: !cfg.RandomNegatives,
-		Seed:          cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Weights, nil
 }
 
 // GraphAlgorithm selects the index-construction algorithm.

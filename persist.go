@@ -2,13 +2,16 @@ package must
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"must/internal/index"
+	"must/internal/shard"
 	"must/internal/vec"
 )
 
@@ -306,39 +309,90 @@ func readCollectionBody(br *bufio.Reader) (*collection, error) {
 	return c, nil
 }
 
-// Engine binary format, little-endian:
+// Engine binary format, little-endian. A one-shard engine is one MUSTEG2
+// blob; an S-shard engine is a MUSTSH1 container of S of them.
 //
 //	magic "MUSTEG2\n"
 //	schema: m uint32, m × (nameLen uint32, name bytes, dim uint32)
 //	weights: m × float32
 //	build: gamma uint32, iterations uint32, algorithm uint32, seed int64
-//	nextID uint64
+//	nextID uint64 (shard-local)
 //	epoch uint64 (the mutation epoch at snapshot time — WAL replay
 //	  applies only records logged after it)
-//	ids: n uint32, n × uint64
+//	ids: n uint32, n × uint64 (shard-local: engine ID div S)
 //	tombstones: n × uint8
 //	collection body (v4 or v5 format, see above)
 //	built uint8; if 1: index body (internal/index MUSTIX2 format)
 var egMagic = [8]byte{'M', 'U', 'S', 'T', 'E', 'G', '2', '\n'}
 
+// MUSTSH1 container: a small header followed by one MUSTEG2 blob per
+// shard, each preceded by its byte length.
+//
+//	magic   [8]byte  "MUSTSH1\n"
+//	shards  uint32   shard count S (1..shard.MaxShards)
+//	rr      uint64   round-robin insert cursor
+//	S × { size uint64; blob [size]byte }   engine blobs, shard order
+//
+// The explicit per-blob length lets the reader compute every section's
+// offset up front and load the shards in parallel, each from its own
+// bounded section (a blob reader buffers ahead, so an unbounded one would
+// read into the next shard).
+var shMagic = [8]byte{'M', 'U', 'S', 'T', 'S', 'H', '1', '\n'}
+
+// shHeaderLen is the byte length of the MUSTSH1 header.
+const shHeaderLen = len(shMagic) + 4 + 8
+
 // SaveTo serializes the whole engine — schema, weights, build options,
-// objects, stable IDs, tombstones, and the built graph — to w. The engine
-// may keep serving while it saves (a consistent snapshot is taken under
-// the read lock).
+// objects, stable IDs, tombstones, and the built graphs — to w: MUSTEG2
+// for one shard, MUSTSH1 for more. The engine may keep serving while it
+// saves: each shard snapshots under its own read lock, with one shard's
+// blob buffered in memory at a time (≈1/S of the corpus). For a
+// point-in-time snapshot across shards, quiesce writes first (the mustd
+// drain path does).
 func (e *Engine) SaveTo(w io.Writer) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.c.Len() > maxPersistObjects {
-		return fmt.Errorf("must: engine has %d objects, persistence caps at %d", e.c.Len(), maxPersistObjects)
+	if len(e.parts) == 1 {
+		return e.parts[0].saveTo(w)
+	}
+	hdr := make([]byte, 0, shHeaderLen)
+	hdr = append(hdr, shMagic[:]...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(e.parts)))
+	hdr = binary.LittleEndian.AppendUint64(hdr, e.rr.Load())
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	for j, p := range e.parts {
+		buf.Reset()
+		if err := p.saveTo(&buf); err != nil {
+			return fmt.Errorf("must: shard %d: %w", j, err)
+		}
+		if err := binary.Write(w, binary.LittleEndian, uint64(buf.Len())); err != nil {
+			return err
+		}
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// saveTo writes the part as one MUSTEG2 blob, under its read lock.
+func (p *part) saveTo(w io.Writer) error {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.c.Len() > maxPersistObjects {
+		return fmt.Errorf("must: engine has %d objects, persistence caps at %d", p.c.Len(), maxPersistObjects)
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(egMagic[:]); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(e.schema))); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint32(len(p.schema))); err != nil {
 		return err
 	}
-	for _, m := range e.schema {
+	for _, m := range p.schema {
 		if err := writeString(bw, m.Name); err != nil {
 			return err
 		}
@@ -346,12 +400,12 @@ func (e *Engine) SaveTo(w io.Writer) error {
 			return err
 		}
 	}
-	for _, x := range e.weights {
+	for _, x := range p.weights {
 		if err := binary.Write(bw, binary.LittleEndian, math.Float32bits(x)); err != nil {
 			return err
 		}
 	}
-	bo := e.build
+	bo := p.build
 	if err := binary.Write(bw, binary.LittleEndian, uint32(bo.Gamma)); err != nil {
 		return err
 	}
@@ -364,35 +418,35 @@ func (e *Engine) SaveTo(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, bo.Seed); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(e.nextID)); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint64(p.nextID)); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, e.epoch); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, p.epoch); err != nil {
 		return err
 	}
-	n := e.c.Len()
+	n := p.c.Len()
 	if err := binary.Write(bw, binary.LittleEndian, uint32(n)); err != nil {
 		return err
 	}
-	for _, id := range e.ids {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(id)); err != nil {
+	for _, id := range p.ids {
+		if err := binary.Write(bw, binary.LittleEndian, uint64(id/int64(p.n))); err != nil {
 			return err
 		}
 	}
 	for i := 0; i < n; i++ {
 		var b byte
-		if i < len(e.dead) && e.dead[i] {
+		if i < len(p.dead) && p.dead[i] {
 			b = 1
 		}
 		if err := bw.WriteByte(b); err != nil {
 			return err
 		}
 	}
-	if err := writeCollectionBody(bw, e.c); err != nil {
+	if err := writeCollectionBody(bw, p.c); err != nil {
 		return err
 	}
 	built := byte(0)
-	if e.f != nil {
+	if p.f != nil {
 		built = 1
 	}
 	if err := bw.WriteByte(built); err != nil {
@@ -401,18 +455,82 @@ func (e *Engine) SaveTo(w io.Writer) error {
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	if e.f != nil {
+	if p.f != nil {
 		// The index section is last, so its internal buffering cannot
 		// over-read anything that follows on load.
-		return e.f.Write(w)
+		return p.f.Write(w)
 	}
 	return nil
 }
 
-// ReadEngine deserializes an engine written with SaveTo, restoring
-// schema, weights, build options, objects, stable IDs, tombstones, and
-// the built graph.
-func ReadEngine(r io.Reader) (*Engine, error) {
+// ReadEngine deserializes an engine written with SaveTo from the size
+// bytes of r, restoring schema, weights, build options, objects, stable
+// IDs, tombstones, and the built graphs. It reads either format: a
+// MUSTEG2 blob is a one-shard engine, and a MUSTSH1 container's shards
+// load in parallel, each from its own section of r.
+func ReadEngine(r io.ReaderAt, size int64) (*Engine, error) {
+	sr := io.NewSectionReader(r, 0, size)
+	var hdr [shHeaderLen]byte
+	n, err := sr.ReadAt(hdr[:], 0)
+	if n < len(shMagic) || [8]byte(hdr[:8]) != shMagic {
+		if n < len(shMagic) {
+			return nil, fmt.Errorf("must: reading engine magic: %w", err)
+		}
+		p, err := readPart(sr, 0, 1)
+		if err != nil {
+			return nil, err
+		}
+		return assemble(p.schema, []*part{p}, 0), nil
+	}
+	if n < shHeaderLen {
+		return nil, fmt.Errorf("must: reading sharded header: %w", err)
+	}
+	shards := int(binary.LittleEndian.Uint32(hdr[8:]))
+	if err := shard.Validate(shards); err != nil {
+		return nil, fmt.Errorf("must: %w", err)
+	}
+	rr := binary.LittleEndian.Uint64(hdr[12:])
+	// Walk the size prefixes to compute each shard's section.
+	offsets := make([]int64, shards)
+	sizes := make([]int64, shards)
+	off := int64(shHeaderLen)
+	var szBuf [8]byte
+	for j := range shards {
+		if _, err := sr.ReadAt(szBuf[:], off); err != nil {
+			return nil, fmt.Errorf("must: shard %d: reading blob size: %w", j, err)
+		}
+		blob := int64(binary.LittleEndian.Uint64(szBuf[:]))
+		// Compared against the bytes left rather than as off+8+blob, which
+		// a corrupt size near MaxInt64 would overflow.
+		if blob < 0 || blob > size-off-8 {
+			return nil, fmt.Errorf("must: shard %d: blob size %d exceeds file", j, blob)
+		}
+		offsets[j], sizes[j] = off+8, blob
+		off += 8 + blob
+	}
+	parts := make([]*part, shards)
+	if err := shard.Do(shards, 0, func(j int) error {
+		p, err := readPart(io.NewSectionReader(r, offsets[j], sizes[j]), j, shards)
+		if err != nil {
+			return fmt.Errorf("must: shard %d: %w", j, err)
+		}
+		parts[j] = p
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	sc := parts[0].schema
+	for j, p := range parts {
+		if !slices.Equal(p.schema, sc) {
+			return nil, fmt.Errorf("must: shard %d schema %v disagrees with shard 0 (%v)", j, p.schema, sc)
+		}
+	}
+	return assemble(sc, parts, rr), nil
+}
+
+// readPart reads one MUSTEG2 blob as shard j of an n-shard engine,
+// turning its shard-local IDs back into engine IDs.
+func readPart(r io.Reader, j, n int) (*part, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var got [8]byte
 	if _, err := io.ReadFull(br, got[:]); err != nil {
@@ -444,6 +562,9 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 			return nil, err
 		}
 		schema[i] = Modality{Name: name, Dim: int(d)}
+	}
+	if err := schema.Validate(); err != nil {
+		return nil, err
 	}
 	w := make(Weights, m)
 	for i := range w {
@@ -478,25 +599,30 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 	if err := binary.Read(br, binary.LittleEndian, &epoch); err != nil {
 		return nil, err
 	}
-	n, err := readU32()
+	count, err := readU32()
 	if err != nil {
 		return nil, err
 	}
-	if n > maxPersistObjects {
-		return nil, fmt.Errorf("must: unreasonable object count %d", n)
+	if count > maxPersistObjects {
+		return nil, fmt.Errorf("must: unreasonable object count %d", count)
 	}
-	// ids and tombstones grow as bytes arrive (see maxUpfront).
-	ids := make([]int64, 0, min(int(n), maxUpfront))
-	for len(ids) < int(n) {
+	// ids and tombstones grow as bytes arrive (see maxUpfront). A local ID
+	// must map to an engine ID that fits in an int64 and maps back.
+	maxLocal := uint64((math.MaxInt64 - int64(j)) / int64(n))
+	ids := make([]int64, 0, min(int(count), maxUpfront))
+	for len(ids) < int(count) {
 		var x uint64
 		if err := binary.Read(br, binary.LittleEndian, &x); err != nil {
 			return nil, err
 		}
-		ids = append(ids, int64(x))
+		if x > maxLocal {
+			return nil, fmt.Errorf("must: object id %d out of range", x)
+		}
+		ids = append(ids, shard.Global(j, int64(x), n))
 	}
-	dead := make([]bool, 0, min(int(n), maxUpfront))
+	dead := make([]bool, 0, min(int(count), maxUpfront))
 	anyDead := false
-	for len(dead) < int(n) {
+	for len(dead) < int(count) {
 		b, err := br.ReadByte()
 		if err != nil {
 			return nil, err
@@ -508,9 +634,9 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(c.dims) != int(m) || c.Len() != int(n) {
+	if len(c.dims) != int(m) || c.Len() != int(count) {
 		return nil, fmt.Errorf("must: engine file inconsistent: schema %d/%d modalities, %d/%d objects",
-			len(c.dims), m, c.Len(), n)
+			len(c.dims), m, c.Len(), count)
 	}
 	for i, d := range c.dims {
 		if d != schema[i].Dim {
@@ -518,21 +644,18 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 				schema[i].Name, schema[i].Dim, d)
 		}
 	}
-	e, err := NewEngine(schema, EngineOptions{Weights: w, Build: bo})
-	if err != nil {
-		return nil, err
-	}
-	e.c.store = c.store
+	p := newPart(schema, w, bo)
+	p.c.store = c.store
 	if c.store != nil && c.store.SQ8() != nil {
 		// A v5 collection body means the engine was serving quantized
 		// searches when saved; resume doing so (default re-rank depth).
-		e.quantize = true
+		p.quantize = true
 	}
-	e.nextID = int64(nextID)
-	e.epoch = epoch
-	e.ids = ids
+	p.nextID = int64(nextID)
+	p.epoch = epoch
+	p.ids = ids
 	for slot, id := range ids {
-		e.lookup[id] = slot
+		p.lookup[id] = slot
 	}
 	built, err := br.ReadByte()
 	if err != nil {
@@ -542,31 +665,46 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 		// The loaded collection's arena-backed store is the corpus, full
 		// stop: the index attaches it directly and every searcher scores
 		// against it.
-		f, err := index.ReadFused(br, e.c.store)
+		f, err := index.ReadFused(br, p.c.store)
 		if err != nil {
 			return nil, err
 		}
-		e.f = f
+		p.f = f
 		if anyDead {
-			e.dead = dead
+			p.dead = dead
 			for _, d := range dead {
 				if d {
-					e.deadCount++
+					p.deadCount++
 				}
 			}
 		}
-		e.resetSearchersLocked()
-		e.updateDebtLocked()
+		p.resetSearchersLocked()
+		p.updateDebtLocked()
 	}
-	return e, nil
+	return p, nil
 }
 
-// LoadEngine reads an engine from the file at path.
+// LoadEngine reads an engine of any shard count from the file at path.
 func LoadEngine(path string) (*Engine, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { _ = f.Close() }()
-	return ReadEngine(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return ReadEngine(f, fi.Size())
+}
+
+// LoadService is LoadEngine returned as a Service — what serving layers
+// use to restore a snapshot written by WriteSnapshot.
+func LoadService(path string) (Service, error) {
+	e, err := LoadEngine(path)
+	if err != nil {
+		// A nil *Engine in a Service would be a non-nil interface.
+		return nil, err
+	}
+	return e, nil
 }

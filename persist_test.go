@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -29,9 +32,13 @@ func readCollection(b []byte) (*collection, error) {
 	return readCollectionBody(bufio.NewReader(bytes.NewReader(b)))
 }
 
+func readEngineBytes(b []byte) (*Engine, error) {
+	return ReadEngine(bytes.NewReader(b), int64(len(b)))
+}
+
 func TestCollectionRoundTrip(t *testing.T) {
 	e, _, _ := corpusEngine(t, 200, 5, 91, BuildOptions{})
-	c := e.c
+	c := e.parts[0].c
 	got, err := readCollection(collectionBytes(t, c))
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +64,7 @@ func TestFullPersistenceRoundTrip(t *testing.T) {
 	if err := e.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := ReadEngine(&buf)
+	e2, err := readEngineBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +84,7 @@ func TestFullPersistenceRoundTrip(t *testing.T) {
 // (no per-object re-copy).
 func TestCollectionWritesV4ArenaFormat(t *testing.T) {
 	e, _, _ := corpusEngine(t, 20, 3, 90, BuildOptions{})
-	raw := collectionBytes(t, e.c)
+	raw := collectionBytes(t, e.parts[0].c)
 	if got := string(raw[:8]); got != "MUSTCL4\n" {
 		t.Fatalf("magic = %q, want MUSTCL4", got)
 	}
@@ -172,7 +179,7 @@ func TestReadCollectionRejectsGarbage(t *testing.T) {
 		t.Error("garbage did not error")
 	}
 	e, _, _ := corpusEngine(t, 50, 5, 94, BuildOptions{})
-	raw := collectionBytes(t, e.c)
+	raw := collectionBytes(t, e.parts[0].c)
 	if _, err := readCollection(raw[:len(raw)/3]); err == nil {
 		t.Error("truncated stream did not error")
 	}
@@ -203,7 +210,7 @@ func TestReadEngineRejectsHugeClaimedCount(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for _, n := range []uint32{math.MaxUint32, maxPersistObjects + 1, maxPersistObjects} {
-		if _, err := ReadEngine(bytes.NewReader(engineHeader(n))); err == nil {
+		if _, err := readEngineBytes(engineHeader(n)); err == nil {
 			t.Errorf("claimed count %d with no data did not error", n)
 		}
 	}
@@ -213,64 +220,120 @@ func TestReadEngineRejectsHugeClaimedCount(t *testing.T) {
 	}
 }
 
-// snapshotSeeds returns SaveTo output for the engine shapes the decoder
-// must handle: built float32 with tombstones and an insert overlay, built
-// SQ8 (collection v5), and unbuilt.
-func snapshotSeeds(tb testing.TB) [][]byte {
+// snapshotFixture is the engine shape every snapshot test saves: a small
+// corpus, optionally SQ8, and when built carrying tombstones and insert
+// overlay vertices in every shard. shards = 0 uses NewEngine.
+func snapshotFixture(tb testing.TB, shards int, sq8, build bool) Service {
 	tb.Helper()
 	schema := Schema{{Name: "image", Dim: 4}, {Name: "text", Dim: 2}}
-	object := func(i int) Object {
-		x := float32(i)
-		return Object{{1, x, -x, 0.5}, {x, 1}}
+	opts := EngineOptions{Build: BuildOptions{Gamma: 6, Seed: 1}}
+	rng := rand.New(rand.NewSource(1))
+	objects := make([]Object, 123)
+	for i := range objects {
+		objects[i] = Object{randVec(rng, 4), randVec(rng, 2)}
 	}
-	var out [][]byte
-	for _, shape := range []struct{ build, sq8 bool }{{true, false}, {true, true}, {false, false}} {
-		e, err := NewEngine(schema, EngineOptions{Build: BuildOptions{Gamma: 6, Seed: 1}})
+	var svc Service
+	if shards == 0 {
+		e, err := NewEngine(schema, opts)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		for i := 0; i < 24; i++ {
-			if _, err := e.InsertObject(object(i)); err != nil {
-				tb.Fatal(err)
-			}
-		}
-		if shape.sq8 {
-			if err := e.EnableQuantization(0); err != nil {
-				tb.Fatal(err)
-			}
-		}
-		if shape.build {
-			if err := e.Build(); err != nil {
-				tb.Fatal(err)
-			}
-			for _, id := range []int64{2, 11} {
-				if err := e.Delete(id); err != nil {
-					tb.Fatal(err)
-				}
-			}
-			for i := 24; i < 27; i++ {
-				if _, err := e.InsertObject(object(i)); err != nil {
-					tb.Fatal(err)
-				}
-			}
-			if st, err := e.Stats(); err != nil || st.OverlayVertices == 0 {
-				tb.Fatalf("seed engine has no insert overlay: %+v, %v", st, err)
-			}
-		}
-		var buf bytes.Buffer
-		if err := e.SaveTo(&buf); err != nil {
+		svc = e
+	} else {
+		s, err := NewShardedEngine(schema, shards, opts)
+		if err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, buf.Bytes())
+		svc = s
 	}
-	return out
+	for _, o := range objects[:120] {
+		if _, err := svc.InsertObject(o); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if sq8 {
+		if err := svc.EnableQuantization(0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if !build {
+		return svc
+	}
+	if err := svc.Build(); err != nil {
+		tb.Fatal(err)
+	}
+	for _, id := range []int64{3, 7, 11} {
+		if err := svc.Delete(id); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, o := range objects[120:] {
+		if _, err := svc.InsertObject(o); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for j, info := range svc.ShardStats() {
+		if info.Stats.OverlayVertices == 0 || info.Deleted == 0 {
+			tb.Fatalf("fixture shard %d lacks an insert overlay or a tombstone: %+v", j, info)
+		}
+	}
+	return svc
+}
+
+func saveBytes(tb testing.TB, svc Service) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := svc.SaveTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotBytesPinned pins what SaveTo writes, byte for byte, for one
+// graph and for three shards, float32 and SQ8, each built and then given
+// tombstones and insert-overlay vertices. A change to any of these hashes
+// is a snapshot format change and must be deliberate.
+func TestSnapshotBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		sq8    bool
+		sha256 string
+	}{
+		{0, false, "07eb790d473b458d2fdff7fd1911afd6b83b94b192e8d122418e7b9b2ae86e72"},
+		{0, true, "dc12a31e06731c7ff23bd884b946d0fb742a9653c3e7a31e3c9a4148e26a526d"},
+		{3, false, "1ea5fff993d395c043909b696837e8b5be91cf083ab9ec69addeb580452ff70e"},
+		{3, true, "98b140d4ccb96dbbbf1ea426ca93dee6d06bda980606c2ab00d28b3011b72fd3"},
+	} {
+		sum := sha256.Sum256(saveBytes(t, snapshotFixture(t, tc.shards, tc.sq8, true)))
+		if got := hex.EncodeToString(sum[:]); got != tc.sha256 {
+			t.Errorf("shards=%d sq8=%v: SaveTo sha256 %s, want %s", tc.shards, tc.sq8, got, tc.sha256)
+		}
+	}
+}
+
+// snapshotSeeds returns SaveTo output for the engine shapes the decoder
+// must handle: one shard built float32 with tombstones and an insert
+// overlay, built SQ8 (collection v5), and unbuilt; and three shards in a
+// MUSTSH1 container, float32 and SQ8.
+func snapshotSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	return [][]byte{
+		saveBytes(tb, snapshotFixture(tb, 0, false, true)),
+		saveBytes(tb, snapshotFixture(tb, 0, true, true)),
+		saveBytes(tb, snapshotFixture(tb, 0, false, false)),
+		saveBytes(tb, snapshotFixture(tb, 3, false, true)),
+		saveBytes(tb, snapshotFixture(tb, 3, true, true)),
+	}
 }
 
 // FuzzReadEngine drives the snapshot decoder, which covers every reader
-// of an engine blob: MUSTEG2, the v4/v5 collection section and MUSTIX2.
-// ReadEngine must reject bad input with an error, never a panic or an
-// unbounded allocation. Whatever it accepts re-encodes to a fixed point,
-// and each unmutated seed re-encodes to itself byte for byte.
+// of a snapshot: the MUSTSH1 container, MUSTEG2, the v4/v5 collection
+// section and MUSTIX2. ReadEngine must reject bad input with an error,
+// never a panic or an unbounded allocation. Whatever it accepts
+// re-encodes to a fixed point, and each unmutated seed SaveTo wrote
+// re-encodes to itself byte for byte. The other seeds are containers no
+// engine writes: one shard (it re-encodes as its MUSTEG2 blob), and blob
+// sizes past the end of the input and near MaxInt64.
 func FuzzReadEngine(f *testing.F) {
 	seeds := make(map[string]bool)
 	for _, s := range snapshotSeeds(f) {
@@ -278,8 +341,16 @@ func FuzzReadEngine(f *testing.F) {
 		f.Add(s)
 	}
 	f.Add(engineHeader(math.MaxUint32))
+	blob := saveBytes(f, snapshotFixture(f, 0, false, true))
+	f.Add(shardContainer(5, blob))
+	pastEOF := saveBytes(f, snapshotFixture(f, 3, false, true))
+	binary.LittleEndian.PutUint64(pastEOF[20:], uint64(len(pastEOF)))
+	f.Add(pastEOF)
+	huge := shardContainer(0, blob)
+	binary.LittleEndian.PutUint64(huge[20:], math.MaxInt64-10)
+	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := ReadEngine(bytes.NewReader(data))
+		e, err := readEngineBytes(data)
 		if err != nil {
 			return
 		}
@@ -290,7 +361,7 @@ func FuzzReadEngine(f *testing.F) {
 		if seeds[string(data)] && !bytes.Equal(once.Bytes(), data) {
 			t.Fatal("seed snapshot did not round-trip byte for byte")
 		}
-		e2, err := ReadEngine(bytes.NewReader(once.Bytes()))
+		e2, err := readEngineBytes(once.Bytes())
 		if err != nil {
 			t.Fatalf("re-reading a written snapshot: %v", err)
 		}

@@ -167,7 +167,7 @@ func TestEngineQuantizedPersistence(t *testing.T) {
 		t.Fatal("quantized engine snapshot does not contain the v5 collection magic")
 	}
 
-	e2, err := ReadEngine(&quant)
+	e2, err := readEngineBytes(quant.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

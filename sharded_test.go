@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -81,44 +82,140 @@ func newSingle(t *testing.T, objs []Object, build bool) *Engine {
 	return e
 }
 
-// Exact search over the same corpus must return identical top-k IDs and
-// scores regardless of the shard count: partitioning never changes an
-// exhaustive scan, and the dense round-robin IDs line up with the single
-// engine's.
+// TestShardedExactEquivalence: one corpus, inserted in the same order
+// into a NewEngine and into engines of 1, 3, 4 and 7 shards, must answer
+// every question the shard count does not enter into identically: exact
+// search (IDs, similarity and breakdown bits, objects scanned), learned
+// weights (bit for bit), unknown-ID errors, summed stats, a nil context,
+// and Rebuild of an all-tombstoned corpus (it succeeds and changes
+// nothing). Graph search through either one-shard constructor is the same
+// engine, result for result.
 func TestShardedExactEquivalence(t *testing.T) {
 	objs := shardedObjects(300, 11)
 	queries := shardedQueries(20, 12)
-	single := newSingle(t, objs, false)
-	for _, S := range []int{1, 4, 7} {
-		sharded := newSharded(t, objs, S, false)
+	engines := []struct {
+		name string
+		e    *Engine
+	}{
+		{"NewEngine", newSingle(t, objs, false)},
+		{"S=1", newSharded(t, objs, 1, false)},
+		{"S=3", newSharded(t, objs, 3, false)},
+		{"S=4", newSharded(t, objs, 4, false)},
+		{"S=7", newSharded(t, objs, 7, false)},
+	}
+	var nilCtx context.Context // every entry point treats nil as Background
+
+	// Training pairs: a noisy copy of positive's target vector, random aux.
+	rng := rand.New(rand.NewSource(13))
+	var train []NamedVectors
+	var positives []int64
+	for i := 0; i < 40; i++ {
+		id := int64(7 * i)
+		a := append([]float32(nil), objs[id][0]...)
+		for j := range a {
+			a[j] += float32(rng.NormFloat64() * 0.05)
+		}
+		train = append(train, NamedVectors{"a": a, "b": randVec(rng, 12)})
+		positives = append(positives, id)
+	}
+	var wantW Weights
+	want := make([]*Response, len(queries))
+	for ei, tc := range engines {
+		w, err := tc.e.LearnWeights(train, positives, WeightConfig{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if ei == 0 {
+			wantW = w
+		}
+		for i := range w {
+			if math.Float32bits(w[i]) != math.Float32bits(wantW[i]) {
+				t.Fatalf("%s: learned weights %v, want %v", tc.name, w, wantW)
+			}
+		}
 		for qi, q := range queries {
-			want, err := single.ExactSearch(context.Background(), Query{Vectors: q, K: 10})
+			got, err := tc.e.ExactSearch(nilCtx, Query{Vectors: q, K: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sharded.ExactSearch(context.Background(), Query{Vectors: q, K: 10})
-			if err != nil {
-				t.Fatal(err)
+			if ei == 0 {
+				want[qi] = got
+				continue
 			}
-			if len(got.Matches) != len(want.Matches) {
-				t.Fatalf("S=%d q=%d: %d matches, want %d", S, qi, len(got.Matches), len(want.Matches))
+			if len(got.Matches) != len(want[qi].Matches) {
+				t.Fatalf("%s q=%d: %d matches, want %d", tc.name, qi, len(got.Matches), len(want[qi].Matches))
 			}
-			for i := range want.Matches {
-				w, g := want.Matches[i], got.Matches[i]
-				if g.ID != w.ID || g.Similarity != w.Similarity {
-					t.Fatalf("S=%d q=%d rank %d: got (%d, %v), want (%d, %v)",
-						S, qi, i, g.ID, g.Similarity, w.ID, w.Similarity)
+			for i, w := range want[qi].Matches {
+				g := got.Matches[i]
+				if g.ID != w.ID || math.Float32bits(g.Similarity) != math.Float32bits(w.Similarity) {
+					t.Fatalf("%s q=%d rank %d: got (%d, %v), want (%d, %v)",
+						tc.name, qi, i, g.ID, g.Similarity, w.ID, w.Similarity)
 				}
 				for name, ws := range w.ByModality {
-					if g.ByModality[name] != ws {
-						t.Fatalf("S=%d q=%d rank %d: modality %s breakdown %v, want %v",
-							S, qi, i, name, g.ByModality[name], ws)
+					if math.Float32bits(g.ByModality[name]) != math.Float32bits(ws) {
+						t.Fatalf("%s q=%d rank %d: modality %s breakdown %v, want %v",
+							tc.name, qi, i, name, g.ByModality[name], ws)
 					}
 				}
 			}
-			if got.Stats.FullEvals != want.Stats.FullEvals {
-				t.Fatalf("S=%d q=%d: scanned %d objects, want %d", S, qi, got.Stats.FullEvals, want.Stats.FullEvals)
+			if got.Stats.FullEvals != want[qi].Stats.FullEvals {
+				t.Fatalf("%s q=%d: scanned %d objects, want %d", tc.name, qi, got.Stats.FullEvals, want[qi].Stats.FullEvals)
 			}
+		}
+	}
+
+	for _, tc := range engines {
+		e := tc.e
+		if err := e.Build(); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []int64{-3, int64(len(objs)), 999_999} {
+			_, oerr := e.Object(id)
+			for what, err := range map[string]error{"Delete": e.Delete(id), "Object": oerr} {
+				if !errors.Is(err, ErrUnknownID) || err.Error() != fmt.Sprintf("must: unknown object id %d", id) {
+					t.Fatalf("%s: %s(%d) = %v, want the unknown-ID error naming %d", tc.name, what, id, err, id)
+				}
+			}
+		}
+		st, err := e.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum Stats
+		for _, info := range e.ShardStats() {
+			sum.Objects += info.Stats.Objects
+			sum.Edges += info.Stats.Edges
+			sum.SizeBytes += info.Stats.SizeBytes
+			sum.CorpusBytes += info.Stats.CorpusBytes
+			sum.RawVectorBytes += info.Stats.RawVectorBytes
+		}
+		if st.Objects != len(objs) || st.Objects != sum.Objects || st.Edges != sum.Edges ||
+			st.SizeBytes != sum.SizeBytes || st.CorpusBytes != sum.CorpusBytes || st.RawVectorBytes != sum.RawVectorBytes {
+			t.Fatalf("%s: Stats %+v is not the sum of its shards %+v", tc.name, st, sum)
+		}
+		q := Query{Vectors: queries[0], K: 5}
+		if resp, err := e.Search(nilCtx, q); err != nil || len(resp.Matches) != 5 {
+			t.Fatalf("%s: Search(nil ctx) = %v, %v", tc.name, resp, err)
+		}
+		if out, errs := e.SearchEach(nilCtx, []Query{q, q}, 2); errs[0] != nil || errs[1] != nil || len(out[1].Matches) != 5 {
+			t.Fatalf("%s: SearchEach(nil ctx) errs %v", tc.name, errs)
+		}
+	}
+	shardedEqualResults(t, engines[0].e, engines[1].e, queries)
+
+	for _, tc := range engines {
+		for id := range objs {
+			if err := tc.e.Delete(int64(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		epoch := tc.e.Epoch()
+		if err := tc.e.Rebuild(); err != nil {
+			t.Fatalf("%s: Rebuild of an all-tombstoned corpus: %v", tc.name, err)
+		}
+		if tc.e.Len() != 0 || tc.e.Deleted() != len(objs) || tc.e.Epoch() != epoch {
+			t.Fatalf("%s: all-tombstoned Rebuild changed the engine: len %d, deleted %d, epoch %d -> %d",
+				tc.name, tc.e.Len(), tc.e.Deleted(), epoch, tc.e.Epoch())
 		}
 	}
 }
@@ -342,13 +439,20 @@ func TestShardedRebuildCompacts(t *testing.T) {
 func TestShardedEpochPerShard(t *testing.T) {
 	objs := shardedObjects(20, 61)
 	s := newSharded(t, objs, 4, true)
-	before := s.Epochs()
+	epochs := func() []uint64 {
+		var out []uint64
+		for _, info := range s.ShardStats() {
+			out = append(out, info.Epoch)
+		}
+		return out
+	}
+	before := epochs()
 	sumBefore := s.Epoch()
 	// Insert 20 routes to shard 20 % 4 = 0.
 	if _, err := s.InsertObject(objs[0]); err != nil {
 		t.Fatal(err)
 	}
-	after := s.Epochs()
+	after := epochs()
 	if after[0] <= before[0] {
 		t.Fatalf("owning shard epoch did not advance: %v -> %v", before, after)
 	}
@@ -399,7 +503,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	}
 
 	// Parallel file load.
-	loaded, err := LoadShardedEngine(path)
+	loaded, err := LoadEngine(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,26 +526,55 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 		t.Fatalf("post-load insert ID %d, live engine %d", idLoaded, idLive)
 	}
 
-	// LoadService sniffs the container magic for both kinds.
-	svc, err := LoadService(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := svc.(*ShardedEngine); !ok {
-		t.Fatalf("LoadService(MUSTSH1) returned %T", svc)
-	}
+	// One reader for every format: MUSTSH1 above; MUSTEG2, which one
+	// shard writes whichever constructor made it; and a one-shard MUSTSH1
+	// container, which no engine writes any more but which still loads.
 	single := newSingle(t, objs[:30], true)
-	singlePath := filepath.Join(t.TempDir(), "single.bin")
-	if err := WriteSnapshot(single, singlePath); err != nil {
-		t.Fatal(err)
+	one := saveBytes(t, newSharded(t, objs[:30], 1, true))
+	if !bytes.Equal(one, saveBytes(t, single)) {
+		t.Fatal("a one-shard NewShardedEngine does not save the bytes NewEngine saves")
 	}
-	svc, err = LoadService(singlePath)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{
+		{"MUSTSH1", saveBytes(t, s)},
+		{"MUSTEG2", one},
+		{"one-shard MUSTSH1", shardContainer(7, one)},
+	} {
+		path := filepath.Join(t.TempDir(), "snap.bin")
+		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		svc, err := LoadService(path)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := single
+		if tc.name == "MUSTSH1" {
+			want = s
+		}
+		if svc.ShardCount() != want.ShardCount() || svc.Len() != want.Len() || svc.Epoch() != want.Epoch() {
+			t.Fatalf("%s: loaded %d shards, %d objects at epoch %d; want %d, %d, %d", tc.name,
+				svc.ShardCount(), svc.Len(), svc.Epoch(), want.ShardCount(), want.Len(), want.Epoch())
+		}
+		shardedEqualResults(t, want, svc.(*Engine), queries)
 	}
-	if _, ok := svc.(*Engine); !ok {
-		t.Fatalf("LoadService(MUSTEG2) returned %T", svc)
+	if _, err := LoadService(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
+		t.Fatal("LoadService of a missing file succeeded")
 	}
+}
+
+// shardContainer wraps MUSTEG2 blobs in a MUSTSH1 container with insert
+// cursor rr.
+func shardContainer(rr uint64, blobs ...[]byte) []byte {
+	out := append([]byte("MUSTSH1\n"), binary.LittleEndian.AppendUint32(nil, uint32(len(blobs)))...)
+	out = binary.LittleEndian.AppendUint64(out, rr)
+	for _, b := range blobs {
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(b)))
+		out = append(out, b...)
+	}
+	return out
 }
 
 func TestShardedPersistCorruptHeader(t *testing.T) {
@@ -459,7 +592,7 @@ func TestShardedPersistCorruptHeader(t *testing.T) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := LoadShardedEngine(path)
+		_, err := LoadEngine(path)
 		return err
 	}
 	corrupt := func(mutate func(b []byte)) error {
@@ -494,12 +627,9 @@ func TestShardedPersistCorruptHeader(t *testing.T) {
 	}
 	// A size near MaxInt64 must not overflow the bound into a negative
 	// end offset: in a one-shard container it used to load as valid.
-	var one bytes.Buffer
-	if err := newSharded(t, objs, 1, true).SaveTo(&one); err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint64(one.Bytes()[20:], math.MaxInt64-10)
-	if err := load(one.Bytes()); err == nil {
+	one := shardContainer(0, saveBytes(t, newSingle(t, objs, true)))
+	binary.LittleEndian.PutUint64(one[20:], math.MaxInt64-10)
+	if err := load(one); err == nil {
 		t.Error("blob size near MaxInt64 accepted")
 	}
 }
@@ -593,7 +723,7 @@ func TestShardedConcurrentMixedWorkload(t *testing.T) {
 				return
 			}
 			s.ShardStats()
-			s.Epochs()
+			_ = s.Epoch()
 			_ = s.Len()
 		}
 	}()

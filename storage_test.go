@@ -64,14 +64,14 @@ func TestLoadAppendSearchSharesOneStore(t *testing.T) {
 	if err := e.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := ReadEngine(&buf)
+	e2, err := readEngineBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.f.Store != e2.c.store {
+	if e2.parts[0].f.Store != e2.parts[0].c.store {
 		t.Fatal("loaded index does not share the collection's store")
 	}
-	rowBefore := &e2.c.store.Row(0)[0]
+	rowBefore := &e2.parts[0].c.store.Row(0)[0]
 
 	// Append past the loaded arena — the step that used to lose the store.
 	rng := rand.New(rand.NewSource(75))
@@ -82,10 +82,10 @@ func TestLoadAppendSearchSharesOneStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if e2.f.Store != e2.c.store {
+	if e2.parts[0].f.Store != e2.parts[0].c.store {
 		t.Fatal("append split the index store from the collection store")
 	}
-	if &e2.c.store.Row(0)[0] != rowBefore {
+	if &e2.parts[0].c.store.Row(0)[0] != rowBefore {
 		t.Fatal("append moved the loaded arena (re-copy)")
 	}
 	if st, err := e2.Stats(); err != nil || st.FusedBytes != 0 {
@@ -238,7 +238,7 @@ func TestEngineRoundTripSingleCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.f.Store != e2.c.store {
+	if e2.parts[0].f.Store != e2.parts[0].c.store {
 		t.Fatal("loaded engine index and collection do not share one store")
 	}
 	st, err := e2.Stats()
