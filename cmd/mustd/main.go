@@ -66,7 +66,7 @@ func main() {
 		defTimeout   = flag.Duration("default-timeout", 2*time.Second, "search deadline when the request has no timeout_ms")
 		maxTimeout   = flag.Duration("max-timeout", 30*time.Second, "clamp for request-supplied timeout_ms")
 
-		maintOn        = flag.Bool("maint", false, "run background maintenance: paced rebuilds (one shard at a time) when overlay or tombstone ratios pass their watermarks, and automatic quarantined-shard recovery")
+		maintOn        = flag.Bool("maint", false, "run background maintenance: paced rebuilds (one shard at a time) when overlay or tombstone ratios pass their watermarks")
 		maintInterval  = flag.Duration("maint-interval", time.Second, "maintenance sampling interval")
 		maintGap       = flag.Duration("maint-gap", 10*time.Second, "minimum time between two maintenance rebuilds")
 		maintOverlay   = flag.Float64("maint-overlay", 0.20, "overlay ratio watermark that triggers a maintenance rebuild")

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"must/internal/graph"
-	"must/internal/maint"
 	"must/internal/shard"
 	"must/internal/vec"
 	"must/internal/weights"
@@ -24,14 +23,6 @@ var ErrNotBuilt = errors.New("must: engine index not built (call Build first)")
 // is tombstoned). Match it with errors.Is; the message names the ID the
 // caller passed.
 var ErrUnknownID = errors.New("unknown object id")
-
-// ErrAllQuarantined is returned by Search/SearchEach when every built
-// shard's health breaker is open, so the fan-out has nowhere to route
-// the query. The condition is transient: each breaker re-admits a
-// half-open probe within its probe interval (default 5s), and a
-// maintenance rebuild resets it sooner. Callers should retry shortly;
-// mustd maps it to 503 + Retry-After.
-var ErrAllQuarantined = errors.New("must: all shards quarantined")
 
 // EngineOptions configures NewEngine and NewShardedEngine; the zero value
 // means uniform weights and the default build parameters (γ=30, ε=3,
@@ -138,28 +129,9 @@ type ShardInfo struct {
 	// engine-level value — per-shard writes stay per-shard, but caches
 	// keyed on the summed epoch still invalidate correctly.
 	Epoch uint64 `json:"epoch"`
-	// Health is the shard's circuit-breaker state ("healthy", "degraded",
-	// "quarantined", "probing"). Quarantined shards are skipped by the
-	// search fan-out until a half-open probe or an automatic rebuild
-	// re-admits them.
-	Health string `json:"health"`
 	// Stats is the shard's index statistics; zero until the shard is
 	// built.
 	Stats Stats `json:"stats"`
-}
-
-// HealthConfig tunes the per-shard circuit breakers; see ConfigureHealth.
-type HealthConfig struct {
-	// Threshold is K: consecutive shard-attributable failures (panics on
-	// a minority of shards, or a fan-out timeout that only this shard
-	// missed) within Window before the shard is quarantined (default 3).
-	Threshold int
-	// Window bounds how far apart consecutive failures may be and still
-	// count as one run (default 10s).
-	Window time.Duration
-	// Probe is how long a quarantined shard stays fully skipped before
-	// one half-open probe request is routed to it (default 5s).
-	Probe time.Duration
 }
 
 // NewEngine creates an empty one-shard engine with the given schema.
@@ -193,8 +165,8 @@ func NewShardedEngine(schema Schema, shards int, opts EngineOptions) (*Engine, e
 }
 
 // assemble wires parts into an engine — for a new engine and for one read
-// from a snapshot alike: it shares the schema, places each part, gives it
-// a breaker, and counts the parts that already have a graph.
+// from a snapshot alike: it shares the schema, places each part, and
+// counts the parts that already have a graph.
 func assemble(sc Schema, parts []*part, rr uint64) *Engine {
 	e := &Engine{schema: sc, byName: make(map[string]int, len(sc)), parts: parts}
 	for i, m := range sc {
@@ -202,7 +174,6 @@ func assemble(sc Schema, parts []*part, rr uint64) *Engine {
 	}
 	for j, p := range parts {
 		p.schema, p.byName, p.j, p.n = sc, e.byName, j, len(parts)
-		p.health = maint.NewBreaker(maint.BreakerConfig{})
 		if p.f != nil {
 			p.state.Store(uint32(ShardBuilt))
 			e.built.Add(1)
@@ -506,20 +477,6 @@ func (e *Engine) debtRatio() float64 {
 	return worst
 }
 
-// ConfigureHealth retunes every shard's circuit breaker in place (zero
-// fields take defaults), resetting all health state to healthy.
-// Breakers run with default thresholds from creation, so this is only
-// needed to change them.
-func (e *Engine) ConfigureHealth(cfg HealthConfig) {
-	for _, p := range e.parts {
-		p.health.Configure(maint.BreakerConfig{
-			Threshold: cfg.Threshold,
-			Window:    cfg.Window,
-			Probe:     cfg.Probe,
-		})
-	}
-}
-
 // buildConcurrency picks how many shards build at once and how many
 // workers each shard's graph construction gets, so S parallel builds do
 // not oversubscribe the machine: across × per ≤ GOMAXPROCS (with a floor
@@ -562,11 +519,6 @@ func (e *Engine) buildShard(j int, rebuild bool) error {
 		p.state.Store(uint32(ShardBuilding))
 		err := p.rebuild()
 		p.state.Store(uint32(ShardBuilt))
-		if err == nil {
-			// The rebuild replaced the graph the failures were blamed on:
-			// re-admit the shard (quarantine's recovery path).
-			p.health.Reset()
-		}
 		return err
 	case ShardPending:
 		if p.Len() == 0 {
@@ -579,7 +531,6 @@ func (e *Engine) buildShard(j int, rebuild bool) error {
 		}
 		p.state.Store(uint32(ShardBuilt))
 		e.built.Add(1)
-		p.health.Reset()
 	}
 	return nil
 }
@@ -679,10 +630,11 @@ func (e *Engine) Search(ctx context.Context, q Query) (*Response, error) {
 // panics, and the collector stops waiting when ctx expires. A query
 // whose shards partly succeeded returns a Response with Partial set and
 // the failures listed in ShardErrors — one sick or hanging shard costs
-// recall, not availability. Only a query that every shard failed gets an
-// error (so validation errors, which fail on all shards identically,
-// surface unchanged). Abandoned shard workers observe ctx themselves and
-// exit shortly after.
+// that query recall, not availability, and the next query searches every
+// shard again. Only a query that every shard failed gets an error (so
+// validation errors, which fail on all shards identically, surface
+// unchanged). Abandoned shard workers observe ctx themselves and exit
+// shortly after.
 func (e *Engine) SearchEach(ctx context.Context, queries []Query, workers int) ([]*Response, []error) {
 	if len(queries) == 0 {
 		return nil, nil
@@ -700,9 +652,7 @@ func (e *Engine) SearchEach(ctx context.Context, queries []Query, workers int) (
 			errs[i] = ErrNotBuilt
 		}
 	case 1:
-		// A lone built shard has nothing to merge, and its breaker cannot
-		// trip: every failure it has hits all of the active shards, which
-		// makes it query-correlated (see fanOut).
+		// A lone built shard has nothing to merge.
 		for _, p := range e.parts {
 			if p.State() != ShardPending {
 				p.searchEach(ctx, queries, workers, out, errs)
@@ -718,35 +668,19 @@ func (e *Engine) SearchEach(ctx context.Context, queries []Query, workers int) (
 // fanOut is SearchEach over two or more built shards. Callers hold the
 // read lock.
 func (e *Engine) fanOut(ctx context.Context, queries []Query, workers int, out []*Response, errs []error) {
-	now := time.Now()
-	var active, quarantined []int
+	var active []int
 	for j, p := range e.parts {
-		if p.State() == ShardPending {
-			continue
+		if p.State() != ShardPending {
+			active = append(active, j)
 		}
-		// The breaker admits healthy/degraded shards always and a
-		// quarantined shard once per probe interval (half-open probe);
-		// otherwise the shard is skipped and reported via ShardErrors.
-		if !p.health.Allow(now) {
-			quarantined = append(quarantined, j)
-			continue
-		}
-		active = append(active, j)
-	}
-	if len(active) == 0 {
-		for i := range errs {
-			errs[i] = ErrAllQuarantined
-		}
-		return
 	}
 	perShard := workers
 	if perShard > 0 {
 		perShard = max(perShard/len(active), 1)
 	}
 	type shardOut struct {
-		resps    []*Response
-		errs     []error
-		panicked bool
+		resps []*Response
+		errs  []error
 	}
 	results := make([]shardOut, len(active))
 	done := make([]chan struct{}, len(active))
@@ -763,7 +697,7 @@ func (e *Engine) fanOut(ctx context.Context, queries []Query, workers int, out [
 					for i := range es {
 						es[i] = perr
 					}
-					results[ai] = shardOut{errs: es, panicked: true}
+					results[ai] = shardOut{errs: es}
 				}
 			}()
 			r := shardOut{resps: make([]*Response, len(queries)), errs: make([]error, len(queries))}
@@ -788,54 +722,6 @@ func (e *Engine) fanOut(ctx context.Context, queries []Query, workers int, out [
 			}
 		}
 	}
-	// Feed the health breakers. A failure must be shard-attributable, or
-	// one misbehaving client would trip every breaker at once and turn
-	// graceful degradation into a cluster-wide outage:
-	//
-	//   - A panic (in the shard worker or recovered inside the shard's
-	//     own search path) counts against a shard only when a minority of
-	//     the active shards panicked in this batch. A panic on a strict
-	//     majority — e.g. a Query.Filter that panics on every ID — is
-	//     query-correlated: it says nothing about any one shard, so it is
-	//     treated like a validation error (which also hits every shard
-	//     identically) rather than as S simultaneous shard faults.
-	//   - A shard unfinished at ctx expiry counts as a failure only when
-	//     the deadline was exceeded AND a strict majority of shards did
-	//     finish — a true straggler. Caller cancellation, or a deadline
-	//     that most shards missed together (the whole fan-out was slow
-	//     under load), is neutral: neither failure nor success.
-	//
-	// A completed, non-panicking batch is a success; non-panic per-query
-	// errors count as successes too. A failed half-open probe
-	// re-quarantines; a neutral outcome leaves the breaker probing, and
-	// Allow re-admits a fresh probe after another probe interval.
-	nFinished, nPanicked := 0, 0
-	panicked := make([]bool, len(active))
-	for ai := range active {
-		if !finished[ai] {
-			continue
-		}
-		nFinished++
-		panicked[ai] = results[ai].panicked || anyPanic(results[ai].errs)
-		if panicked[ai] {
-			nPanicked++
-		}
-	}
-	queryCorrelatedPanic := nPanicked*2 > len(active)
-	straggler := errors.Is(ctx.Err(), context.DeadlineExceeded) && nFinished*2 > len(active)
-	feedAt := time.Now()
-	for ai, j := range active {
-		switch {
-		case !finished[ai]:
-			if straggler {
-				e.parts[j].health.Failure(feedAt)
-			}
-		case panicked[ai] && !queryCorrelatedPanic:
-			e.parts[j].health.Failure(feedAt)
-		default:
-			e.parts[j].health.Success()
-		}
-	}
 	for i := range queries {
 		// An invalid K failed on every shard, so it never reaches the merge.
 		k, _, _ := queries[i].size()
@@ -844,9 +730,6 @@ func (e *Engine) fanOut(ctx context.Context, queries []Query, workers int, out [
 		var latency time.Duration
 		var qerr error
 		var shardErrs []ShardError
-		for _, j := range quarantined {
-			shardErrs = append(shardErrs, ShardError{Shard: j, Err: "shard quarantined"})
-		}
 		for ai, j := range active {
 			if !finished[ai] {
 				shardErrs = append(shardErrs, ShardError{Shard: j, Err: ctx.Err().Error()})
@@ -883,15 +766,6 @@ func (e *Engine) fanOut(ctx context.Context, queries []Query, workers int, out [
 		}
 		out[i] = resp
 	}
-}
-
-func anyPanic(errs []error) bool {
-	for _, err := range errs {
-		if errors.Is(err, errSearchPanicked) {
-			return true
-		}
-	}
-	return false
 }
 
 // mergeMatches merges per-shard top-k lists, best first.
@@ -983,8 +857,8 @@ func (e *Engine) Stats() (Stats, error) {
 	return agg, nil
 }
 
-// ShardStats reports per-shard build progress, sizes, epochs and health
-// — index j describes shard j.
+// ShardStats reports per-shard build progress, sizes and epochs — index
+// j describes shard j.
 func (e *Engine) ShardStats() []ShardInfo {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -995,7 +869,6 @@ func (e *Engine) ShardStats() []ShardInfo {
 			Objects: p.Len(),
 			Deleted: p.Deleted(),
 			Epoch:   p.Epoch(),
-			Health:  p.health.State().String(),
 		}
 		out[j].Stats, _ = p.stats()
 	}

@@ -216,50 +216,49 @@ func (b *BruteForce) topK(query vec.Multi, k, workers int, keep func(id int) boo
 		k = n
 	}
 	flat := vec.NewFlatScanner(b.Store, b.Weights, query)
-	type shard struct{ res []search.Result }
-	if workers > n {
-		workers = n
+	// scan keeps the top k of rows [lo, hi); FullIP only reads the
+	// scanner, so concurrent scans share it.
+	scan := func(lo, hi int) []search.Result {
+		local := make([]search.Result, 0, k+1)
+		for i := lo; i < hi; i++ {
+			if keep != nil && !keep(i) {
+				continue
+			}
+			ip := flat.FullIP(b.Store.Row(i))
+			if len(local) == k && ip <= local[len(local)-1].IP {
+				continue
+			}
+			pos := sort.Search(len(local), func(j int) bool { return local[j].IP < ip })
+			if len(local) < k {
+				local = append(local, search.Result{})
+			} else if pos >= k {
+				continue
+			}
+			copy(local[pos+1:], local[pos:])
+			local[pos] = search.Result{ID: i, IP: ip}
+		}
+		return local
 	}
-	if workers < 1 {
-		workers = 1
+	workers = max(min(workers, n), 1)
+	if workers == 1 {
+		// Inline, on the caller's goroutine: a panic in keep reaches the
+		// caller's recover instead of killing the process.
+		return scan(0, n)
 	}
-	shards := make([]shard, workers)
+	shards := make([][]search.Result, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	chunk := (n + workers - 1) / workers
 	for wi := 0; wi < workers; wi++ {
 		go func(wi int) {
 			defer wg.Done()
-			// FullIP only reads the scanner, so the workers share it.
-			lo, hi := wi*chunk, (wi+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			local := make([]search.Result, 0, k+1)
-			for i := lo; i < hi; i++ {
-				if keep != nil && !keep(i) {
-					continue
-				}
-				ip := flat.FullIP(b.Store.Row(i))
-				if len(local) == k && ip <= local[len(local)-1].IP {
-					continue
-				}
-				pos := sort.Search(len(local), func(j int) bool { return local[j].IP < ip })
-				if len(local) < k {
-					local = append(local, search.Result{})
-				} else if pos >= k {
-					continue
-				}
-				copy(local[pos+1:], local[pos:])
-				local[pos] = search.Result{ID: i, IP: ip}
-			}
-			shards[wi].res = local
+			shards[wi] = scan(wi*chunk, min((wi+1)*chunk, n))
 		}(wi)
 	}
 	wg.Wait()
 	merged := make([]search.Result, 0, workers*k)
-	for _, s := range shards {
-		merged = append(merged, s.res...)
+	for _, res := range shards {
+		merged = append(merged, res...)
 	}
 	sort.Slice(merged, func(i, j int) bool {
 		if merged[i].IP != merged[j].IP {

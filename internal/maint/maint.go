@@ -1,3 +1,9 @@
+// Package maint is the self-healing layer under write churn: a
+// background maintenance manager that turns overlay growth and tombstone
+// accumulation into paced, automatic rebuilds. The package is
+// engine-agnostic — the root package adapts Engine/DurableService onto
+// the small Target surface here, so the loop stays unit-testable with
+// fake clocks and fake targets.
 package maint
 
 import (
@@ -16,9 +22,6 @@ type Sample struct {
 	OverlayRatio float64
 	// TombstoneRatio is deleted objects / total stored objects in [0, 1].
 	TombstoneRatio float64
-	// Quarantined marks a unit whose health breaker is open; it jumps
-	// the watermark queue — a rebuild is the re-admission path.
-	Quarantined bool
 }
 
 // Target is what the Manager maintains. Implementations must tolerate
@@ -88,10 +91,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Manager runs the background maintenance loop: every Interval it
-// samples the target's units, picks the quarantined unit (rebuild is
-// the re-admission path) or the worst watermark exceeder, and rebuilds
-// it — at most one unit per MinRebuildGap. Close stops the loop and
-// waits for an in-flight rebuild to finish.
+// samples the target's units, picks the worst watermark exceeder, and
+// rebuilds it — at most one unit per MinRebuildGap. Close stops the loop
+// and waits for an in-flight rebuild to finish.
 type Manager struct {
 	cfg    Config
 	target Target
@@ -127,9 +129,8 @@ func (m *Manager) Rebuilds() uint64 { return m.rebuilds.Load() }
 // Failures returns how many maintenance rebuilds returned an error.
 func (m *Manager) Failures() uint64 { return m.failures.Load() }
 
-// Debt returns how many units were at or past a watermark (or
-// quarantined) at the last sample — the backpressure signal for
-// admission control.
+// Debt returns how many units were at or past a watermark at the last
+// sample — the backpressure signal for admission control.
 func (m *Manager) Debt() int { return int(m.debt.Load()) }
 
 // LastUnit returns the unit most recently rebuilt, or -1.
@@ -199,22 +200,13 @@ func (m *Manager) loop() {
 	}
 }
 
-// pick samples the target and selects the unit to rebuild: a
-// quarantined unit first, else the unit furthest past a watermark.
-// It also refreshes the debt gauge as a side effect.
+// pick samples the target and selects the unit furthest past a
+// watermark. It also refreshes the debt gauge as a side effect.
 func (m *Manager) pick() (int, bool) {
 	samples := m.target.Samples()
 	best, bestScore := -1, 0.0
-	quarantined := -1
 	debt := 0
 	for _, s := range samples {
-		if s.Quarantined {
-			debt++
-			if quarantined < 0 {
-				quarantined = s.Unit
-			}
-			continue
-		}
 		// Score = worst watermark overshoot, ≥1 means at/over.
 		score := 0.0
 		if m.cfg.OverlayWatermark > 0 {
@@ -233,11 +225,6 @@ func (m *Manager) pick() (int, bool) {
 		}
 	}
 	m.debt.Store(uint64(debt))
-	if quarantined >= 0 {
-		// Quarantine outranks any watermark score — rebuilding is the
-		// shard's re-admission path.
-		return quarantined, true
-	}
 	return best, best >= 0
 }
 

@@ -7,133 +7,6 @@ import (
 	"time"
 )
 
-func TestBreakerQuarantineAfterThreshold(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 3, Window: time.Second, Probe: time.Second})
-	now := time.Unix(1000, 0)
-	if got := b.Failure(now); got != Degraded {
-		t.Fatalf("after 1 failure: state=%v want Degraded", got)
-	}
-	if got := b.Failure(now.Add(10 * time.Millisecond)); got != Degraded {
-		t.Fatalf("after 2 failures: state=%v want Degraded", got)
-	}
-	if got := b.Failure(now.Add(20 * time.Millisecond)); got != Quarantined {
-		t.Fatalf("after 3 failures: state=%v want Quarantined", got)
-	}
-	if b.Allow(now.Add(30 * time.Millisecond)) {
-		t.Fatal("quarantined breaker admitted a request before the probe interval")
-	}
-}
-
-func TestBreakerWindowResetsCount(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 2, Window: time.Second})
-	now := time.Unix(1000, 0)
-	b.Failure(now)
-	// Second failure lands outside the window: the run restarts, so the
-	// breaker must not open.
-	if got := b.Failure(now.Add(2 * time.Second)); got != Degraded {
-		t.Fatalf("stale failure run still counted: state=%v want Degraded", got)
-	}
-	if got := b.Failures(); got != 1 {
-		t.Fatalf("consecutive=%d want 1", got)
-	}
-}
-
-func TestBreakerSuccessResets(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 3, Window: time.Second})
-	now := time.Unix(1000, 0)
-	b.Failure(now)
-	b.Failure(now)
-	b.Success()
-	if got := b.State(); got != Healthy {
-		t.Fatalf("state=%v want Healthy", got)
-	}
-	if got := b.Failures(); got != 0 {
-		t.Fatalf("consecutive=%d want 0", got)
-	}
-}
-
-func TestBreakerHalfOpenProbe(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 1, Window: time.Second, Probe: time.Second})
-	now := time.Unix(1000, 0)
-	if got := b.Failure(now); got != Quarantined {
-		t.Fatalf("state=%v want Quarantined", got)
-	}
-	// A success from a straggler request must not close an open breaker.
-	b.Success()
-	if got := b.State(); got != Quarantined {
-		t.Fatalf("straggler success closed the breaker: state=%v", got)
-	}
-	if b.Allow(now.Add(500 * time.Millisecond)) {
-		t.Fatal("admitted before probe interval elapsed")
-	}
-	// Probe due: exactly one request admitted.
-	if !b.Allow(now.Add(time.Second)) {
-		t.Fatal("probe not admitted after interval")
-	}
-	if got := b.State(); got != Probing {
-		t.Fatalf("state=%v want Probing", got)
-	}
-	if b.Allow(now.Add(time.Second)) {
-		t.Fatal("second request admitted during probe")
-	}
-	// Failed probe re-opens and restarts the probe clock.
-	if got := b.Failure(now.Add(1100 * time.Millisecond)); got != Quarantined {
-		t.Fatalf("state=%v want Quarantined after failed probe", got)
-	}
-	if b.Allow(now.Add(1200 * time.Millisecond)) {
-		t.Fatal("admitted right after failed probe")
-	}
-	// Next probe succeeds → Healthy.
-	if !b.Allow(now.Add(2100 * time.Millisecond)) {
-		t.Fatal("second probe not admitted")
-	}
-	b.Success()
-	if got := b.State(); got != Healthy {
-		t.Fatalf("state=%v want Healthy after successful probe", got)
-	}
-}
-
-// TestBreakerAbandonedProbeReadmits: a probe whose outcome never
-// arrives (the fan-out was cancelled, or the batch was judged neutral)
-// must not wedge the breaker half-open forever — after another probe
-// interval a fresh probe is admitted.
-func TestBreakerAbandonedProbeReadmits(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 1, Window: time.Second, Probe: time.Second})
-	now := time.Unix(1000, 0)
-	b.Failure(now)
-	if !b.Allow(now.Add(time.Second)) {
-		t.Fatal("probe not admitted after interval")
-	}
-	// The probe's outcome never lands; before another interval elapses
-	// requests stay refused...
-	if b.Allow(now.Add(1500 * time.Millisecond)) {
-		t.Fatal("admitted while a probe was still pending")
-	}
-	// ...and after it, a fresh probe is admitted instead of wedging.
-	if !b.Allow(now.Add(2 * time.Second)) {
-		t.Fatal("abandoned probe wedged the breaker")
-	}
-	if got := b.State(); got != Probing {
-		t.Fatalf("state=%v want Probing", got)
-	}
-	b.Success()
-	if got := b.State(); got != Healthy {
-		t.Fatalf("state=%v want Healthy after fresh probe succeeded", got)
-	}
-}
-
-func TestBreakerReset(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 1})
-	b.Failure(time.Unix(1000, 0))
-	b.Reset()
-	if got := b.State(); got != Healthy {
-		t.Fatalf("state=%v want Healthy after Reset", got)
-	}
-	if !b.Allow(time.Unix(1000, 1)) {
-		t.Fatal("reset breaker refused a request")
-	}
-}
-
 // fakeTarget is a Target with settable samples and a recorded rebuild
 // log; Rebuild clears the rebuilt unit's pressure.
 type fakeTarget struct {
@@ -218,19 +91,6 @@ func TestManagerRebuildsWorstUnit(t *testing.T) {
 		if u == 2 {
 			t.Fatal("unit 2 rebuilt despite being under watermark")
 		}
-	}
-}
-
-func TestManagerQuarantinePriority(t *testing.T) {
-	ft := &fakeTarget{samples: []Sample{
-		{Unit: 0, OverlayRatio: 0.90},
-		{Unit: 1, Quarantined: true}, // outranks any watermark score
-	}}
-	m := NewManager(ft, Config{Interval: time.Millisecond, MinRebuildGap: time.Millisecond})
-	defer m.Close()
-	waitFor(t, "a rebuild", func() bool { return len(ft.rebuiltUnits()) >= 1 })
-	if got := ft.rebuiltUnits()[0]; got != 1 {
-		t.Fatalf("first rebuild hit unit %d, want quarantined unit 1", got)
 	}
 }
 

@@ -149,9 +149,9 @@ type StatsResponse struct {
 	// Engine is the index-layer statistics (zero value until built).
 	Engine must.Stats  `json:"engine"`
 	Server ServerStats `json:"server"`
-	// Shards carries per-shard build progress, sizes, epochs, and health
-	// when the engine has more than one shard (directly or behind a
-	// durable wrapper); omitted at one shard.
+	// Shards carries per-shard build progress, sizes and epochs when the
+	// engine has more than one shard (directly or behind a durable
+	// wrapper); omitted at one shard.
 	Shards []must.ShardInfo `json:"shards,omitempty"`
 	// Maintenance reports the background maintenance loop; omitted when
 	// maintenance is disabled.

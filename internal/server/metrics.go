@@ -273,7 +273,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, eng must.Service, cache *resultCa
 		fmt.Fprintln(w, "# HELP must_maintenance_failures_total Background maintenance rebuilds that failed.")
 		fmt.Fprintln(w, "# TYPE must_maintenance_failures_total counter")
 		fmt.Fprintf(w, "must_maintenance_failures_total %d\n", st.Failures)
-		fmt.Fprintln(w, "# HELP must_maintenance_debt Units (shards) at or past a watermark, or quarantined, at the last sample.")
+		fmt.Fprintln(w, "# HELP must_maintenance_debt Units (shards) at or past a watermark at the last sample.")
 		fmt.Fprintln(w, "# TYPE must_maintenance_debt gauge")
 		fmt.Fprintf(w, "must_maintenance_debt %d\n", st.Debt)
 	}

@@ -270,11 +270,6 @@ func (s *Server) writeSearchError(w http.ResponseWriter, err error) {
 		writeError(w, 499, "client cancelled")
 	case errors.Is(err, ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, "server draining")
-	case errors.Is(err, must.ErrAllQuarantined):
-		// Transient: breakers re-admit a half-open probe within the probe
-		// interval, and maintenance rebuilds quarantined shards.
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "all shards quarantined; retry shortly")
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "batch queue full")

@@ -605,13 +605,19 @@ func replaySegment(fs faultfs.FS, path string, final bool, afterEpoch uint64, ap
 	if hdr != magic {
 		return 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:])
 	}
+	// Every frame must end inside the segment: bounding lengths by the
+	// size read once here keeps a garbage length from allocating.
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return 0, fmt.Errorf("sizing segment: %w", err)
+	}
 
 	offset := int64(len(magic))
 	applied := 0
 	// One frame of lookahead: a bad frame is only "torn" if nothing
 	// valid follows it. decode errors carry the reason for the corrupt
 	// case.
-	rec, end, derr := decodeFrame(f, offset)
+	rec, end, derr := decodeFrame(f, offset, size)
 	for {
 		if derr != nil {
 			if !final {
@@ -619,7 +625,7 @@ func replaySegment(fs faultfs.FS, path string, final bool, afterEpoch uint64, ap
 			}
 			// Final segment: distinguish torn tail from mid-log damage by
 			// scanning ahead for any valid frame.
-			if rest, ok := anyValidFrameAfter(f, offset); ok {
+			if rest, ok := anyValidFrameAfter(f, offset, size); ok {
 				return applied, fmt.Errorf("%w at offset %d (valid frame follows at %d): %v", ErrCorrupt, offset, rest, derr)
 			}
 			return applied, fs.Truncate(path, offset)
@@ -634,14 +640,15 @@ func replaySegment(fs faultfs.FS, path string, final bool, afterEpoch uint64, ap
 			applied++
 		}
 		offset = end
-		rec, end, derr = decodeFrame(f, offset)
+		rec, end, derr = decodeFrame(f, offset, size)
 	}
 }
 
-// decodeFrame reads the frame at offset. Returns (nil, offset, nil) on
-// clean EOF, (rec, nextOffset, nil) on success, (nil, 0, err) on a bad
-// frame.
-func decodeFrame(f faultfs.File, offset int64) (*Record, int64, error) {
+// decodeFrame reads the frame at offset of a segment of size bytes.
+// Returns (nil, offset, nil) on clean EOF, (rec, nextOffset, nil) on
+// success, (nil, 0, err) on a bad frame. A frame that would end past
+// size is bad before anything is allocated for its payload.
+func decodeFrame(f faultfs.File, offset, size int64) (*Record, int64, error) {
 	var hdr [headerLen]byte
 	n, err := f.ReadAt(hdr[:], offset)
 	if n == 0 && err == io.EOF {
@@ -654,6 +661,9 @@ func decodeFrame(f faultfs.File, offset int64) (*Record, int64, error) {
 	sum := binary.LittleEndian.Uint32(hdr[4:8])
 	if length < 9 || length > maxPayload {
 		return nil, 0, fmt.Errorf("insane payload length %d", length)
+	}
+	if end := offset + headerLen + int64(length); end > size {
+		return nil, 0, fmt.Errorf("short payload: frame ends at %d, past the segment's %d bytes", end, size)
 	}
 	payload := make([]byte, length)
 	if _, err := f.ReadAt(payload, offset+headerLen); err != nil {
@@ -673,13 +683,13 @@ func decodeFrame(f faultfs.File, offset int64) (*Record, int64, error) {
 // anyValidFrameAfter scans byte-by-byte past a bad frame looking for a
 // later decodable frame — evidence the damage is mid-log corruption
 // rather than a torn tail. Returns the offset of the first valid frame.
-func anyValidFrameAfter(f faultfs.File, after int64) (int64, bool) {
+func anyValidFrameAfter(f faultfs.File, after, size int64) (int64, bool) {
 	// The common corruption test flips a byte in one frame; the next
 	// frame starts within that frame's length + header. Scan a bounded
 	// window to keep recovery O(window) not O(file²).
 	const window = 1 << 20
 	for off := after + 1; off < after+window; off++ {
-		if rec, _, err := decodeFrame(f, off); err == nil && rec != nil {
+		if rec, _, err := decodeFrame(f, off, size); err == nil && rec != nil {
 			return off, true
 		} else if rec == nil && err == nil {
 			return 0, false // hit EOF

@@ -1,11 +1,16 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -179,6 +184,72 @@ func TestTornTailTruncated(t *testing.T) {
 				t.Fatalf("segment size %d after truncation, want %d", fi2.Size(), want)
 			}
 		})
+	}
+}
+
+// embeddingRecord returns an insert record shaped like a real one: one
+// modality of dim float32s at the scale of a unit-norm embedding (about
+// ±1/√dim), laid out as the engine logs it.
+func embeddingRecord(rng *rand.Rand, epoch uint64, dim int) Record {
+	data := binary.LittleEndian.AppendUint32(nil, 1)
+	data = binary.LittleEndian.AppendUint32(data, uint32(dim))
+	for range dim {
+		x := float32(rng.NormFloat64() / math.Sqrt(float64(dim)))
+		data = binary.LittleEndian.AppendUint32(data, math.Float32bits(x))
+	}
+	return Record{Op: OpInsert, Epoch: epoch, Data: data}
+}
+
+// embeddingLog returns four 768-d insert records and the segment body
+// (the bytes after the magic) that logs them.
+func embeddingLog() ([]Record, []byte) {
+	rng := rand.New(rand.NewSource(1))
+	var recs []Record
+	var body []byte
+	for epoch := uint64(1); epoch <= 4; epoch++ {
+		r := embeddingRecord(rng, epoch, 768)
+		recs = append(recs, r)
+		body = append(body, encodeFrame(r)...)
+	}
+	return recs, body
+}
+
+// TestTornEmbeddingTailAllocBounded tears the last of four 768-d insert
+// records halfway. Its float32 bytes read as frame lengths just under
+// maxPayload, so recovery must bound every length by the segment size
+// before it allocates for one.
+func TestTornEmbeddingTailAllocBounded(t *testing.T) {
+	dir := t.TempDir()
+	recs, body := embeddingLog()
+	last := len(encodeFrame(recs[3]))
+	torn := slices.Concat(magic[:], body[:len(body)-last/2])
+	path := filepath.Join(dir, segName(1))
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := collect(t, dir, Options{}, 0)
+	runtime.ReadMemStats(&after)
+
+	if len(got) != 3 {
+		t.Fatalf("replayed %d records, want the 3 complete ones", len(got))
+	}
+	for i, r := range got {
+		if r.Epoch != recs[i].Epoch || !bytes.Equal(r.Data, recs[i].Data) {
+			t.Fatalf("record %d = epoch %d, %d bytes; want epoch %d, %d bytes", i, r.Epoch, len(r.Data), recs[i].Epoch, len(recs[i].Data))
+		}
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(len(magic) + len(body) - last); fi.Size() != want {
+		t.Fatalf("segment size %d after truncation, want %d", fi.Size(), want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Fatalf("replay allocated %d bytes, want < 16 MiB", alloc)
 	}
 }
 
@@ -371,4 +442,68 @@ func TestInsaneLengthAtTailTruncates(t *testing.T) {
 	if len(got) != 1 || got[0].Epoch != 1 {
 		t.Fatalf("replayed %+v, want just epoch 1", got)
 	}
+}
+
+// FuzzReplay replays one segment whose body (the bytes after the magic)
+// is the fuzz input. Replay must never panic; every record it applies
+// must re-encode to the bytes it was read from; and replaying the
+// directory again — now with any torn tail truncated — must return the
+// same records, with no error when the first replay had none and with
+// ErrCorrupt when the first one reported corruption.
+func FuzzReplay(f *testing.F) {
+	pair := slices.Concat(encodeFrame(rec(OpInsert, 1, "aaaa")), encodeFrame(rec(OpInsert, 2, "bbbb")))
+	f.Add(pair)
+	frame := len(pair) / 2
+	for _, cut := range []int{1, 5, 9, 12} {
+		f.Add(pair[:frame+cut])
+	}
+	recs, body := embeddingLog()
+	f.Add(body)
+	f.Add(body[:len(body)-len(encodeFrame(recs[3]))/2])
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dir := t.TempDir()
+		seg := slices.Concat(magic[:], body)
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		replay := func() ([]Record, error) {
+			var got []Record
+			_, err := Replay(dir, Options{}, 0, func(r Record) error {
+				got = append(got, Record{Op: r.Op, Epoch: r.Epoch, Data: slices.Clone(r.Data)})
+				return nil
+			})
+			return got, err
+		}
+		first, err1 := replay()
+		if err1 != nil && !errors.Is(err1, ErrCorrupt) {
+			t.Fatalf("Replay: %v", err1)
+		}
+		// Frames are contiguous from the magic on; epoch-0 frames are
+		// valid but not applied (the replay starts after epoch 0), so walk
+		// past them by their headers.
+		off := len(magic)
+		for i, r := range first {
+			for binary.LittleEndian.Uint64(seg[off+headerLen+1:]) == 0 {
+				off += headerLen + int(binary.LittleEndian.Uint32(seg[off:]))
+			}
+			enc := encodeFrame(r)
+			if !bytes.Equal(seg[off:off+len(enc)], enc) {
+				t.Fatalf("record %d re-encodes to %x, read from %x", i, enc, seg[off:off+len(enc)])
+			}
+			off += len(enc)
+		}
+		second, err2 := replay()
+		if (err1 == nil) != (err2 == nil) || (err1 != nil && !errors.Is(err2, ErrCorrupt)) {
+			t.Fatalf("second Replay err = %v, first was %v", err2, err1)
+		}
+		if len(second) != len(first) {
+			t.Fatalf("second Replay applied %d records, first %d", len(second), len(first))
+		}
+		for i := range first {
+			if first[i].Op != second[i].Op || first[i].Epoch != second[i].Epoch || !bytes.Equal(first[i].Data, second[i].Data) {
+				t.Fatalf("record %d differs between replays: %+v vs %+v", i, first[i], second[i])
+			}
+		}
+	})
 }

@@ -41,8 +41,8 @@ type MaintStats struct {
 	Rebuilds uint64 `json:"rebuilds"`
 	// Failures counts maintenance rebuilds that returned an error.
 	Failures uint64 `json:"failures"`
-	// Debt is how many units (shards) were at or past a watermark — or
-	// quarantined — at the last sample.
+	// Debt is how many units (shards) were at or past a watermark at the
+	// last sample.
 	Debt int `json:"debt"`
 	// LastUnit is the most recently rebuilt unit (shard index), or -1 if
 	// maintenance has not rebuilt yet.
@@ -52,9 +52,8 @@ type MaintStats struct {
 // Maintainer runs background maintenance over a Service: it samples
 // each shard's overlay and tombstone ratios against the watermarks and
 // issues paced RebuildShard calls, one shard at a time, so the engine
-// self-heals under write churn with no caller Rebuild. Quarantined
-// shards jump the queue: their rebuild is the re-admission path. Close
-// stops the loop; the Service is untouched.
+// self-heals under write churn with no caller Rebuild. Close stops the
+// loop; the Service is untouched.
 type Maintainer struct {
 	mgr *maint.Manager
 }
@@ -78,7 +77,6 @@ func (t serviceTarget) Samples() []maint.Sample {
 			Unit:           j,
 			OverlayRatio:   info.Stats.OverlayRatio,
 			TombstoneRatio: info.Stats.TombstoneRatio,
-			Quarantined:    info.Health == maint.Quarantined.String(),
 		})
 	}
 	return out

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"must/internal/maint"
 )
 
 // waitUntil polls cond up to 5s — maintenance runs on its own clock, so
@@ -93,36 +91,6 @@ func TestMaintenanceRebuildsOnlyTheDirtyShard(t *testing.T) {
 			t.Fatalf("clean shard %d epoch moved %d -> %d (maintenance must touch only the dirty shard)",
 				j, epochsBefore[j], info.Epoch)
 		}
-	}
-}
-
-// TestMaintenanceRecoversQuarantinedShard is the self-healing loop end
-// to end: K panics quarantine a shard, maintenance notices and rebuilds
-// it, the rebuild force-closes the breaker, and fan-out is whole again
-// — with no manual intervention anywhere.
-func TestMaintenanceRecoversQuarantinedShard(t *testing.T) {
-	const S = 4
-	s := newSharded(t, shardedObjects(400, 1), S, true)
-	s.ConfigureHealth(HealthConfig{Threshold: 2, Window: time.Minute, Probe: time.Hour})
-	failShard(s, t, 2, S, 2)
-	if got := s.ShardStats()[2].Health; got != maint.Quarantined.String() {
-		t.Fatalf("health = %q, want quarantined before maintenance starts", got)
-	}
-
-	m := StartMaintenance(s, fastMaint())
-	defer m.Close()
-	waitUntil(t, "quarantined shard re-admitted by maintenance rebuild", func() bool {
-		return s.ShardStats()[2].Health == maint.Healthy.String()
-	})
-	if m.Rebuilds() < 1 {
-		t.Fatal("re-admission happened without a maintenance rebuild")
-	}
-	resp, err := s.Search(context.Background(), Query{Vectors: shardedQueries(1, 2)[0], K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Partial {
-		t.Fatalf("search still partial after recovery: %+v", resp.ShardErrors)
 	}
 }
 

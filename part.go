@@ -2,7 +2,6 @@ package must
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"must/internal/index"
-	"must/internal/maint"
 	"must/internal/search"
 	"must/internal/shard"
 	"must/internal/vec"
@@ -36,8 +34,6 @@ type part struct {
 	// only under it (and read lock-free).
 	buildMu sync.Mutex
 	state   atomic.Uint32
-	// health is the part's circuit breaker (see Engine.ConfigureHealth).
-	health *maint.Breaker
 	// debt caches max(overlay ratio, tombstone ratio) as float64 bits,
 	// refreshed under mu by updateDebtLocked, so write admission costs
 	// one atomic load per part.
@@ -538,19 +534,13 @@ func (p *part) searchStride(ctx context.Context, queries []Query, wk, stride int
 	pool.Put(s)
 }
 
-// errSearchPanicked marks errors produced by recovering a search
-// panic. The fan-out uses it to tell shard sickness (panics feed the
-// health breaker) from ordinary per-query errors (validation failures,
-// which say nothing about shard health).
-var errSearchPanicked = errors.New("must: search panicked")
-
 // searchRecovered runs one query, converting a panic (e.g. from a
 // user-supplied Query.Filter) into that query's error instead of killing
 // the process.
 func (p *part) searchRecovered(ctx context.Context, s *search.Searcher, q Query) (resp *Response, panicked bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			resp, panicked, err = nil, true, fmt.Errorf("%w: %v", errSearchPanicked, r)
+			resp, panicked, err = nil, true, fmt.Errorf("must: search panicked: %v", r)
 		}
 	}()
 	resp, err = p.searchOneLocked(ctx, s, q)
@@ -559,9 +549,16 @@ func (p *part) searchRecovered(ctx context.Context, s *search.Searcher, q Query)
 
 // exactSearch scans the part exhaustively for q's top k, honoring
 // tombstones and Query.Filter, and reports how many objects it scored.
-func (p *part) exactSearch(q Query, k int) ([]ScoredMatch, int, error) {
+// A panic (e.g. from Query.Filter) becomes the query's error, as in
+// searchRecovered.
+func (p *part) exactSearch(q Query, k int) (matches []ScoredMatch, evals int, err error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	defer func() {
+		if r := recover(); r != nil {
+			matches, evals, err = nil, 0, fmt.Errorf("must: exact search panicked: %v", r)
+		}
+	}()
 	mv, w, err := p.convertLocked(q)
 	if err != nil {
 		return nil, 0, err
@@ -570,7 +567,6 @@ func (p *part) exactSearch(q Query, k int) ([]ScoredMatch, int, error) {
 	ids := p.ids
 	// evals counts the objects actually scored; TopKFiltered calls keep
 	// sequentially, so a plain counter is safe.
-	evals := 0
 	keep := func(slot int) bool {
 		if slot < len(dead) && dead[slot] {
 			return false
@@ -583,7 +579,7 @@ func (p *part) exactSearch(q Query, k int) ([]ScoredMatch, int, error) {
 	}
 	bf := &index.BruteForce{Store: p.c.store, Weights: vec.Weights(w)}
 	res := bf.TopKFiltered(mv, k, keep)
-	matches := make([]ScoredMatch, len(res))
+	matches = make([]ScoredMatch, len(res))
 	for i, r := range res {
 		per := search.Breakdown(vec.Weights(w), mv, p.c.store.Multi(r.ID))
 		matches[i] = ScoredMatch{ID: ids[r.ID], Similarity: r.IP, ByModality: p.byModality(per)}

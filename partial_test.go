@@ -2,6 +2,7 @@ package must
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,11 +24,40 @@ func sickShardQuery(q NamedVectors, sick, shards int, misbehave func()) Query {
 	}
 }
 
+// badQueryRepeats is how many times the bad-query tests send their bad
+// query before checking that clean traffic is untouched.
+const badQueryRepeats = 3
+
+// cleanMatches runs a filterless query and returns its match IDs, failing
+// the test unless every shard answered it.
+func cleanMatches(t *testing.T, s *Engine, q NamedVectors) []int64 {
+	t.Helper()
+	resp, err := s.Search(context.Background(), Query{Vectors: q, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Partial {
+		t.Fatalf("clean query answered partial: %+v", resp.ShardErrors)
+	}
+	ids := make([]int64, len(resp.Matches))
+	for i, m := range resp.Matches {
+		ids[i] = m.ID
+	}
+	return ids
+}
+
 func TestShardedPartialOnPanickingShard(t *testing.T) {
 	const S = 4
 	s := newSharded(t, shardedObjects(400, 1), S, true)
-	q := sickShardQuery(shardedQueries(1, 2)[0], 1, S, func() { panic("shard 1 is sick") })
+	qv := shardedQueries(1, 2)[0]
+	before := cleanMatches(t, s, qv)
+	q := sickShardQuery(qv, 1, S, func() { panic("shard 1 is sick") })
 
+	for range badQueryRepeats - 1 {
+		if _, err := s.Search(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
 	resp, err := s.Search(context.Background(), q)
 	if err != nil {
 		t.Fatalf("one panicking shard must degrade, not fail: %v", err)
@@ -49,6 +79,11 @@ func TestShardedPartialOnPanickingShard(t *testing.T) {
 			t.Fatalf("match %d belongs to the failed shard", m.ID)
 		}
 	}
+	// The bad query cost only itself: the next clean query searches
+	// every shard again.
+	if after := cleanMatches(t, s, qv); !slices.Equal(after, before) {
+		t.Fatalf("clean query after bad ones = %v, want %v", after, before)
+	}
 }
 
 func TestShardedPartialOnHangingShard(t *testing.T) {
@@ -56,27 +91,36 @@ func TestShardedPartialOnHangingShard(t *testing.T) {
 	s := newSharded(t, shardedObjects(400, 1), S, true)
 	hang := make(chan struct{})
 	defer close(hang)
-	q := sickShardQuery(shardedQueries(1, 2)[0], 2, S, func() { <-hang })
+	qv := shardedQueries(1, 2)[0]
+	before := cleanMatches(t, s, qv)
+	q := sickShardQuery(qv, 2, S, func() { <-hang })
 
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	resp, err := s.Search(ctx, q)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("one hanging shard must degrade, not fail: %v", err)
+	for range badQueryRepeats {
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		start := time.Now()
+		resp, err := s.Search(ctx, q)
+		elapsed := time.Since(start)
+		cancel()
+		if err != nil {
+			t.Fatalf("one hanging shard must degrade, not fail: %v", err)
+		}
+		if elapsed > 5*time.Second {
+			t.Fatalf("fan-out took %v, should return near the 300ms deadline", elapsed)
+		}
+		if !resp.Partial {
+			t.Fatal("Partial not set")
+		}
+		if len(resp.ShardErrors) != 1 || resp.ShardErrors[0].Shard != 2 {
+			t.Fatalf("ShardErrors = %+v, want exactly shard 2", resp.ShardErrors)
+		}
+		if len(resp.Matches) == 0 {
+			t.Fatal("no matches from the healthy shards")
+		}
 	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("fan-out took %v, should return near the 300ms deadline", elapsed)
-	}
-	if !resp.Partial {
-		t.Fatal("Partial not set")
-	}
-	if len(resp.ShardErrors) != 1 || resp.ShardErrors[0].Shard != 2 {
-		t.Fatalf("ShardErrors = %+v, want exactly shard 2", resp.ShardErrors)
-	}
-	if len(resp.Matches) == 0 {
-		t.Fatal("no matches from the healthy shards")
+	// The straggler cost only the bad queries: the next clean query
+	// searches every shard again.
+	if after := cleanMatches(t, s, qv); !slices.Equal(after, before) {
+		t.Fatalf("clean query after bad ones = %v, want %v", after, before)
 	}
 }
 

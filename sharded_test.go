@@ -2,6 +2,7 @@ package must
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -10,6 +11,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -161,6 +164,12 @@ func TestShardedExactEquivalence(t *testing.T) {
 			if got.Stats.FullEvals != want[qi].Stats.FullEvals {
 				t.Fatalf("%s q=%d: scanned %d objects, want %d", tc.name, qi, got.Stats.FullEvals, want[qi].Stats.FullEvals)
 			}
+		}
+		// A panicking filter is that query's error at every S, never a
+		// crash of the process.
+		bad := Query{Vectors: queries[0], K: 10, Filter: func(int64) bool { panic("bad filter") }}
+		if got, err := tc.e.ExactSearch(nilCtx, bad); err == nil || !strings.Contains(err.Error(), "panic") {
+			t.Fatalf("%s: ExactSearch with a panicking filter = %v, %v; want a panic error", tc.name, got, err)
 		}
 	}
 
@@ -480,13 +489,25 @@ func shardedEqualResults(t *testing.T, a, b *ShardedEngine, queries []NamedVecto
 		if len(ra.Matches) != len(rb.Matches) {
 			t.Fatalf("q=%d: %d vs %d matches", qi, len(ra.Matches), len(rb.Matches))
 		}
-		for i := range ra.Matches {
-			if ra.Matches[i].ID != rb.Matches[i].ID || ra.Matches[i].Similarity != rb.Matches[i].Similarity {
+		ma, mb := tiesByID(ra.Matches), tiesByID(rb.Matches)
+		for i := range ma {
+			if ma[i].ID != mb[i].ID || ma[i].Similarity != mb[i].Similarity {
 				t.Fatalf("q=%d rank %d: (%d,%v) vs (%d,%v)", qi, i,
-					ra.Matches[i].ID, ra.Matches[i].Similarity, rb.Matches[i].ID, rb.Matches[i].Similarity)
+					ma[i].ID, ma[i].Similarity, mb[i].ID, mb[i].Similarity)
 			}
 		}
 	}
+}
+
+// tiesByID orders equal-similarity matches by ID. A search draws its
+// random seed vertices from its pooled searcher's history, so matches
+// that tie (duplicate objects) may come back in either order.
+func tiesByID(ms []ScoredMatch) []ScoredMatch {
+	ms = slices.Clone(ms)
+	slices.SortFunc(ms, func(a, b ScoredMatch) int {
+		return cmp.Or(cmp.Compare(b.Similarity, a.Similarity), cmp.Compare(a.ID, b.ID))
+	})
+	return ms
 }
 
 func TestShardedPersistRoundTrip(t *testing.T) {
