@@ -7,19 +7,8 @@ import (
 	"testing"
 )
 
-// searchAll runs a batch through SearchEach, failing on any per-query
-// error.
-func searchAll(t *testing.T, e *Engine, queries []Query, workers int) []*Response {
-	t.Helper()
-	out, errs := e.SearchEach(context.Background(), queries, workers)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("batch query %d: %v", i, err)
-		}
-	}
-	return out
-}
-
+// TestSearchBatchMatchesSerial: a batch of queries searched concurrently
+// answers each query as a serial search does.
 func TestSearchBatchMatchesSerial(t *testing.T) {
 	e, queries, _ := buildCorpus(t, 500, 30, 71, BuildOptions{Gamma: 14, Seed: 72})
 	typed := make([]Query, len(queries))
@@ -56,10 +45,10 @@ func TestSearchBatchValidation(t *testing.T) {
 	for i, q := range queries {
 		typed[i] = corpusQuery(q, 3, 0)
 	}
-	// A bad query fails alone; its neighbours still answer.
+	// A bad query fails alone; the concurrent ones beside it still answer.
 	check := func(what string, bad []Query) {
 		t.Helper()
-		out, errs := e.SearchEach(ctx, bad, 2)
+		out, errs := searchConcurrently(ctx, e, bad, 2)
 		for i := range bad {
 			if (errs[i] == nil) == (i == 2) || (out[i] == nil) == (errs[i] == nil) {
 				t.Errorf("%s: query %d: out=%v err=%v", what, i, out[i], errs[i])
@@ -72,11 +61,6 @@ func TestSearchBatchValidation(t *testing.T) {
 	bad[2] = typed[2]
 	bad[2].Weights = map[string]float32{"c": 1}
 	check("bad override weights", bad)
-	// Zero workers defaults sanely; empty batch is fine.
-	out, errs := e.SearchEach(ctx, nil, 0)
-	if len(out) != 0 || len(errs) != 0 {
-		t.Errorf("empty batch: %v, %v", out, errs)
-	}
 }
 
 func TestSearchBatchRespectsDeletions(t *testing.T) {

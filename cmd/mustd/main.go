@@ -1,6 +1,6 @@
 // Command mustd is the MUST serving daemon: an HTTP/JSON front end over
-// a must.Engine (one shard, or S with -shards) with dynamic request
-// batching, an epoch-invalidated result cache, admission control,
+// a must.Engine (one shard, or S with -shards) with GOMAXPROCS engine
+// slots behind admission control, an epoch-invalidated result cache,
 // Prometheus metrics, and a graceful SIGTERM drain. All serving
 // logic lives in internal/server; this file is flags, lifecycle, and
 // snapshots.
@@ -57,9 +57,6 @@ func main() {
 		fsyncPolicy   = flag.String("fsync", "always", "WAL durability: always (fsync per record), interval (background fsync), off (OS page cache only)")
 		fsyncInterval = flag.Duration("fsync-interval", 50*time.Millisecond, "background fsync period under -fsync interval")
 
-		maxBatch     = flag.Int("max-batch", 64, "largest coalesced engine batch")
-		batchWorkers = flag.Int("batch-workers", 0, "engine slots searches are dispatched onto; requests coalesce only while all are busy (0 = GOMAXPROCS)")
-
 		cacheSize    = flag.Int("cache", 4096, "result-cache capacity in responses (negative disables)")
 		maxInFlight  = flag.Int("max-in-flight", 256, "admitted search requests before shedding 429s")
 		maxInFlightW = flag.Int("max-in-flight-writes", 64, "admitted write requests (insert/delete/rebuild) before shedding 429s; a separate budget so a write flood never costs search admission")
@@ -86,8 +83,6 @@ func main() {
 		},
 		must.AdmissionOptions{MaxPendingWrites: *maxPendingWrites, DebtWatermark: *debtWatermark},
 		server.Config{
-			MaxBatch:          *maxBatch,
-			BatchWorkers:      *batchWorkers,
 			CacheSize:         *cacheSize,
 			MaxInFlight:       *maxInFlight,
 			MaxInFlightWrites: *maxInFlightW,
@@ -291,14 +286,13 @@ func run(addr, schemaSpec, load, snapshot string, snapEvery time.Duration, gamma
 	}
 
 	// Graceful drain: stop advertising health, refuse new API requests,
-	// let admitted ones finish, then stop the batcher and snapshot.
+	// let admitted ones finish, then snapshot.
 	srv.StartDraining()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("shutdown: %v", err)
 	}
-	srv.Close()
 	close(snapStop)
 	<-snapDone
 	if maintainer != nil {

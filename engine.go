@@ -55,8 +55,8 @@ type EngineOptions struct {
 // compactions included. S is fixed at creation (it is baked into every
 // ID); pick it once, at most a small multiple of the core count.
 //
-// With more than one built shard, Search fans out and merges (see
-// SearchEach); with one, that shard answers inline.
+// With more than one built shard, Search fans out and merges; with one,
+// that shard answers inline.
 type Engine struct {
 	schema Schema
 	byName map[string]int
@@ -594,178 +594,141 @@ func (e *Engine) RebuildShard(j int) error {
 	return e.buildShard(j, true)
 }
 
-// Search answers one typed query: SearchEach of a one-query batch. It is
-// safe to call from any number of goroutines; ctx (nil means
-// context.Background) cancels or time-bounds the routing. Results carry
-// per-modality similarity breakdowns and routing statistics.
-func (e *Engine) Search(ctx context.Context, q Query) (*Response, error) {
-	out, errs := e.SearchEach(ctx, []Query{q}, 1)
-	return out[0], errs[0]
-}
-
-// SearchEach answers many queries concurrently and reports a result or
-// an error per query: out[i] and errs[i] describe queries[i], exactly
-// one of them non-nil. One failed or cancelled query never poisons the
-// rest of the batch — every other query still runs to completion and
-// keeps its result, and a query whose filter panics gets that panic as
-// its error. workers ≤ 0 uses one worker per query up to GOMAXPROCS; ctx
-// nil means context.Background.
+// Search answers one typed query. It is safe to call from any number of
+// goroutines; ctx (nil means context.Background) cancels or time-bounds
+// the routing. Results carry per-modality similarity breakdowns and
+// routing statistics, and are owned by the caller: every match is cloned
+// out of the pooled searcher's buffers before return. A query whose
+// Filter panics gets that panic as its error. When only one shard is
+// built it answers inline, on the caller's goroutine.
 //
-// This is the serving-tier entry point: each worker borrows one pooled
-// searcher for its whole stride, the read lock is taken once for the
-// batch, and every response is cloned out of searcher-owned buffers
-// before return. When only one shard is built it answers the batch
-// inline, on the caller's goroutine when workers is 1.
+// With more than one built shard the query fans out, each shard searching
+// on its own goroutine, and the per-shard top-k lists merge with a k-way
+// heap. Query.K and Query.L apply per shard, so a sharded search examines
+// up to S·L candidates — recall at equal L is never lower than one
+// graph's; lower L per shard buys the latency back (see the Sharding
+// section of the README). Query.Filter receives engine IDs either way.
+// Merged Stats are summed across shards and Latency is the slowest
+// shard's (the critical path of the fan-out).
 //
-// With more than one built shard the batch fans out, each shard running
-// it on its own goroutine, and each query's per-shard top-k lists merge
-// with a k-way heap. Query.K and Query.L apply per shard, so a sharded
-// search examines up to S·L candidates — recall at equal L is never lower
-// than one graph's; lower L per shard buys the latency back (see the
-// Sharding section of the README). Query.Filter receives engine IDs
-// either way. Merged Stats are summed across shards and Latency is the
-// slowest shard's (the critical path of the fan-out).
-//
-// The fan-out degrades instead of failing: each shard worker recovers
-// panics, and the collector stops waiting when ctx expires. A query
-// whose shards partly succeeded returns a Response with Partial set and
-// the failures listed in ShardErrors — one sick or hanging shard costs
-// that query recall, not availability, and the next query searches every
-// shard again. Only a query that every shard failed gets an error (so
+// The fan-out degrades instead of failing: each shard recovers panics,
+// and the collector stops waiting when ctx expires. A query whose shards
+// partly succeeded returns a Response with Partial set and the failures
+// listed in ShardErrors — one sick or hanging shard costs that query
+// recall, not availability, and the next query searches every shard
+// again. Only a query that every shard failed gets an error (so
 // validation errors, which fail on all shards identically, surface
-// unchanged). Abandoned shard workers observe ctx themselves and exit
+// unchanged). Abandoned shard searches observe ctx themselves and exit
 // shortly after.
-func (e *Engine) SearchEach(ctx context.Context, queries []Query, workers int) ([]*Response, []error) {
-	if len(queries) == 0 {
-		return nil, nil
-	}
+func (e *Engine) Search(ctx context.Context, q Query) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make([]*Response, len(queries))
-	errs := make([]error, len(queries))
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	switch e.built.Load() {
 	case 0:
-		for i := range errs {
-			errs[i] = ErrNotBuilt
-		}
+		return nil, ErrNotBuilt
 	case 1:
 		// A lone built shard has nothing to merge.
 		for _, p := range e.parts {
 			if p.State() != ShardPending {
-				p.searchEach(ctx, queries, workers, out, errs)
-				break
+				return p.search(ctx, q)
 			}
 		}
-	default:
-		e.fanOut(ctx, queries, workers, out, errs)
 	}
-	return out, errs
+	return e.fanOut(ctx, q)
 }
 
-// fanOut is SearchEach over two or more built shards. Callers hold the
-// read lock.
-func (e *Engine) fanOut(ctx context.Context, queries []Query, workers int, out []*Response, errs []error) {
+// fanOut answers q on every built shard and merges the answers. Callers
+// hold the read lock.
+func (e *Engine) fanOut(ctx context.Context, q Query) (*Response, error) {
 	var active []int
 	for j, p := range e.parts {
 		if p.State() != ShardPending {
 			active = append(active, j)
 		}
 	}
-	perShard := workers
-	if perShard > 0 {
-		perShard = max(perShard/len(active), 1)
-	}
 	type shardOut struct {
-		resps []*Response
-		errs  []error
+		ai   int
+		resp *Response
+		err  error
 	}
-	results := make([]shardOut, len(active))
-	done := make([]chan struct{}, len(active))
-	for ai := range active {
-		done[ai] = make(chan struct{})
-	}
+	// Buffered for every shard, so an abandoned shard's send never blocks.
+	ch := make(chan shardOut, len(active))
 	for ai, j := range active {
 		go func() {
-			defer close(done[ai])
+			out := shardOut{ai: ai}
 			defer func() {
 				if r := recover(); r != nil {
-					perr := fmt.Errorf("must: shard %d panicked: %v", j, r)
-					es := make([]error, len(queries))
-					for i := range es {
-						es[i] = perr
-					}
-					results[ai] = shardOut{errs: es}
+					out.resp, out.err = nil, fmt.Errorf("must: shard %d panicked: %v", j, r)
 				}
+				ch <- out
 			}()
-			r := shardOut{resps: make([]*Response, len(queries)), errs: make([]error, len(queries))}
-			e.parts[j].searchEach(ctx, queries, perShard, r.resps, r.errs)
-			results[ai] = r
+			out.resp, out.err = e.parts[j].search(ctx, q)
 		}()
 	}
-	// Collect until the deadline: a shard that has not finished when ctx
-	// expires is reported as failed and its worker abandoned (it bails
-	// out on its own — per-query searches check ctx — and only touches
-	// its own results slot, which no one reads).
-	finished := make([]bool, len(active))
-	for ai := range active {
+	// Collect until the deadline: a shard that has not answered when ctx
+	// expires is reported as failed and abandoned (it bails out on its
+	// own — searches check ctx — and its answer goes unread).
+	results := make([]*shardOut, len(active))
+collect:
+	for range active {
 		select {
-		case <-done[ai]:
-			finished[ai] = true
+		case r := <-ch:
+			results[r.ai] = &r
 		case <-ctx.Done():
-			select {
-			case <-done[ai]:
-				finished[ai] = true
-			default:
+			for {
+				select {
+				case r := <-ch:
+					results[r.ai] = &r
+				default:
+					break collect
+				}
 			}
 		}
 	}
-	for i := range queries {
-		// An invalid K failed on every shard, so it never reaches the merge.
-		k, _, _ := queries[i].size()
-		lists := make([][]ScoredMatch, 0, len(active))
-		var stats SearchStats
-		var latency time.Duration
-		var qerr error
-		var shardErrs []ShardError
-		for ai, j := range active {
-			if !finished[ai] {
-				shardErrs = append(shardErrs, ShardError{Shard: j, Err: ctx.Err().Error()})
-				continue
-			}
-			if err := results[ai].errs[i]; err != nil {
-				if qerr == nil {
-					qerr = err
-				}
-				shardErrs = append(shardErrs, ShardError{Shard: j, Err: err.Error()})
-				continue
-			}
-			resp := results[ai].resps[i]
-			lists = append(lists, resp.Matches)
-			stats.FullEvals += resp.Stats.FullEvals
-			stats.PartialSkips += resp.Stats.PartialSkips
-			stats.Hops += resp.Stats.Hops
-			latency = max(latency, resp.Latency)
-		}
-		if len(lists) == 0 {
-			// Every shard failed this query: surface the first concrete
-			// error (preserving errors.Is matching for validation failures,
-			// ErrNotBuilt, ...), or the deadline if no shard got that far.
-			if qerr == nil {
-				qerr = ctx.Err()
-			}
-			errs[i] = qerr
+	// An invalid K failed on every shard, so it never reaches the merge.
+	k, _, _ := q.size()
+	lists := make([][]ScoredMatch, 0, len(active))
+	var stats SearchStats
+	var latency time.Duration
+	var qerr error
+	var shardErrs []ShardError
+	for ai, j := range active {
+		r := results[ai]
+		if r == nil {
+			shardErrs = append(shardErrs, ShardError{Shard: j, Err: ctx.Err().Error()})
 			continue
 		}
-		resp := &Response{Matches: mergeMatches(lists, k), Stats: stats, Latency: latency}
-		if len(shardErrs) > 0 {
-			resp.Partial = true
-			resp.ShardErrors = shardErrs
+		if r.err != nil {
+			if qerr == nil {
+				qerr = r.err
+			}
+			shardErrs = append(shardErrs, ShardError{Shard: j, Err: r.err.Error()})
+			continue
 		}
-		out[i] = resp
+		lists = append(lists, r.resp.Matches)
+		stats.FullEvals += r.resp.Stats.FullEvals
+		stats.PartialSkips += r.resp.Stats.PartialSkips
+		stats.Hops += r.resp.Stats.Hops
+		latency = max(latency, r.resp.Latency)
 	}
+	if len(lists) == 0 {
+		// Every shard failed this query: surface the first concrete error
+		// (preserving errors.Is matching for validation failures,
+		// ErrNotBuilt, ...), or the deadline if no shard got that far.
+		if qerr == nil {
+			qerr = ctx.Err()
+		}
+		return nil, qerr
+	}
+	resp := &Response{Matches: mergeMatches(lists, k), Stats: stats, Latency: latency}
+	if len(shardErrs) > 0 {
+		resp.Partial = true
+		resp.ShardErrors = shardErrs
+	}
+	return resp, nil
 }
 
 // mergeMatches merges per-shard top-k lists, best first.

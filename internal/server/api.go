@@ -1,6 +1,6 @@
 // Package server is the mustd serving tier: HTTP/JSON handlers over a
-// must.Service with work-conserving request batching, an epoch-invalidated
-// result cache, admission control, Prometheus-text metrics, and a
+// must.Service with GOMAXPROCS engine slots behind admission control, an
+// epoch-invalidated result cache, Prometheus-text metrics, and a
 // graceful drain path. It holds all daemon logic so cmd/mustd stays a
 // thin flag-parsing shell and everything here is unit-testable
 // in-process.
@@ -47,7 +47,7 @@ type SearchMatch struct {
 type SearchResponse struct {
 	Matches []SearchMatch `json:"matches"`
 	// QueryTimeMS is this request's server-side wall time in
-	// milliseconds, queueing and batching included.
+	// milliseconds, the wait for an engine slot included.
 	QueryTimeMS float64 `json:"query_time_ms"`
 	// EngineTimeMS is the engine's own routing time for the sub-query.
 	EngineTimeMS float64 `json:"engine_time_ms"`
@@ -56,12 +56,11 @@ type SearchResponse struct {
 	// DecodeMS is the time spent reading and parsing the request body,
 	// in milliseconds; on a cache hit it is most of QueryTimeMS.
 	DecodeMS float64 `json:"decode_ms,omitempty"`
-	// BatchSize is how many requests shared the engine batch that served
-	// this one: 1 when an engine slot was free on arrival, more when the
-	// request queued behind busy slots (absent when cached).
+	// BatchSize is always 0 since the batcher was removed, so it never
+	// reaches the wire; kept until the benchmark ladder stops reading it.
 	BatchSize int `json:"batch_size,omitempty"`
-	// QueueMS is the time this request queued in the batcher, enqueue to
-	// dispatch, in milliseconds (absent when cached).
+	// QueueMS is the time this request waited for an engine slot, in
+	// milliseconds (absent when cached).
 	QueueMS float64 `json:"queue_ms,omitempty"`
 	// Partial reports a degraded sharded search: matches cover only the
 	// shards that answered before the deadline; ShardErrors lists the
@@ -119,18 +118,15 @@ type ModalityInfo struct {
 
 // ServerStats reports serving-tier counters in /v1/stats.
 type ServerStats struct {
-	CacheHits      uint64  `json:"cache_hits"`
-	CacheMisses    uint64  `json:"cache_misses"`
-	CacheHitRatio  float64 `json:"cache_hit_ratio"`
-	CacheEntries   int     `json:"cache_entries"`
-	Batches        uint64  `json:"batches"`
-	BatchedQueries uint64  `json:"batched_queries"`
-	AvgBatchSize   float64 `json:"avg_batch_size"`
-	InFlight       int64   `json:"in_flight"`
-	Rejected       uint64  `json:"rejected"`
+	CacheHits     uint64  `json:"cache_hits"`
+	CacheMisses   uint64  `json:"cache_misses"`
+	CacheHitRatio float64 `json:"cache_hit_ratio"`
+	CacheEntries  int     `json:"cache_entries"`
+	InFlight      int64   `json:"in_flight"`
+	Rejected      uint64  `json:"rejected"`
 	// PartialResults counts searches answered degraded (some shards
 	// failed or timed out); BatchPanics counts engine panics recovered
-	// in batch dispatch.
+	// around a search, each answered 500.
 	PartialResults uint64 `json:"partial_results"`
 	BatchPanics    uint64 `json:"batch_panics"`
 	// WritesShed counts writes refused by overload protection: write

@@ -30,47 +30,59 @@ func benchSetup(b *testing.B) (*must.Engine, []must.Query) {
 }
 
 // BenchmarkServePipeline measures the serving hot path at high offered
-// concurrency: direct is one engine call per request, with nothing
-// bounding how many run at once; batched goes through the batcher
-// exactly as mustd serves searches. ns/op is per served query.
+// concurrency, on the 24+12-dim test fixture and on the 512+256-dim
+// clipFixture: direct is one engine call per request, with nothing
+// bounding how many run at once; served takes one of the handler's
+// GOMAXPROCS engine slots and then calls Search, exactly as mustd serves
+// a search. ns/op is per served query.
 func BenchmarkServePipeline(b *testing.B) {
 	eng, queries := benchSetup(b)
-
-	b.Run("direct", func(b *testing.B) {
-		b.SetParallelism(64)
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				q := queries[i%len(queries)]
-				i++
-				if _, err := eng.Search(context.Background(), q); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	})
-
-	b.Run("batched", func(b *testing.B) {
-		bat := newBatcher(eng, 64, 0, NewMetrics())
-		defer bat.Close()
-		b.SetParallelism(64)
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				q := queries[i%len(queries)]
-				i++
-				if _, _, _, err := bat.Search(context.Background(), q); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	})
+	clip, _ := clipSetup(b)
+	clipQueries := make([]must.Query, 64)
+	for i := range clipQueries {
+		o, err := clip.Object(int64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		clipQueries[i] = must.Query{Vectors: o, K: 10, L: 160}
+	}
+	for _, fx := range []struct {
+		name    string
+		eng     *must.Engine
+		queries []must.Query
+	}{{"24+12", eng, queries}, {"512+256", clip, clipQueries}} {
+		s := New(fx.eng, Config{})
+		for _, path := range []struct {
+			name   string
+			search func(must.Query) error
+		}{
+			{"direct", func(q must.Query) error {
+				_, err := fx.eng.Search(context.Background(), q)
+				return err
+			}},
+			{"served", func(q must.Query) error {
+				_, _, err := s.search(context.Background(), q)
+				return err
+			}},
+		} {
+			b.Run(fx.name+"/"+path.name, func(b *testing.B) {
+				b.SetParallelism(64)
+				b.ReportAllocs()
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					i := 0
+					for pb.Next() {
+						q := fx.queries[i%len(fx.queries)]
+						i++
+						if err := path.search(q); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				})
+			})
+		}
+	}
 }
 
 // clipFixture is a small engine on the CLIP-scale schema of the ladder
@@ -166,7 +178,7 @@ func BenchmarkDecodeSearchRequest(b *testing.B) {
 // BenchmarkHandleSearch is one /v1/search through the whole handler
 // stack on a recorder (no socket): hit is answered from the result
 // cache, so it is body read + decode + cache key + response encode;
-// miss has the cache disabled and adds the batcher and the engine.
+// miss has the cache disabled and adds an engine slot and the engine.
 func BenchmarkHandleSearch(b *testing.B) {
 	eng, body := clipSetup(b)
 	for _, tc := range []struct {

@@ -15,19 +15,16 @@ import (
 
 // Metrics is a dependency-free Prometheus registry scoped to what mustd
 // exports: request counters by endpoint and status code, latency
-// histograms by endpoint, the batch-size, batch-queue-wait and
-// body-decode histograms, cache and admission counters, and engine
-// gauges sampled at scrape time. All increments are atomic; the only
-// lock guards lazy counter creation.
+// histograms by endpoint, the engine-slot-wait and body-decode
+// histograms, cache and admission counters, and engine gauges sampled at
+// scrape time. All increments are atomic; the only lock guards lazy
+// counter creation.
 type Metrics struct {
 	mu       sync.Mutex
 	requests map[requestKey]*atomic.Uint64
 	latency  map[string]*histogram
 
-	batchSize      *histogram
-	queueWait      *histogram
-	batches        atomic.Uint64
-	batchedQueries atomic.Uint64
+	queueWait *histogram
 
 	// decodeFast and decodeStd count request bodies by the decoder that
 	// produced the verdict: the fast scan, or encoding/json after the
@@ -46,7 +43,7 @@ type Metrics struct {
 
 	// partialResults counts searches answered degraded (some shards
 	// failed or timed out); batchPanics counts engine panics recovered
-	// in the batcher's dispatch path.
+	// around a search's engine call.
 	partialResults atomic.Uint64
 	batchPanics    atomic.Uint64
 }
@@ -66,9 +63,6 @@ var latencyBuckets = []float64{
 // ~20µs (~25µs with Python's 17-digit floats), inside the first latency
 // bucket.
 var decodeBuckets = append([]float64{0.00001, 0.000025, 0.00005}, latencyBuckets...)
-
-// batchBuckets are upper bounds on the coalesced batch size.
-var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // histogram is a fixed-bucket Prometheus histogram with atomic counters
 // (sum is stored as float64 bits updated by CAS).
@@ -107,7 +101,6 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		requests:   make(map[requestKey]*atomic.Uint64),
 		latency:    make(map[string]*histogram),
-		batchSize:  newHistogram(batchBuckets),
 		queueWait:  newHistogram(latencyBuckets),
 		decodeTime: newHistogram(decodeBuckets),
 	}
@@ -119,15 +112,8 @@ func (m *Metrics) ObserveRequest(endpoint string, code int, seconds float64) {
 	m.latencyHistogram(endpoint).observe(seconds)
 }
 
-// ObserveBatch records one dispatched engine batch of the given size.
-func (m *Metrics) ObserveBatch(size int) {
-	m.batches.Add(1)
-	m.batchedQueries.Add(uint64(size))
-	m.batchSize.observe(float64(size))
-}
-
-// ObserveQueueWait records how long one query queued in the batcher
-// between enqueue and its batch's dispatch.
+// ObserveQueueWait records how long one search waited for an engine
+// slot.
 func (m *Metrics) ObserveQueueWait(d time.Duration) { m.queueWait.observe(d.Seconds()) }
 
 // ObserveDecode records one request body read and parsed in d; fast
@@ -164,16 +150,11 @@ func (m *Metrics) latencyHistogram(endpoint string) *histogram {
 	return h
 }
 
-// BatchCounters returns dispatched batch totals (batches, queries).
-func (m *Metrics) BatchCounters() (uint64, uint64) {
-	return m.batches.Load(), m.batchedQueries.Load()
-}
-
 // ObservePartial records one search served with partial (degraded)
 // results.
 func (m *Metrics) ObservePartial() { m.partialResults.Add(1) }
 
-// ObserveBatchPanic records one recovered panic in batch dispatch.
+// ObserveBatchPanic records one engine panic recovered around a search.
 func (m *Metrics) ObserveBatchPanic() { m.batchPanics.Add(1) }
 
 // ObserveWriteShed records one write refused by overload protection.
@@ -219,10 +200,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, eng must.Service, cache *resultCa
 		writeHistogram(w, "mustd_request_seconds", fmt.Sprintf("endpoint=%q", ep), m.latencyHistogram(ep))
 	}
 
-	fmt.Fprintln(w, "# HELP mustd_batch_size Coalesced queries per dispatched engine batch.")
-	fmt.Fprintln(w, "# TYPE mustd_batch_size histogram")
-	writeHistogram(w, "mustd_batch_size", "", m.batchSize)
-	fmt.Fprintln(w, "# HELP must_batch_queue_seconds Time a search queued in the batcher before its batch was dispatched.")
+	fmt.Fprintln(w, "# HELP must_batch_queue_seconds Time a search waited for an engine slot.")
 	fmt.Fprintln(w, "# TYPE must_batch_queue_seconds histogram")
 	writeHistogram(w, "must_batch_queue_seconds", "", m.queueWait)
 
@@ -255,7 +233,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, eng must.Service, cache *resultCa
 	fmt.Fprintln(w, "# HELP must_partial_results_total Searches answered degraded: some shards failed or missed the deadline.")
 	fmt.Fprintln(w, "# TYPE must_partial_results_total counter")
 	fmt.Fprintf(w, "must_partial_results_total %d\n", m.partialResults.Load())
-	fmt.Fprintln(w, "# HELP must_batch_panics_total Engine panics recovered in batch dispatch (each fails only its own batch).")
+	fmt.Fprintln(w, "# HELP must_batch_panics_total Engine panics recovered around a search (each fails only its own request).")
 	fmt.Fprintln(w, "# TYPE must_batch_panics_total counter")
 	fmt.Fprintf(w, "must_batch_panics_total %d\n", m.batchPanics.Load())
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"must"
@@ -17,29 +18,27 @@ type partialService struct {
 	must.Service
 }
 
-func markPartial(out []*must.Response) {
-	for _, r := range out {
-		if r != nil {
-			r.Partial = true
-			r.ShardErrors = []must.ShardError{{Shard: 2, Err: "injected shard failure"}}
-		}
+func (p *partialService) Search(ctx context.Context, q must.Query) (*must.Response, error) {
+	r, err := p.Service.Search(ctx, q)
+	if r != nil {
+		r.Partial = true
+		r.ShardErrors = []must.ShardError{{Shard: 2, Err: "injected shard failure"}}
 	}
+	return r, err
 }
 
-func (p *partialService) SearchEach(ctx context.Context, queries []must.Query, workers int) ([]*must.Response, []error) {
-	out, errs := p.Service.SearchEach(ctx, queries, workers)
-	markPartial(out)
-	return out, errs
-}
-
-// panickyService panics inside the engine call, as a buggy kernel or
-// poisoned query would.
+// panickyService panics inside its first engine call, as a buggy kernel
+// or poisoned query would, and answers normally after that.
 type panickyService struct {
 	must.Service
+	panicked atomic.Bool
 }
 
-func (p *panickyService) SearchEach(ctx context.Context, queries []must.Query, workers int) ([]*must.Response, []error) {
-	panic("engine bug")
+func (p *panickyService) Search(ctx context.Context, q must.Query) (*must.Response, error) {
+	if !p.panicked.Swap(true) {
+		panic("engine bug")
+	}
+	return p.Service.Search(ctx, q)
 }
 
 func TestServerPartialResponse(t *testing.T) {
@@ -94,35 +93,39 @@ func TestServerPartialResponse(t *testing.T) {
 }
 
 func TestServerBatchPanicIs500NotCrash(t *testing.T) {
-	eng, queries, _ := testEngine(t, 200)
-	s := New(&panickyService{eng}, Config{})
+	eng, queries, ids := testEngine(t, 200)
+	s := New(&panickyService{Service: eng}, Config{})
+	// One slot: a slot the panic failed to return would time the next
+	// search out.
+	s.slots = make(chan struct{}, 1)
 	ts := httptest.NewServer(s.Handler())
 	defer func() { ts.Close(); s.Close() }()
 
 	resp, data := postJSON(t, ts.URL+"/v1/search", searchBody(queries[0]))
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panicked batch: status %d %s, want 500", resp.StatusCode, data)
+		t.Fatalf("panicked search: status %d %s, want 500", resp.StatusCode, data)
 	}
 	if !strings.Contains(string(data), "panic") {
 		t.Fatalf("500 body %q does not mention the panic", data)
 	}
 
-	// The dispatcher survived: the daemon still answers (another 500 for
-	// this engine, but over a live connection) and exports the counter.
-	resp2, _ := postJSON(t, ts.URL+"/v1/search", searchBody(queries[1]))
-	if resp2.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("second search after panic: status %d", resp2.StatusCode)
+	// The daemon survived with its slot back: the next search succeeds,
+	// and the counter reports the one panic.
+	resp2, data2 := postJSON(t, ts.URL+"/v1/search", searchBody(queries[1]))
+	var sr SearchResponse
+	if err := json.Unmarshal(data2, &sr); resp2.StatusCode != http.StatusOK || err != nil || sr.Matches[0].ID != ids[1] {
+		t.Fatalf("search after a panic: %d %s", resp2.StatusCode, data2)
 	}
 	_, metrics := getBody(t, ts.URL+"/metrics")
-	if !strings.Contains(string(metrics), "must_batch_panics_total 2") {
-		t.Fatalf("metrics missing must_batch_panics_total 2:\n%s", metrics)
+	if !strings.Contains(string(metrics), "must_batch_panics_total 1") {
+		t.Fatalf("metrics missing must_batch_panics_total 1:\n%s", metrics)
 	}
 	_, stats := getBody(t, ts.URL+"/v1/stats")
 	var st StatsResponse
 	if err := json.Unmarshal(stats, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Server.BatchPanics != 2 {
-		t.Fatalf("stats batch_panics = %d, want 2", st.Server.BatchPanics)
+	if st.Server.BatchPanics != 1 {
+		t.Fatalf("stats batch_panics = %d, want 1", st.Server.BatchPanics)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,21 +14,16 @@ import (
 )
 
 // Config tunes the serving tier; the zero value gets production-shaped
-// defaults (batches of up to 64 on GOMAXPROCS engine slots, 4096-entry
-// cache, 256 in-flight requests, 2s default / 30s max per-request
-// timeout).
+// defaults (4096-entry cache, 256 in-flight searches, 2s default / 30s
+// max per-request timeout). Admitted searches run on GOMAXPROCS engine
+// slots, each one Engine.Search on the request's own goroutine.
 type Config struct {
-	// MaxBatch is the largest coalesced engine batch (default 64).
-	MaxBatch int
-	// BatchWorkers is the number of engine slots searches are dispatched
-	// onto: a request runs at once while one is free and coalesces with
-	// its neighbours only while all are busy (0 = GOMAXPROCS).
-	BatchWorkers int
 	// CacheSize is the result-cache capacity in responses (default
 	// 4096; negative disables the cache).
 	CacheSize int
 	// MaxInFlight bounds admitted read requests (search); excess get
-	// 429 + Retry-After (default 256).
+	// 429 + Retry-After (default 256). Admitted searches beyond the
+	// engine slots wait for one, no longer than their timeout.
 	MaxInFlight int
 	// MaxInFlightWrites bounds admitted write requests (insert, delete,
 	// rebuild) on a separate budget, so a write flood is shed without
@@ -41,9 +37,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
 	}
@@ -70,10 +63,12 @@ type Server struct {
 	cfg     Config
 	metrics *Metrics
 	cache   *resultCache
-	batcher *batcher
 	mux     *http.ServeMux
 	sem     chan struct{} // read admission (search)
 	wsem    chan struct{} // write admission (insert, delete, rebuild)
+	// slots bounds the searches inside the engine at once (GOMAXPROCS);
+	// an admitted search takes one for its Engine.Search call.
+	slots chan struct{}
 
 	// maint, when attached, surfaces background-maintenance counters in
 	// /v1/stats and /metrics; the loop itself runs in the daemon.
@@ -110,6 +105,7 @@ func New(eng must.Service, cfg Config) *Server {
 		cache:   newResultCache(cfg.CacheSize),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		wsem:    make(chan struct{}, cfg.MaxInFlightWrites),
+		slots:   make(chan struct{}, runtime.GOMAXPROCS(0)),
 		schema:  eng.Schema(),
 		byName:  make(map[string]int),
 	}
@@ -117,7 +113,6 @@ func New(eng must.Service, cfg Config) *Server {
 		s.byName[m.Name] = i
 	}
 	s.modalityKeys = quoteKeys(s.schema.Names())
-	s.batcher = newBatcher(eng, cfg.MaxBatch, cfg.BatchWorkers, s.metrics)
 	mux := http.NewServeMux()
 	mux.Handle("/v1/search", s.endpoint("search", http.MethodPost, admitRead, s.handleSearch))
 	mux.Handle("/v1/insert", s.endpoint("insert", http.MethodPost, admitWrite, s.handleInsert))
@@ -148,9 +143,9 @@ func (s *Server) AttachMaintainer(m *must.Maintainer) { s.maint = m }
 // http.Server.Shutdown.
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
-// Close stops the batcher after serving everything it already
-// accepted. Call after http.Server.Shutdown has drained the handlers.
-func (s *Server) Close() { s.batcher.Close() }
+// Close is StartDraining: every later API request is refused with 503.
+// Call after http.Server.Shutdown has drained the handlers.
+func (s *Server) Close() { s.StartDraining() }
 
 // validateSearch checks a request against the schema so malformed
 // requests fail 400 deterministically before touching the engine.
@@ -190,9 +185,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
+		// Clamped in milliseconds: converting first would overflow a
+		// Duration for timeout_ms past ~9.2e12 and expire at once.
+		timeout = s.cfg.MaxTimeout
+		if ms := int64(req.TimeoutMS); ms <= int64(s.cfg.MaxTimeout/time.Millisecond) {
+			timeout = time.Duration(ms) * time.Millisecond
 		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
@@ -213,12 +210,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	epoch := s.eng.Epoch()
 	if !req.NoCache {
 		if resp, ok := s.cache.Get(key, epoch); ok {
-			s.writeSearch(w, s.searchResponse(resp, start, decoded, 0, 0, true))
+			s.writeSearch(w, s.searchResponse(resp, start, decoded, 0, true))
 			return
 		}
 	}
 
-	resp, size, queued, err := s.batcher.Search(ctx, q)
+	resp, queued, err := s.search(ctx, q)
 	if err != nil {
 		s.writeSearchError(w, err)
 		return
@@ -231,11 +228,35 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.cache.Put(key, epoch, resp)
 	}
-	s.writeSearch(w, s.searchResponse(resp, start, decoded, size, queued, false))
+	s.writeSearch(w, s.searchResponse(resp, start, decoded, queued, false))
+}
+
+// search runs q on one engine slot. It waits for a free slot no longer
+// than ctx allows, and turns a panic in the engine into this request's
+// error: one poisoned query (or engine bug) costs its own 500, not the
+// daemon. queued is the wait for the slot.
+func (s *Server) search(ctx context.Context, q must.Query) (resp *must.Response, queued time.Duration, err error) {
+	start := time.Now()
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, 0, ctx.Err()
+	}
+	defer func() { <-s.slots }()
+	queued = time.Since(start)
+	s.metrics.ObserveQueueWait(queued)
+	defer func() {
+		if r := recover(); r != nil {
+			s.metrics.ObserveBatchPanic()
+			resp, err = nil, fmt.Errorf("search panicked: %v", r)
+		}
+	}()
+	resp, err = s.eng.Search(ctx, q)
+	return resp, queued, err
 }
 
 // searchResponse converts an engine response into the wire shape.
-func (s *Server) searchResponse(resp *must.Response, start time.Time, decoded time.Duration, batchSize int, queued time.Duration, cached bool) *SearchResponse {
+func (s *Server) searchResponse(resp *must.Response, start time.Time, decoded, queued time.Duration, cached bool) *SearchResponse {
 	matches := make([]SearchMatch, len(resp.Matches))
 	for i, m := range resp.Matches {
 		matches[i] = SearchMatch{ID: m.ID, Similarity: m.Similarity, ByModality: m.ByModality}
@@ -246,7 +267,6 @@ func (s *Server) searchResponse(resp *must.Response, start time.Time, decoded ti
 		EngineTimeMS: float64(resp.Latency) / float64(time.Millisecond),
 		Cached:       cached,
 		DecodeMS:     float64(decoded) / float64(time.Millisecond),
-		BatchSize:    batchSize,
 		QueueMS:      float64(queued) / float64(time.Millisecond),
 		Partial:      resp.Partial,
 		ShardErrors:  resp.ShardErrors,
@@ -268,11 +288,6 @@ func (s *Server) writeSearchError(w http.ResponseWriter, err error) {
 		// The client went away; the code is moot but keep the counter
 		// honest with the nginx convention for client-closed requests.
 		writeError(w, 499, "client cancelled")
-	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "server draining")
-	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "batch queue full")
 	default:
 		writeError(w, http.StatusInternalServerError, err.Error())
 	}
@@ -387,11 +402,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if hits+misses > 0 {
 		ratio = float64(hits) / float64(hits+misses)
 	}
-	batches, batched := s.metrics.BatchCounters()
-	avg := 0.0
-	if batches > 0 {
-		avg = float64(batched) / float64(batches)
-	}
 	schema := make([]ModalityInfo, len(s.schema))
 	for i, m := range s.schema {
 		schema[i] = ModalityInfo{Name: m.Name, Dim: m.Dim}
@@ -426,9 +436,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			CacheMisses:    misses,
 			CacheHitRatio:  ratio,
 			CacheEntries:   s.cache.Len(),
-			Batches:        batches,
-			BatchedQueries: batched,
-			AvgBatchSize:   avg,
 			InFlight:       s.metrics.inFlight.Load(),
 			Rejected:       s.metrics.rejected.Load(),
 			PartialResults: s.metrics.partialResults.Load(),

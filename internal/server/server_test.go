@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -91,9 +92,8 @@ func TestServerSearchEndToEnd(t *testing.T) {
 	if sr.Stats.Hops == 0 {
 		t.Fatal("routing stats missing")
 	}
-	if sr.BatchSize != 1 || sr.QueueMS <= 0 || sr.QueueMS > sr.QueryTimeMS {
-		t.Fatalf("lone search on an idle server: batch_size %d, queue_ms %v of query_time_ms %v",
-			sr.BatchSize, sr.QueueMS, sr.QueryTimeMS)
+	if sr.QueueMS <= 0 || sr.QueueMS > sr.QueryTimeMS {
+		t.Fatalf("lone search on an idle server: queue_ms %v of query_time_ms %v", sr.QueueMS, sr.QueryTimeMS)
 	}
 	if sr.DecodeMS <= 0 || sr.DecodeMS+sr.QueueMS > sr.QueryTimeMS {
 		t.Fatalf("decode_ms %v (+ queue_ms %v) of query_time_ms %v", sr.DecodeMS, sr.QueueMS, sr.QueryTimeMS)
@@ -108,13 +108,13 @@ func TestServerSearchEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(data, &sr2); err != nil {
 		t.Fatal(err)
 	}
-	if !sr2.Cached || sr2.BatchSize != 0 || sr2.QueueMS != 0 {
-		t.Fatalf("identical request missed the cache or reports a batch: %s", data)
+	if !sr2.Cached || sr2.QueueMS != 0 {
+		t.Fatalf("identical request missed the cache or reports a slot wait: %s", data)
 	}
 	if sr2.Matches[0].ID != sr.Matches[0].ID {
 		t.Fatal("cached response differs")
 	}
-	// A hit skips the batcher but not the decoder.
+	// A hit skips the engine slots but not the decoder.
 	if sr2.DecodeMS <= 0 || sr2.DecodeMS > sr2.QueryTimeMS {
 		t.Fatalf("cache hit: decode_ms %v of query_time_ms %v", sr2.DecodeMS, sr2.QueryTimeMS)
 	}
@@ -336,7 +336,6 @@ func TestServerStatsAndMetrics(t *testing.T) {
 		`mustd_request_seconds_bucket{endpoint="search"`,
 		"mustd_cache_hits_total 1",
 		"mustd_engine_objects 500",
-		"mustd_batch_size_sum",
 		"must_batch_queue_seconds_count 1\n", // the cache hit never queued
 		"must_decode_seconds_count 2\n",      // but its body was decoded
 		`must_decode_total{path="fast"} 2`,
@@ -446,32 +445,11 @@ func TestServerAdmissionControl(t *testing.T) {
 	// MaxInFlight 2 over an engine the test holds: once two searches are
 	// inside the engine, both admission slots are taken, so every further
 	// request is shed with 429 + Retry-After while the admitted two still
-	// succeed.
-	eng, queries, _ := testEngine(t, 500)
-	svc := newHeldService(eng)
-	s := New(svc, Config{
-		MaxInFlight:  2,
-		BatchWorkers: 2,  // both admitted requests reach the engine
-		CacheSize:    -1, // every request reaches the batcher
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer func() { ts.Close(); s.Close() }()
-
-	var wg sync.WaitGroup
-	admitted := make([]int, 2)
+	// succeed. Two engine slots let both admitted requests reach it.
+	_, svc, ts, queries, _ := heldServer(t, 2, Config{MaxInFlight: 2})
+	admitted := make([]<-chan reply, 2)
 	for c := range admitted {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			raw, _ := json.Marshal(searchBody(queries[c]))
-			resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(raw))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			resp.Body.Close()
-			admitted[c] = resp.StatusCode
-		}(c)
+		admitted[c] = goSearch(ts.URL, searchBody(queries[c]))
 		<-svc.entered // in the engine, holding an admission slot
 	}
 	for c := 2; c < 6; c++ {
@@ -483,11 +461,10 @@ func TestServerAdmissionControl(t *testing.T) {
 			t.Error("429 without Retry-After")
 		}
 	}
-	close(svc.release)
-	wg.Wait()
-	for c, code := range admitted {
-		if code != http.StatusOK {
-			t.Errorf("admitted request %d: status %d", c, code)
+	svc.releaseAll()
+	for c, ch := range admitted {
+		if r := <-ch; r.code != http.StatusOK {
+			t.Errorf("admitted request %d: status %d %s", c, r.code, r.body)
 		}
 	}
 }
@@ -495,13 +472,29 @@ func TestServerAdmissionControl(t *testing.T) {
 func TestServerTimeout(t *testing.T) {
 	_, ts, queries, _ := testServer(t, Config{
 		// A 1ns effective timeout: the context is dead before the
-		// batcher even sees the request.
+		// request even waits for an engine slot.
 		DefaultTimeout: time.Nanosecond,
 		CacheSize:      -1,
 	})
 	resp, data := postJSON(t, ts.URL+"/v1/search", searchBody(queries[0]))
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("timeout search: %d %s, want 504", resp.StatusCode, data)
+	}
+}
+
+// TestServerHugeTimeoutClamped: a timeout_ms too large for a
+// time.Duration is clamped to MaxTimeout, not wrapped negative into a
+// deadline that has already passed.
+func TestServerHugeTimeoutClamped(t *testing.T) {
+	_, ts, queries, _ := testServer(t, Config{CacheSize: -1})
+	for _, ms := range []int{10000000000000, math.MaxInt64} {
+		req := searchBody(queries[0])
+		req.TimeoutMS = ms
+		resp, data := postJSON(t, ts.URL+"/v1/search", req)
+		var sr SearchResponse
+		if err := json.Unmarshal(data, &sr); resp.StatusCode != http.StatusOK || err != nil || len(sr.Matches) != queries[0].K {
+			t.Fatalf("timeout_ms %d: %d %s, want 200 with %d matches", ms, resp.StatusCode, data, queries[0].K)
+		}
 	}
 }
 
@@ -586,8 +579,8 @@ func TestMetricsHistogramRendering(t *testing.T) {
 	m.ObserveRequest("search", 200, 0.0007)
 	m.ObserveRequest("search", 200, 0.3)
 	m.ObserveRequest("search", 400, 0.001)
-	m.ObserveBatch(3)
-	m.ObserveBatch(64)
+	m.ObserveQueueWait(300 * time.Microsecond)
+	m.ObserveQueueWait(2 * time.Second)
 	eng, _, _ := testEngine(t, 60)
 	var sb strings.Builder
 	m.WritePrometheus(&sb, eng, newResultCache(4), nil)
@@ -598,9 +591,9 @@ func TestMetricsHistogramRendering(t *testing.T) {
 		`mustd_request_seconds_bucket{endpoint="search",le="0.001"} 2`,
 		`mustd_request_seconds_bucket{endpoint="search",le="+Inf"} 3`,
 		`mustd_request_seconds_count{endpoint="search"} 3`,
-		`mustd_batch_size_bucket{le="4"} 1`,
-		`mustd_batch_size_bucket{le="64"} 2`,
-		"mustd_batch_size_count 2",
+		`must_batch_queue_seconds_bucket{le="0.0005"} 1`,
+		`must_batch_queue_seconds_bucket{le="2.5"} 2`,
+		"must_batch_queue_seconds_count 2",
 		"mustd_engine_objects 60",
 	} {
 		if !strings.Contains(out, want) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -480,58 +479,21 @@ func (p *part) searchOneLocked(ctx context.Context, s *search.Searcher, q Query)
 	}, nil
 }
 
-// batchWorkers resolves a batch's worker count: workers ≤ 0 means
-// GOMAXPROCS, and a batch never gets more workers than queries.
-func batchWorkers(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return min(workers, n)
-}
-
-// searchEach fills out[i]/errs[i] for every query under one read lock.
-// Each of workers goroutines borrows one pooled searcher for its whole
-// stride; a single worker runs on the calling goroutine.
-func (p *part) searchEach(ctx context.Context, queries []Query, workers int, out []*Response, errs []error) {
+// search answers one query on a pooled searcher under the read lock.
+func (p *part) search(ctx context.Context, q Query) (*Response, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.f == nil {
-		for i := range errs {
-			errs[i] = ErrNotBuilt
-		}
-		return
+		return nil, ErrNotBuilt
 	}
-	stride := batchWorkers(workers, len(queries))
-	if stride == 1 {
-		p.searchStride(ctx, queries, 0, 1, out, errs)
-		return
+	s := p.searchers.Get().(*search.Searcher)
+	resp, panicked, err := p.searchRecovered(ctx, s, q)
+	if !panicked {
+		// A panicked searcher's internal state is suspect: it is dropped
+		// rather than pooled.
+		p.searchers.Put(s)
 	}
-	var wg sync.WaitGroup
-	wg.Add(stride)
-	for wk := 0; wk < stride; wk++ {
-		go func() {
-			defer wg.Done()
-			p.searchStride(ctx, queries, wk, stride, out, errs)
-		}()
-	}
-	wg.Wait()
-}
-
-// searchStride answers queries wk, wk+stride, … on one pooled searcher.
-// Callers hold the read lock.
-func (p *part) searchStride(ctx context.Context, queries []Query, wk, stride int, out []*Response, errs []error) {
-	pool := p.searchers
-	s := pool.Get().(*search.Searcher)
-	for i := wk; i < len(queries); i += stride {
-		var panicked bool
-		out[i], panicked, errs[i] = p.searchRecovered(ctx, s, queries[i])
-		if panicked {
-			// The panicked searcher's internal state is suspect: drop it on
-			// the floor and continue with a fresh one.
-			s = pool.Get().(*search.Searcher)
-		}
-	}
-	pool.Put(s)
+	return resp, err
 }
 
 // searchRecovered runs one query, converting a panic (e.g. from a

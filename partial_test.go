@@ -151,9 +151,10 @@ func TestSingleEnginePanicIsolatedPerQuery(t *testing.T) {
 	for i, v := range qs {
 		queries[i] = Query{Vectors: v, K: 3}
 	}
-	// Query 1 panics in its filter; the other three must still answer.
+	// Query 1 panics in its filter; the other three, searched beside it,
+	// must still answer.
 	queries[1].Filter = func(id int64) bool { panic("bad filter") }
-	out, errs := e.SearchEach(context.Background(), queries, 1)
+	out, errs := searchConcurrently(context.Background(), e, queries, len(queries))
 	for i := range queries {
 		if i == 1 {
 			if errs[1] == nil || !strings.Contains(errs[1].Error(), "panic") {
@@ -162,7 +163,7 @@ func TestSingleEnginePanicIsolatedPerQuery(t *testing.T) {
 			continue
 		}
 		if errs[i] != nil || out[i] == nil || len(out[i].Matches) == 0 {
-			t.Fatalf("query %d: err=%v out=%v (panic leaked across the batch)", i, errs[i], out[i])
+			t.Fatalf("query %d: err=%v out=%v (panic leaked across queries)", i, errs[i], out[i])
 		}
 		if out[i].Partial {
 			t.Fatalf("single engine set Partial on query %d", i)

@@ -7,10 +7,42 @@ import (
 	"testing"
 )
 
-// TestSearchEachPerQueryErrors checks that one bad query fails only its
-// own slot: every other query in the batch still runs and returns its
-// result (the serving-tier contract — a malformed request must not
-// poison the coalesced batch it rides in).
+// searchConcurrently answers queries with concurrent Search calls from
+// workers goroutines (query i on goroutine i mod workers) and reports
+// each query's response and error in its own slot.
+func searchConcurrently(ctx context.Context, e *Engine, queries []Query, workers int) ([]*Response, []error) {
+	out := make([]*Response, len(queries))
+	errs := make([]error, len(queries))
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(queries); i += workers {
+				out[i], errs[i] = e.Search(ctx, queries[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return out, errs
+}
+
+// searchAll runs searchConcurrently, failing on any per-query error.
+func searchAll(t *testing.T, e *Engine, queries []Query, workers int) []*Response {
+	t.Helper()
+	out, errs := searchConcurrently(context.Background(), e, queries, workers)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	return out
+}
+
+// TestSearchEachPerQueryErrors checks that one bad query among
+// concurrent good ones fails alone: every other query still runs and
+// returns its result (the serving-tier contract — a malformed request
+// must not poison the requests served beside it).
 func TestSearchEachPerQueryErrors(t *testing.T) {
 	e, rng := newBuiltEngine(t, 300)
 	good := Query{Vectors: NamedVectors{"image": engRandVec(rng, engImgDim)}, K: 5}
@@ -22,7 +54,7 @@ func TestSearchEachPerQueryErrors(t *testing.T) {
 		{Vectors: NamedVectors{"image": nil, "text": nil}},   // no active modality
 		good,
 	}
-	out, errs := e.SearchEach(context.Background(), queries, 2)
+	out, errs := searchConcurrently(context.Background(), e, queries, 2)
 	if len(out) != len(queries) || len(errs) != len(queries) {
 		t.Fatalf("got %d responses, %d errors for %d queries", len(out), len(errs), len(queries))
 	}
@@ -43,11 +75,11 @@ func TestSearchEachPerQueryErrors(t *testing.T) {
 	}
 }
 
-// TestSearchEachRequestMatchedResults hammers SearchEach from many
-// goroutines under -race, each batch querying with exact stored vectors:
-// the top match of slot i must be the object whose vectors slot i asked
-// for, proving results are never crossed between sub-queries or torn by
-// searcher reuse across a worker's stride.
+// TestSearchEachRequestMatchedResults hammers Search from many goroutines
+// under -race, each querying with exact stored vectors: the top match of
+// query i must be the object whose vectors query i asked for, proving
+// results are never crossed between concurrent searches or torn by
+// pooled-searcher reuse.
 func TestSearchEachRequestMatchedResults(t *testing.T) {
 	const n = 400
 	e, rng := newBuiltEngine(t, n)
@@ -70,8 +102,8 @@ func TestSearchEachRequestMatchedResults(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 10; round++ {
-				// Each batch uses a goroutine-specific rotation so
-				// concurrent batches ask for different objects in the
+				// Each round uses a goroutine-specific rotation so
+				// concurrent rounds ask for different objects in the
 				// same slot.
 				queries := make([]Query, len(objs))
 				want := make([]int64, len(objs))
@@ -80,7 +112,7 @@ func TestSearchEachRequestMatchedResults(t *testing.T) {
 					queries[i] = Query{Vectors: objs[j], K: 3}
 					want[i] = ids[j]
 				}
-				out, errs := e.SearchEach(context.Background(), queries, 4)
+				out, errs := searchConcurrently(context.Background(), e, queries, 4)
 				for i := range out {
 					if errs[i] != nil {
 						t.Errorf("g%d r%d slot %d: %v", g, round, i, errs[i])
@@ -97,15 +129,15 @@ func TestSearchEachRequestMatchedResults(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSearchEachCancellation checks a cancelled context fails queries
-// with a context error in their own slots and returns promptly, and
-// that a batch already answered is unaffected by later cancellation.
+// TestSearchEachCancellation checks a cancelled context fails each
+// query with a context error and returns promptly, and that answers
+// already returned are unaffected by later cancellation.
 func TestSearchEachCancellation(t *testing.T) {
 	e, rng := newBuiltEngine(t, 300)
 	q := Query{Vectors: NamedVectors{"image": engRandVec(rng, engImgDim)}, K: 3}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	done, errsDone := e.SearchEach(ctx, []Query{q, q}, 2)
+	done, errsDone := searchConcurrently(ctx, e, []Query{q, q}, 2)
 	for i := range done {
 		if errsDone[i] != nil {
 			t.Fatalf("pre-cancel slot %d: %v", i, errsDone[i])
@@ -113,8 +145,8 @@ func TestSearchEachCancellation(t *testing.T) {
 	}
 	keepID, keepSim := done[0].Matches[0].ID, done[0].Matches[0].Similarity
 	cancel()
-	// Already-cancelled context: every slot reports the context error.
-	out, errs := e.SearchEach(ctx, []Query{q, q, q}, 2)
+	// Already-cancelled context: every query reports the context error.
+	out, errs := searchConcurrently(ctx, e, []Query{q, q, q}, 2)
 	for i := range errs {
 		if !errors.Is(errs[i], context.Canceled) {
 			t.Errorf("slot %d: want context.Canceled, got %v (resp %v)", i, errs[i], out[i])
@@ -127,37 +159,36 @@ func TestSearchEachCancellation(t *testing.T) {
 }
 
 // TestSearchEachResultsAreOwnedCopies verifies responses do not alias
-// pooled searcher buffers: matches captured from one batch stay
-// byte-identical after the same searchers serve many further batches.
+// pooled searcher buffers: matches captured from one search stay
+// byte-identical after the same searchers serve many further searches.
 func TestSearchEachResultsAreOwnedCopies(t *testing.T) {
 	e, rng := newBuiltEngine(t, 300)
 	q := Query{Vectors: NamedVectors{"image": engRandVec(rng, engImgDim)}, K: 10}
-	out, errs := e.SearchEach(context.Background(), []Query{q}, 1)
-	if errs[0] != nil {
-		t.Fatal(errs[0])
+	out, err := e.Search(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	snap := make([]ScoredMatch, len(out[0].Matches))
-	copy(snap, out[0].Matches)
+	snap := make([]ScoredMatch, len(out.Matches))
+	copy(snap, out.Matches)
 	for i := 0; i < 50; i++ {
 		other := Query{Vectors: NamedVectors{"image": engRandVec(rng, engImgDim)}, K: 10}
-		if _, errs := e.SearchEach(context.Background(), []Query{other, other}, 2); errs[0] != nil {
-			t.Fatal(errs[0])
-		}
+		searchAll(t, e, []Query{other, other}, 2)
 	}
-	for i, m := range out[0].Matches {
+	for i, m := range out.Matches {
 		if m.ID != snap[i].ID || m.Similarity != snap[i].Similarity {
 			t.Fatalf("match %d mutated by later searches: %+v != %+v", i, m, snap[i])
 		}
 	}
 }
 
-// TestSearchEachBeforeBuild: every slot reports ErrNotBuilt, no panic.
+// TestSearchEachBeforeBuild: every concurrent Search reports ErrNotBuilt,
+// no panic.
 func TestSearchEachBeforeBuild(t *testing.T) {
 	e, err := NewEngine(engSchema(), EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, errs := e.SearchEach(context.Background(), make([]Query, 3), 2)
+	out, errs := searchConcurrently(context.Background(), e, make([]Query, 3), 2)
 	for i := range errs {
 		if !errors.Is(errs[i], ErrNotBuilt) {
 			t.Errorf("slot %d: want ErrNotBuilt, got %v (resp %v)", i, errs[i], out[i])

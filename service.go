@@ -56,7 +56,6 @@ type Service interface {
 
 	// Search.
 	Search(ctx context.Context, q Query) (*Response, error)
-	SearchEach(ctx context.Context, queries []Query, workers int) ([]*Response, []error)
 	ExactSearch(ctx context.Context, q Query) (*Response, error)
 
 	// Persistence. SaveTo streams a snapshot; WriteSnapshot is the one

@@ -206,8 +206,8 @@ func TestShardedExactEquivalence(t *testing.T) {
 		if resp, err := e.Search(nilCtx, q); err != nil || len(resp.Matches) != 5 {
 			t.Fatalf("%s: Search(nil ctx) = %v, %v", tc.name, resp, err)
 		}
-		if out, errs := e.SearchEach(nilCtx, []Query{q, q}, 2); errs[0] != nil || errs[1] != nil || len(out[1].Matches) != 5 {
-			t.Fatalf("%s: SearchEach(nil ctx) errs %v", tc.name, errs)
+		if out, errs := searchConcurrently(nilCtx, e, []Query{q, q}, 2); errs[0] != nil || errs[1] != nil || len(out[1].Matches) != 5 {
+			t.Fatalf("%s: concurrent Search(nil ctx) errs %v", tc.name, errs)
 		}
 	}
 	shardedEqualResults(t, engines[0].e, engines[1].e, queries)
@@ -664,7 +664,7 @@ func TestShardedConcurrentMixedWorkload(t *testing.T) {
 	s := newSharded(t, objs, 4, true)
 
 	var wg sync.WaitGroup
-	// Searchers: single queries and batches.
+	// Searchers: one query at a time, and batches searched concurrently.
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -686,10 +686,10 @@ func TestShardedConcurrentMixedWorkload(t *testing.T) {
 			qs[i] = Query{Vectors: q, K: 5}
 		}
 		for i := 0; i < 15; i++ {
-			_, errs := s.SearchEach(context.Background(), qs, 2)
+			_, errs := searchConcurrently(context.Background(), s, qs, 2)
 			for _, err := range errs {
 				if err != nil {
-					t.Errorf("searchEach: %v", err)
+					t.Errorf("concurrent search: %v", err)
 					return
 				}
 			}
