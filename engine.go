@@ -25,8 +25,7 @@ var ErrNotBuilt = errors.New("must: engine index not built (call Build first)")
 var ErrUnknownID = errors.New("unknown object id")
 
 // EngineOptions configures NewEngine and NewShardedEngine; the zero value
-// means uniform weights and the default build parameters (γ=30, ε=3,
-// AlgoOurs).
+// means uniform weights and the default build parameters (γ = 30).
 type EngineOptions struct {
 	// Weights are the initial per-modality weights ω in schema order;
 	// nil means uniform. LearnWeights or SetWeights replace them later.
@@ -156,6 +155,9 @@ func NewShardedEngine(schema Schema, shards int, opts EngineOptions) (*Engine, e
 		w = vec.Uniform(len(sc))
 	} else if len(w) != len(sc) {
 		return nil, fmt.Errorf("must: %d weights for %d modalities", len(w), len(sc))
+	}
+	if err := opts.Build.validate(); err != nil {
+		return nil, err
 	}
 	parts := make([]*part, shards)
 	for j := range parts {
@@ -410,7 +412,7 @@ func (e *Engine) LearnWeights(queries []NamedVectors, positives []int64, cfg Wei
 		LearningRate:  cfg.LearningRate,
 		Epochs:        cfg.Epochs,
 		NumNegatives:  cfg.Negatives,
-		HardNegatives: !cfg.RandomNegatives,
+		HardNegatives: true,
 		Seed:          cfg.Seed,
 	})
 	if err != nil {

@@ -15,8 +15,10 @@ import (
 // gather order, each against the threshold as it stands at that moment. It
 // keeps none of the Searcher's bookkeeping (no epoch marks, no cursor, no
 // reused buffers), so the two share the scanner's single-row methods and
-// nothing else.
-func referenceSearch(g *graph.Graph, st *vec.FlatStore, w vec.Weights, q vec.Multi, p Params, rng *rand.Rand) ([]Result, Stats) {
+// nothing else. Its random starts come from a fresh seed-1 RNG per query,
+// as a new Searcher's first search draws them.
+func referenceSearch(g *graph.Graph, st *vec.FlatStore, w vec.Weights, q vec.Multi, p Params) ([]Result, Stats) {
+	rng := rand.New(rand.NewSource(1))
 	var stats Stats
 	n := st.Len()
 	l := min(p.L, n)
@@ -181,7 +183,6 @@ func TestBlockedSearchMatchesRowAtATime(t *testing.T) {
 				t.Fatalf("%s, params %d: empty store gave %d results, err %v", fx.name, pi, len(got), err)
 			}
 			s := NewFlat(g, st, fx.w)
-			refRNG := rand.New(rand.NewSource(1)) // NewFlat's seed
 			for qi := 0; qi < 25; qi++ {
 				q := make(vec.Multi, len(fx.dims))
 				for m, d := range fx.dims {
@@ -191,7 +192,7 @@ func TestBlockedSearchMatchesRowAtATime(t *testing.T) {
 				if p.Weights != nil {
 					w = p.Weights
 				}
-				want, wantStats := referenceSearch(g, st, w, q, p, refRNG)
+				want, wantStats := referenceSearch(g, st, w, q, p)
 				got, gotStats, err := s.SearchParams(q, p)
 				if err != nil {
 					t.Fatal(err)

@@ -51,9 +51,13 @@ type Searcher struct {
 	// objects appended later (create a new searcher after inserts).
 	n       int
 	weights vec.Weights
-	// rng draws the random initial candidates of Algorithm 2 line 2; it is
-	// seeded 1, so a fresh searcher's searches are deterministic.
-	rng *rand.Rand
+	// starts caches the random initial candidates of Algorithm 2 line 2:
+	// the draws of a seed-1 rng over [0, n), skipping the graph seed and
+	// repeats. Every search takes its l−1 starts as a prefix, so an answer
+	// does not depend on which queries the searcher served before; rng
+	// extends the cache when a search asks for a larger l.
+	starts []int32
+	rng    *rand.Rand
 
 	// Reusable per-search state. marks is the epoch-stamped visit array:
 	// marks[v] == gen means v's IP has been computed (H' of Algorithm 2),
@@ -277,14 +281,21 @@ func (s *Searcher) SearchParams(query vec.Multi, p Params) ([]Result, Stats, err
 		seenCount++
 	}
 
-	// Line 1-3: seed plus l-1 random vertices. The pool is not full yet,
-	// so every draw is inserted and the draw order never depends on a
-	// score: draw them all first, then score them as one batch.
+	// Line 1-3: seed plus l-1 random vertices, the first l-1 cached
+	// starts. The pool is not full yet, so every start is inserted and
+	// their order never depends on a score: gather them all first, then
+	// score them as one batch.
 	if cap(s.batch) < l {
 		s.batch = make([]int32, 0, l)
 	}
 	seeds := append(s.batch[:0], s.g.Seed)
 	mark(s.g.Seed)
+	for _, id := range s.starts[:min(l-1, len(s.starts))] {
+		mark(id)
+		seeds = append(seeds, id)
+	}
+	// Extend the cache only once all of it is marked, so skipping marked
+	// draws skips exactly the seed and the starts already cached.
 	for len(seeds) < l {
 		id := int32(s.rng.Intn(n))
 		if marks[id] >= gen {
@@ -292,6 +303,7 @@ func (s *Searcher) SearchParams(query vec.Multi, p Params) ([]Result, Stats, err
 		}
 		mark(id)
 		seeds = append(seeds, id)
+		s.starts = append(s.starts, id)
 	}
 	s.batch = seeds
 	if quant == nil {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -274,21 +275,49 @@ func TestSearcherReuseAcrossQueries(t *testing.T) {
 	if _, _, err := s.Search(randomQuery(rng), 5, 80); err != nil {
 		t.Fatal(err)
 	}
-	s2 := NewFlat(g, st, w)
-	if _, _, err := s2.Search(randomQuery(rand.New(rand.NewSource(16))), 5, 80); err != nil {
-		t.Fatal(err)
-	}
-	again, _, err := s2.Search(q1, 5, 80)
+	again, _, err := s.Search(q1, 5, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = first
-	_ = again
-	// Note: the random pool initialization advances the searcher's RNG,
-	// so exact equality is only guaranteed for searchers at the same RNG
-	// position; here we just require both return full result sets.
-	if len(first) != 5 || len(again) != 5 {
-		t.Fatalf("result sizes: %d, %d", len(first), len(again))
+	if len(first) != 5 || !sameResults(first, again) {
+		t.Fatalf("repeat of the first query: %v, first answer %v", again, first)
+	}
+}
+
+// sameResults reports whether a and b hold the same IDs with bit-identical
+// similarities, in order.
+func sameResults(a, b []Result) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || math.Float32bits(a[i].IP) != math.Float32bits(b[i].IP) {
+			return false
+		}
+	}
+	return true
+}
+
+// A pooled searcher must answer every query exactly as a fresh one does,
+// whatever it served before and whatever l those searches asked for.
+func TestReusedSearcherMatchesFresh(t *testing.T) {
+	_, st, w, g := buildFixture(t, 2000, 31)
+	reused := NewFlat(g, st, w)
+	rng := rand.New(rand.NewSource(35))
+	for i := 0; i < 200; i++ {
+		q := randomQuery(rng)
+		l := []int{20, 60, 12, 20}[i%4]
+		got, gotStats, err := reused.Search(q, 10, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats, err := NewFlat(g, st, w).Search(q, 10, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResults(got, want) || gotStats != wantStats {
+			t.Fatalf("query %d, l=%d: reused %v %+v, fresh %v %+v", i, l, got, gotStats, want, wantStats)
+		}
 	}
 }
 

@@ -16,10 +16,10 @@
 //     user-defined weights, §VIII-F).
 //  3. Fused indexing and joint search (§VII): Engine.Build constructs one
 //     proximity graph over the weighted concatenated vectors with the
-//     pipeline EngineOptions.Build selects; Engine.Search routes greedily
-//     through it under the joint similarity, with the multi-vector
-//     partial-IP optimization of Lemma 4. Engine.ExactSearch is the
-//     exhaustive baseline (the paper's MUST--).
+//     paper's "Ours" pipeline (γ from EngineOptions.Build); Engine.Search
+//     routes greedily through it under the joint similarity, with the
+//     multi-vector partial-IP optimization of Lemma 4. Engine.ExactSearch
+//     is the exhaustive baseline (the paper's MUST--).
 //
 // # Quick start
 //
@@ -172,74 +172,46 @@ type WeightConfig struct {
 	LearningRate float64
 	// Epochs is the number of training passes.
 	Epochs int
-	// Negatives is the number of negative examples per anchor |N−|.
+	// Negatives is the number of hard negative examples per anchor |N−|.
 	Negatives int
-	// RandomNegatives disables hard-negative mining (used for ablation;
-	// keep false for the paper's method).
-	RandomNegatives bool
 	// Seed fixes training randomness.
 	Seed int64
 }
 
-// GraphAlgorithm selects the index-construction algorithm.
-type GraphAlgorithm int
-
-// Supported graph algorithms (§VIII-G). AlgoOurs is the paper's optimized
-// component assembly and the default.
-const (
-	AlgoOurs GraphAlgorithm = iota
-	AlgoKGraph
-	AlgoNSG
-	AlgoNSSG
-	AlgoHNSW
-	AlgoVamana
-	AlgoHCNNG
-)
-
-// String names the algorithm.
-func (a GraphAlgorithm) String() string {
-	switch a {
-	case AlgoOurs:
-		return "Ours"
-	case AlgoKGraph:
-		return "KGraph"
-	case AlgoNSG:
-		return "NSG"
-	case AlgoNSSG:
-		return "NSSG"
-	case AlgoHNSW:
-		return "HNSW"
-	case AlgoVamana:
-		return "Vamana"
-	case AlgoHCNNG:
-		return "HCNNG"
-	default:
-		return fmt.Sprintf("GraphAlgorithm(%d)", int(a))
-	}
-}
-
 // BuildOptions configures index construction; the zero value uses the
-// paper's defaults (γ = 30, ε = 3, the "Ours" pipeline).
+// paper's defaults. The engine always builds the paper's "Ours" pipeline
+// (§VII-A); the §VIII-G comparison with other graphs lives in
+// internal/experiments.
 type BuildOptions struct {
-	// Gamma is the maximum out-degree γ (Appendix H; default 30).
+	// Gamma is the maximum out-degree γ (Appendix H): 0 means the
+	// default 30, otherwise 1 to 1,024.
 	Gamma int
-	// Iterations is the NNDescent iteration cap ε (default 3).
-	Iterations int
-	// Algorithm selects the graph construction (default AlgoOurs).
-	Algorithm GraphAlgorithm
 	// Seed fixes construction randomness.
 	Seed int64
 }
 
-// withDefaults fills the paper's γ = 30 and ε = 3 into zero fields. The
-// Engine keeps its options as given, so a snapshot records them verbatim,
-// and resolves the defaults where it builds or links.
+// maxGamma is the largest accepted BuildOptions.Gamma. Search-based
+// inserts keep a beam of 4·γ candidates, so the bound keeps a bad option
+// or snapshot word from asking for gigabytes.
+const maxGamma = 1024
+
+// nnDescentIters is the NNDescent iteration cap ε of the build pipeline.
+const nnDescentIters = 3
+
+// validate rejects a γ outside [0, maxGamma].
+func (o BuildOptions) validate() error {
+	if o.Gamma < 0 || o.Gamma > maxGamma {
+		return fmt.Errorf("must: gamma %d outside [0, %d]", o.Gamma, maxGamma)
+	}
+	return nil
+}
+
+// withDefaults fills the paper's γ = 30 into a zero Gamma. The Engine
+// keeps its options as given, so a snapshot records them verbatim, and
+// resolves the default where it builds or links.
 func (o BuildOptions) withDefaults() BuildOptions {
 	if o.Gamma == 0 {
 		o.Gamma = 30
-	}
-	if o.Iterations == 0 {
-		o.Iterations = 3
 	}
 	return o
 }
@@ -254,32 +226,7 @@ func buildFused(c *collection, w Weights, opts BuildOptions) (*index.Fused, erro
 		return nil, fmt.Errorf("must: cannot index an empty collection")
 	}
 	opts = opts.withDefaults()
-	wv := vec.Weights(w)
-	st := c.store
-	switch opts.Algorithm {
-	case AlgoOurs:
-		return index.BuildFusedStore(st, wv, graph.Ours(opts.Gamma, opts.Iterations, opts.Seed))
-	case AlgoKGraph:
-		return index.BuildFusedStore(st, wv, graph.KGraphAssembly(opts.Gamma, opts.Iterations, opts.Seed))
-	case AlgoNSG:
-		return index.BuildFusedStore(st, wv, graph.NSGAssembly(opts.Gamma, opts.Iterations, 2*opts.Gamma, opts.Seed))
-	case AlgoNSSG:
-		return index.BuildFusedStore(st, wv, graph.NSSGAssembly(opts.Gamma, opts.Iterations, opts.Seed))
-	case AlgoHNSW:
-		return index.BuildFusedGraphStore(st, wv, "HNSW", func(s *graph.Space) *graph.Graph {
-			return graph.BuildHNSW(s, graph.HNSWConfig{M: opts.Gamma / 2, EfConstruction: 4 * opts.Gamma, Seed: opts.Seed})
-		})
-	case AlgoVamana:
-		return index.BuildFusedGraphStore(st, wv, "Vamana", func(s *graph.Space) *graph.Graph {
-			return graph.BuildVamana(s, graph.VamanaConfig{Gamma: opts.Gamma, Beam: 2 * opts.Gamma, Alpha: 1.2, Seed: opts.Seed})
-		})
-	case AlgoHCNNG:
-		return index.BuildFusedGraphStore(st, wv, "HCNNG", func(s *graph.Space) *graph.Graph {
-			return graph.BuildHCNNG(s, graph.HCNNGConfig{Rounds: 3, LeafSize: 200, MaxDegree: opts.Gamma, Seed: opts.Seed})
-		})
-	default:
-		return nil, fmt.Errorf("must: unknown graph algorithm %v", opts.Algorithm)
-	}
+	return index.BuildFusedStore(c.store, vec.Weights(w), graph.Ours(opts.Gamma, nnDescentIters, opts.Seed))
 }
 
 // Stats summarizes the built index, including the per-component memory

@@ -197,39 +197,13 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := NewEngine(shardedSchema, EngineOptions{Weights: Weights{1}}); err == nil {
 		t.Error("wrong weight count did not error")
 	}
-	e, _, _ := corpusEngine(t, 50, 5, 7, BuildOptions{Algorithm: GraphAlgorithm(99)})
-	if err := e.Build(); err == nil {
-		t.Error("unknown algorithm did not error")
-	}
-}
-
-func TestAllAlgorithmsBuildAndSearch(t *testing.T) {
-	for _, algo := range []GraphAlgorithm{AlgoOurs, AlgoKGraph, AlgoNSG, AlgoNSSG, AlgoHNSW, AlgoVamana, AlgoHCNNG} {
-		e, queries, _ := buildCorpus(t, 300, 10, 8, BuildOptions{Gamma: 12, Algorithm: algo, Seed: 9})
-		if ids := searchIDs(t, e, corpusQuery(queries[0], 5, 60)); len(ids) != 5 {
-			t.Fatalf("%v: got %d matches", algo, len(ids))
-		}
-		st, err := e.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Objects != 300 || st.Edges == 0 || st.Algorithm == "" {
-			t.Errorf("%v: stats %+v", algo, st)
+	for _, gamma := range []int{-1, maxGamma + 1, 1 << 30} {
+		if _, err := NewEngine(shardedSchema, EngineOptions{Build: BuildOptions{Gamma: gamma}}); err == nil {
+			t.Errorf("gamma %d accepted", gamma)
 		}
 	}
-}
-func TestAlgorithmString(t *testing.T) {
-	names := map[GraphAlgorithm]string{
-		AlgoOurs: "Ours", AlgoKGraph: "KGraph", AlgoNSG: "NSG", AlgoNSSG: "NSSG",
-		AlgoHNSW: "HNSW", AlgoVamana: "Vamana", AlgoHCNNG: "HCNNG",
-	}
-	for a, want := range names {
-		if a.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(a), a.String(), want)
-		}
-	}
-	if GraphAlgorithm(42).String() != "GraphAlgorithm(42)" {
-		t.Error("unknown algorithm String")
+	if _, err := NewShardedEngine(shardedSchema, 2, EngineOptions{Build: BuildOptions{Gamma: maxGamma}}); err != nil {
+		t.Errorf("gamma %d: %v", maxGamma, err)
 	}
 }
 

@@ -315,7 +315,7 @@ func readCollectionBody(br *bufio.Reader) (*collection, error) {
 //	magic "MUSTEG2\n"
 //	schema: m uint32, m × (nameLen uint32, name bytes, dim uint32)
 //	weights: m × float32
-//	build: gamma uint32, iterations uint32, algorithm uint32, seed int64
+//	build: gamma uint32 (0..1024), reserved 2 × uint32 (0), seed int64
 //	nextID uint64 (shard-local)
 //	epoch uint64 (the mutation epoch at snapshot time — WAL replay
 //	  applies only records logged after it)
@@ -409,10 +409,8 @@ func (p *part) saveTo(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, uint32(bo.Gamma)); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(bo.Iterations)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(bo.Algorithm)); err != nil {
+	// Two reserved words: written as 0, and a load refuses any other value.
+	if err := binary.Write(bw, binary.LittleEndian, [2]uint32{}); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, bo.Seed); err != nil {
@@ -574,23 +572,24 @@ func readPart(r io.Reader, j, n int) (*part, error) {
 		}
 		w[i] = math.Float32frombits(bits)
 	}
-	var bo BuildOptions
 	gamma, err := readU32()
 	if err != nil {
 		return nil, err
 	}
-	iters, err := readU32()
-	if err != nil {
+	var reserved [2]uint32
+	if err := binary.Read(br, binary.LittleEndian, &reserved); err != nil {
 		return nil, err
 	}
-	algo, err := readU32()
-	if err != nil {
+	if reserved != [2]uint32{} {
+		return nil, fmt.Errorf("must: reserved build words %v, want 0", reserved)
+	}
+	bo := BuildOptions{Gamma: int(gamma)}
+	if err := bo.validate(); err != nil {
 		return nil, err
 	}
 	if err := binary.Read(br, binary.LittleEndian, &bo.Seed); err != nil {
 		return nil, err
 	}
-	bo.Gamma, bo.Iterations, bo.Algorithm = int(gamma), int(iters), GraphAlgorithm(algo)
 	var nextID uint64
 	if err := binary.Read(br, binary.LittleEndian, &nextID); err != nil {
 		return nil, err

@@ -196,7 +196,7 @@ func engineHeader(n uint32) []byte {
 	buf.WriteString("image")
 	_ = binary.Write(&buf, le, uint32(4))           // dim
 	_ = binary.Write(&buf, le, math.Float32bits(1)) // weight
-	_ = binary.Write(&buf, le, [3]uint32{30, 3, 0}) // gamma, iterations, algorithm
+	_ = binary.Write(&buf, le, [3]uint32{30, 0, 0}) // gamma, reserved
 	_ = binary.Write(&buf, le, [3]uint64{1, 0, 0})  // seed, nextID, epoch
 	_ = binary.Write(&buf, le, n)                   // object count
 	return buf.Bytes()
@@ -311,6 +311,42 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	}
 }
 
+// buildWords returns a copy of the one-shard snapshotFixture blob with its
+// build words (γ and the two reserved words) replaced.
+func buildWords(tb testing.TB, blob []byte, words [3]uint32) []byte {
+	tb.Helper()
+	// magic, m, "image" and "text" (length, name, dim each), 2 weights.
+	const at = 8 + 4 + (4 + 5 + 4) + (4 + 4 + 4) + 2*4
+	if got := binary.LittleEndian.Uint32(blob[at:]); got != 6 {
+		tb.Fatalf("γ word at offset %d reads %d, want the fixture's 6", at, got)
+	}
+	out := bytes.Clone(blob)
+	for i, w := range words {
+		binary.LittleEndian.PutUint32(out[at+4*i:], w)
+	}
+	return out
+}
+
+// A snapshot's γ reaches every later insert's beam (4·γ entries), so a load
+// must refuse an out-of-range γ rather than leave the first insert to ask
+// for gigabytes; the reserved words must read 0.
+func TestReadEngineRejectsBadBuildWords(t *testing.T) {
+	blob := saveBytes(t, snapshotFixture(t, 0, false, true))
+	if _, err := readEngineBytes(buildWords(t, blob, [3]uint32{maxGamma, 0, 0})); err != nil {
+		t.Fatalf("γ = %d: %v", maxGamma, err)
+	}
+	for _, words := range [][3]uint32{
+		{1 << 30, 0, 0},
+		{maxGamma + 1, 0, 0},
+		{6, 3, 0},
+		{6, 0, 1},
+	} {
+		if _, err := readEngineBytes(buildWords(t, blob, words)); err == nil {
+			t.Errorf("build words %v loaded", words)
+		}
+	}
+}
+
 // snapshotSeeds returns SaveTo output for the engine shapes the decoder
 // must handle: one shard built float32 with tombstones and an insert
 // overlay, built SQ8 (collection v5), and unbuilt; and three shards in a
@@ -331,9 +367,10 @@ func snapshotSeeds(tb testing.TB) [][]byte {
 // section and MUSTIX2. ReadEngine must reject bad input with an error,
 // never a panic or an unbounded allocation. Whatever it accepts
 // re-encodes to a fixed point, and each unmutated seed SaveTo wrote
-// re-encodes to itself byte for byte. The other seeds are containers no
-// engine writes: one shard (it re-encodes as its MUSTEG2 blob), and blob
-// sizes past the end of the input and near MaxInt64.
+// re-encodes to itself byte for byte. The other seeds are inputs no
+// engine writes: a container of one shard (it re-encodes as its MUSTEG2
+// blob), blob sizes past the end of the input and near MaxInt64, and
+// nonzero reserved build words or an out-of-range γ.
 func FuzzReadEngine(f *testing.F) {
 	seeds := make(map[string]bool)
 	for _, s := range snapshotSeeds(f) {
@@ -349,6 +386,9 @@ func FuzzReadEngine(f *testing.F) {
 	huge := shardContainer(0, blob)
 	binary.LittleEndian.PutUint64(huge[20:], math.MaxInt64-10)
 	f.Add(huge)
+	for _, words := range [][3]uint32{{1 << 30, 0, 0}, {6, 3, 0}, {6, 0, 1}} {
+		f.Add(buildWords(f, blob, words))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := readEngineBytes(data)
 		if err != nil {
