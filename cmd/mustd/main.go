@@ -29,7 +29,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -68,9 +67,6 @@ func main() {
 		maintGap       = flag.Duration("maint-gap", 10*time.Second, "minimum time between two maintenance rebuilds")
 		maintOverlay   = flag.Float64("maint-overlay", 0.20, "overlay ratio watermark that triggers a maintenance rebuild")
 		maintTombstone = flag.Float64("maint-tombstone", 0.20, "tombstone ratio watermark that triggers a maintenance rebuild")
-
-		maxPendingWrites = flag.Int("max-pending-writes", 0, "engine write budget: concurrent in-flight engine writes before shedding ErrOverloaded (0 = no engine-level gate)")
-		debtWatermark    = flag.Float64("debt-watermark", 0, "shed writes while maintenance debt (worst overlay/tombstone ratio) is at or past this (0 = disabled)")
 	)
 	flag.Parse()
 	if err := run(*addr, *schemaSpec, *load, *snapshot, *snapEvery, *gamma, *seed, *shards, *sq8, *rerank, *walDir, *fsyncPolicy, *fsyncInterval,
@@ -81,7 +77,6 @@ func main() {
 			overlayWatermark:   *maintOverlay,
 			tombstoneWatermark: *maintTombstone,
 		},
-		must.AdmissionOptions{MaxPendingWrites: *maxPendingWrites, DebtWatermark: *debtWatermark},
 		server.Config{
 			CacheSize:         *cacheSize,
 			MaxInFlight:       *maxInFlight,
@@ -158,7 +153,7 @@ type maintConfig struct {
 	tombstoneWatermark float64
 }
 
-func run(addr, schemaSpec, load, snapshot string, snapEvery time.Duration, gamma int, seed int64, shards int, sq8 bool, rerank int, walDir, fsyncPolicy string, fsyncInterval time.Duration, mc maintConfig, adm must.AdmissionOptions, cfg server.Config) error {
+func run(addr, schemaSpec, load, snapshot string, snapEvery time.Duration, gamma int, seed int64, shards int, sq8 bool, rerank int, walDir, fsyncPolicy string, fsyncInterval time.Duration, mc maintConfig, cfg server.Config) error {
 	eng, err := openEngine(load, schemaSpec, gamma, seed, shards)
 	if err != nil {
 		return err
@@ -198,24 +193,8 @@ func run(addr, schemaSpec, load, snapshot string, snapEvery time.Duration, gamma
 		}
 		log.Printf("sq8 quantization enabled (rerank depth %d; 0 = 4x k)", rerank)
 	}
-	// Admission is configured only now, after OpenDurable: WAL replay
-	// re-applies already-acked writes through the same write path, and
-	// shedding one would silently drop durable data.
-	if adm != (must.AdmissionOptions{}) {
-		if err := eng.SetAdmission(adm); err != nil {
-			return fmt.Errorf("configuring admission: %w", err)
-		}
-		log.Printf("write admission on (max pending %d, debt watermark %.2f)", adm.MaxPendingWrites, adm.DebtWatermark)
-		if adm.DebtWatermark > 0 && !mc.enabled {
-			log.Printf("warning: -debt-watermark %.2f is set but -maint is off: once maintenance debt crosses the watermark, writes are shed with 429 indefinitely — nothing reduces debt except a rebuild; enable -maint or POST /v1/rebuild manually", adm.DebtWatermark)
-		}
-	}
 	srv := server.New(eng, cfg)
 
-	// maintGuard serializes maintenance rebuilds with snapshots so a
-	// snapshot never captures a shard mid-compaction (and a compaction
-	// never starts while a snapshot is streaming the engine).
-	var maintGuard sync.Mutex
 	var maintainer *must.Maintainer
 	if mc.enabled {
 		maintainer = must.StartMaintenance(eng, must.MaintenanceOptions{
@@ -223,7 +202,6 @@ func run(addr, schemaSpec, load, snapshot string, snapEvery time.Duration, gamma
 			MinRebuildGap:      mc.gap,
 			OverlayWatermark:   mc.overlayWatermark,
 			TombstoneWatermark: mc.tombstoneWatermark,
-			Guard:              &maintGuard,
 			Logf:               log.Printf,
 		})
 		srv.AttachMaintainer(maintainer)
@@ -243,8 +221,10 @@ func run(addr, schemaSpec, load, snapshot string, snapEvery time.Duration, gamma
 	log.Printf("mustd listening on %s (schema %s, %d objects)",
 		ln.Addr(), strings.Join(names, ","), eng.Len())
 
-	// Periodic snapshots run alongside serving; Engine.SaveTo holds only
-	// a read lock, so searches keep flowing during a snapshot.
+	// Periodic snapshots run alongside serving and maintenance: a shard
+	// is written under its read lock and a rebuild swaps under its write
+	// lock, so a snapshot holds each shard either wholly before or wholly
+	// after a compaction, and searches keep flowing meanwhile.
 	snapStop := make(chan struct{})
 	snapDone := make(chan struct{})
 	go func() {
@@ -257,10 +237,7 @@ func run(addr, schemaSpec, load, snapshot string, snapEvery time.Duration, gamma
 		for {
 			select {
 			case <-t.C:
-				maintGuard.Lock()
-				err := saveSnapshot(eng, durable, snapshot)
-				maintGuard.Unlock()
-				if err != nil {
+				if err := saveSnapshot(eng, durable, snapshot); err != nil {
 					log.Printf("snapshot: %v", err)
 				} else {
 					log.Printf("snapshot written to %s (%d objects)", snapshot, eng.Len())
@@ -296,8 +273,8 @@ func run(addr, schemaSpec, load, snapshot string, snapEvery time.Duration, gamma
 	close(snapStop)
 	<-snapDone
 	if maintainer != nil {
-		// Stop maintenance before the final snapshot so no rebuild is
-		// mid-flight while the engine streams to disk.
+		// Stop maintenance before the final snapshot, so the snapshot is
+		// the engine's last state.
 		maintainer.Close()
 	}
 	if snapshot != "" {

@@ -141,11 +141,8 @@ func applyRecord(svc Service, rec wal.Record) error {
 		}
 		return svc.Delete(int64(binary.LittleEndian.Uint64(rec.Data)))
 	case wal.OpRebuild:
-		// Same probe the serving layer uses: Stats errors until built.
-		if _, err := svc.Stats(); err != nil {
-			return svc.Build()
-		}
-		return svc.Rebuild()
+		_, err := BuildOrRebuild(svc)
+		return err
 	case wal.OpRebuildShard:
 		if len(rec.Data) != 4 {
 			return fmt.Errorf("must: rebuild-shard record has %d data bytes, want 4", len(rec.Data))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -110,5 +111,129 @@ func TestServerAnswersWALFailureWith503(t *testing.T) {
 	}
 	if metrics := get("/metrics"); !strings.Contains(metrics, "must_wal_poisoned 1\n") {
 		t.Error("/metrics does not report must_wal_poisoned 1")
+	}
+}
+
+// Two /v1/rebuild requests racing on an unbuilt server both succeed, and
+// exactly one reports the first build: the engine decides Build against
+// Rebuild under its own build lock. Durably, the refused Build logs
+// nothing, so the log holds the inserts and two rebuild records, and a
+// replay reproduces the engine.
+func TestConcurrentRebuildRequests(t *testing.T) {
+	schema := must.Schema{{Name: "image", Dim: 8}, {Name: "text", Dim: 6}}
+	for _, durable := range []bool{false, true} {
+		name := "memory"
+		if durable {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) {
+			newEngine := func() *must.Engine {
+				eng, err := must.NewShardedEngine(schema, 2, must.EngineOptions{Build: must.BuildOptions{Gamma: 8, Seed: 42}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eng
+			}
+			var svc must.Service = newEngine()
+			dir := filepath.Join(t.TempDir(), "wal")
+			var ds *must.DurableService
+			if durable {
+				var err error
+				if ds, _, err = must.OpenDurable(svc, dir, must.DurableOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				svc = ds
+			}
+			srv := server.New(svc, server.Config{})
+			ts := httptest.NewServer(srv.Handler())
+			defer func() {
+				ts.Close()
+				srv.Close()
+			}()
+
+			rng := rand.New(rand.NewSource(8))
+			const n = 400
+			for i := 0; i < n; i++ {
+				o := must.NamedVectors{}
+				for _, m := range schema {
+					v := make([]float32, m.Dim)
+					for d := range v {
+						v[d] = float32(rng.NormFloat64())
+					}
+					o[m.Name] = v
+				}
+				if _, err := svc.Insert(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			start := make(chan struct{})
+			replies := make(chan server.RebuildResponse, 2)
+			errs := make(chan error, 2)
+			for range 2 {
+				go func() {
+					<-start
+					resp, err := http.Post(ts.URL+"/v1/rebuild", "application/json", strings.NewReader("{}"))
+					if err != nil {
+						errs <- err
+						return
+					}
+					defer resp.Body.Close()
+					body, _ := io.ReadAll(resp.Body)
+					if resp.StatusCode != http.StatusOK {
+						errs <- fmt.Errorf("rebuild: %d %s", resp.StatusCode, body)
+						return
+					}
+					var rr server.RebuildResponse
+					if err := json.Unmarshal(body, &rr); err != nil {
+						errs <- err
+						return
+					}
+					replies <- rr
+				}()
+			}
+			close(start)
+			built := 0
+			for range 2 {
+				select {
+				case err := <-errs:
+					t.Fatal(err)
+				case rr := <-replies:
+					if rr.Built {
+						built++
+					}
+					if rr.Objects != n {
+						t.Errorf("rebuild reply counts %d objects, want %d", rr.Objects, n)
+					}
+				}
+			}
+			if built != 1 {
+				t.Fatalf("%d of 2 concurrent rebuild replies say built:true, want exactly 1", built)
+			}
+			if !durable {
+				return
+			}
+
+			if got, want := ds.WALStats().Records, uint64(n+2); got != want {
+				t.Fatalf("wal holds %d records, want %d (inserts + one build + one rebuild)", got, want)
+			}
+			epoch := ds.Epoch()
+			if err := ds.Close(); err != nil {
+				t.Fatal(err)
+			}
+			replayedEng := newEngine()
+			rs, replayed, err := must.OpenDurable(replayedEng, dir, must.DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.Close()
+			if replayed != n+2 || replayedEng.Epoch() != epoch || replayedEng.Len() != n {
+				t.Fatalf("replay: %d records, epoch %d, %d objects; want %d, %d, %d",
+					replayed, replayedEng.Epoch(), replayedEng.Len(), n+2, epoch, n)
+			}
+			if _, err := replayedEng.Stats(); err != nil {
+				t.Fatalf("replayed engine is not built: %v", err)
+			}
+		})
 	}
 }

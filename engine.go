@@ -18,6 +18,11 @@ import (
 // ErrNotBuilt is returned by Engine operations that need a built index.
 var ErrNotBuilt = errors.New("must: engine index not built (call Build first)")
 
+// ErrBuilt is returned by Build on an engine that already has an index.
+// Rebuild is the call for a built engine; BuildOrRebuild picks between
+// the two.
+var ErrBuilt = errors.New("must: engine already built (use Rebuild)")
+
 // ErrUnknownID is wrapped by errors that reference an object ID the
 // engine has never handed out (or has already compacted away, or that
 // is tombstoned). Match it with errors.Is; the message names the ID the
@@ -75,10 +80,6 @@ type Engine struct {
 	// built counts shards that have a graph. Zero means the engine is
 	// not built (searches return ErrNotBuilt).
 	built atomic.Int32
-
-	// adm gates writes: one in-flight budget for the whole engine, with
-	// debt read as the worst shard's ratio (see SetAdmission).
-	adm admission
 }
 
 // ShardedEngine is Engine. The name is kept because callers written
@@ -256,7 +257,6 @@ func (e *Engine) Insert(v NamedVectors) (int64, error) {
 
 // InsertObject is Insert with vectors already in schema order — the
 // bulk-loading fast path that avoids building a map per object.
-// Returns ErrOverloaded when admission control sheds the write.
 //
 // If the engine is built and the object lands in a shard that is still
 // pending (a shard can only be pending while empty), the shard's graph is
@@ -265,11 +265,6 @@ func (e *Engine) Insert(v NamedVectors) (int64, error) {
 // lazy build fails, the object is stored, the error is returned, and the
 // next insert into the shard retries the build.
 func (e *Engine) InsertObject(o Object) (int64, error) {
-	release, err := e.adm.admit(e.debtRatio())
-	if err != nil {
-		return 0, err
-	}
-	defer release()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	j := int((e.rr.Add(1) - 1) % uint64(len(e.parts)))
@@ -296,13 +291,8 @@ func (e *Engine) owner(id int64) (*part, error) {
 
 // Delete tombstones an object by engine ID (§IX): excluded from all
 // future results, still routing until the next Rebuild. Requires a built
-// index. Returns ErrOverloaded when admission control sheds the write.
+// index.
 func (e *Engine) Delete(id int64) error {
-	release, err := e.adm.admit(e.debtRatio())
-	if err != nil {
-		return err
-	}
-	defer release()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.built.Load() == 0 {
@@ -459,26 +449,6 @@ func (e *Engine) Quantized() bool {
 	return true
 }
 
-// SetAdmission installs (or, with the zero value, clears) write-path
-// admission control: Insert/InsertObject/Delete past the in-flight
-// budget, or issued while the worst shard's maintenance debt exceeds the
-// watermark, fail fast with ErrOverloaded. Searches are never gated.
-func (e *Engine) SetAdmission(o AdmissionOptions) error {
-	return e.adm.configure(o)
-}
-
-// WritesShed returns how many writes admission control has refused.
-func (e *Engine) WritesShed() uint64 { return e.adm.writesShed() }
-
-// debtRatio reads the worst shard's cached maintenance-debt ratio.
-func (e *Engine) debtRatio() float64 {
-	var worst float64
-	for _, p := range e.parts {
-		worst = max(worst, p.debtRatio())
-	}
-	return worst
-}
-
 // buildConcurrency picks how many shards build at once and how many
 // workers each shard's graph construction gets, so S parallel builds do
 // not oversubscribe the machine: across × per ≤ GOMAXPROCS (with a floor
@@ -542,13 +512,18 @@ func (e *Engine) buildShard(j int, rebuild bool) error {
 // once before Search; after that, use Rebuild to compact and re-optimize.
 // Build blocks every other operation for the duration. Empty shards are
 // left pending and built lazily by the first Insert routed to them.
+//
+// Build on an engine that already has an index returns ErrBuilt and
+// changes nothing. The check runs under the lock that serializes Build
+// and Rebuild, so of any number of concurrent Build calls on an unbuilt
+// engine exactly one builds and every other returns ErrBuilt.
 func (e *Engine) Build() error {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.built.Load() > 0 {
-		return fmt.Errorf("must: engine already built; use Rebuild")
+		return ErrBuilt
 	}
 	nonEmpty := 0
 	for _, p := range e.parts {

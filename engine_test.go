@@ -213,6 +213,38 @@ func TestEngineSearchBeforeBuild(t *testing.T) {
 	}
 }
 
+// Build on a built engine is refused with ErrBuilt and changes nothing;
+// BuildOrRebuild turns that refusal into a Rebuild.
+func TestEngineBuildOnBuiltIsErrBuilt(t *testing.T) {
+	e, _ := newBuiltEngine(t, 200)
+	epoch := e.Epoch()
+	if err := e.Build(); !errors.Is(err, ErrBuilt) {
+		t.Fatalf("Build on a built engine = %v, want ErrBuilt", err)
+	}
+	if got := e.Epoch(); got != epoch {
+		t.Fatalf("refused Build moved the epoch %d -> %d", epoch, got)
+	}
+	built, err := BuildOrRebuild(e)
+	if err != nil || built {
+		t.Fatalf("BuildOrRebuild on a built engine = (%v, %v), want a rebuild (false, nil)", built, err)
+	}
+	if e.Epoch() == epoch {
+		t.Fatal("BuildOrRebuild on a built engine did not rebuild")
+	}
+
+	fresh, err := NewEngine(engSchema(), EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	if _, err := fresh.Insert(NamedVectors{"image": engRandVec(rng, engImgDim), "text": engRandVec(rng, engTxtDim)}); err != nil {
+		t.Fatal(err)
+	}
+	if built, err := BuildOrRebuild(fresh); err != nil || !built {
+		t.Fatalf("BuildOrRebuild on an unbuilt engine = (%v, %v), want the first build (true, nil)", built, err)
+	}
+}
+
 func TestEngineContextCancellation(t *testing.T) {
 	e, rng := newBuiltEngine(t, 500)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -9,6 +9,7 @@ import (
 	"must/internal/encoder"
 	"must/internal/index"
 	"must/internal/metrics"
+	"must/internal/search"
 	"must/internal/vec"
 	"must/internal/weights"
 )
@@ -180,6 +181,10 @@ type ScaleRow struct {
 	MustResponse, BruteResponse time.Duration
 	// Reduction is the percentage decrease from brute force to MUST.
 	Reduction float64
+	// MustEvals is MUST's mean full joint evaluations per query at the
+	// beam that reached the recall target; brute force evaluates all N.
+	// Unlike the response times it does not depend on machine speed.
+	MustEvals float64
 	// MustBuild and MRBuild are index construction times (Fig. 7a).
 	MustBuild, MRBuild time.Duration
 	// MustSize and MRSize are index sizes in bytes (Fig. 7b).
@@ -224,7 +229,7 @@ func RunScale(factors []int, recallTarget float64, opt Options) ([]ScaleRow, err
 
 		// Find the smallest beam achieving the recall target.
 		var mustTotal time.Duration
-		reached := false
+		beam := n // the exhaustive fallback when no listed beam reaches it
 		for _, l := range DefaultBeams {
 			rec, _, lat, err := timedEval(enc.Queries, mustSearcherFunc(fused.NewSearcher()), k, l)
 			if err != nil {
@@ -232,18 +237,20 @@ func RunScale(factors []int, recallTarget float64, opt Options) ([]ScaleRow, err
 			}
 			mustTotal = lat * time.Duration(len(enc.Queries))
 			if rec >= recallTarget {
-				reached = true
+				beam = l
 				break
 			}
 		}
-		if !reached {
-			// Fall back to an exhaustive beam; recorded time reflects it.
-			rec, _, lat, err := timedEval(enc.Queries, mustSearcherFunc(fused.NewSearcher()), k, n)
+		if beam == n {
+			_, _, lat, err := timedEval(enc.Queries, mustSearcherFunc(fused.NewSearcher()), k, n)
 			if err != nil {
 				return nil, err
 			}
-			_ = rec
 			mustTotal = lat * time.Duration(len(enc.Queries))
+		}
+		evals, err := meanFullEvals(fused.NewSearcher(), enc.Queries, k, beam)
+		if err != nil {
+			return nil, err
 		}
 		start := time.Now()
 		for _, q := range enc.Queries {
@@ -260,6 +267,7 @@ func RunScale(factors []int, recallTarget float64, opt Options) ([]ScaleRow, err
 			MustResponse:  mustTotal,
 			BruteResponse: bruteTotal,
 			Reduction:     reduction,
+			MustEvals:     evals,
 			MustBuild:     fused.BuildTime,
 			MRBuild:       time.Duration(mr.BuildTime()),
 			MustSize:      fused.SizeBytes(),
@@ -267,6 +275,20 @@ func RunScale(factors []int, recallTarget float64, opt Options) ([]ScaleRow, err
 		})
 	}
 	return rows, nil
+}
+
+// meanFullEvals is the mean number of full joint evaluations s spends per
+// query at beam l.
+func meanFullEvals(s *search.Searcher, queries []dataset.EncodedQuery, k, l int) (float64, error) {
+	total := 0
+	for _, q := range queries {
+		_, st, err := s.Search(q.Vectors, k, l)
+		if err != nil {
+			return 0, err
+		}
+		total += st.FullEvals
+	}
+	return float64(total) / float64(len(queries)), nil
 }
 
 // RunKSweep reproduces Fig. 8: QPS-recall curves of MUST and MR on

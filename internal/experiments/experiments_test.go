@@ -142,7 +142,8 @@ func TestQPSRecallShape(t *testing.T) {
 }
 
 // TestScaleShape asserts the Tab. VII shape: brute-force response grows
-// roughly linearly while MUST's reduction stays high at the top scale.
+// roughly linearly while MUST's reduction in work stays high at the top
+// scale.
 func TestScaleShape(t *testing.T) {
 	rows, err := RunScale([]int{1, 4}, 0.95, testOpt())
 	if err != nil {
@@ -158,8 +159,10 @@ func TestScaleShape(t *testing.T) {
 	if big.BruteResponse <= small.BruteResponse {
 		t.Error("brute-force response did not grow with n")
 	}
-	if big.Reduction < 30 {
-		t.Errorf("MUST reduction at top scale = %.1f%%, want large", big.Reduction)
+	// The reduction is counted in full evaluations, not timed, so
+	// machine load cannot move it: brute force evaluates all N objects.
+	if reduction := 100 * (1 - big.MustEvals/float64(big.N)); reduction < 30 {
+		t.Errorf("MUST evals reduction at top scale = %.1f%% (%.1f evals of %d), want ≥ 30%%", reduction, big.MustEvals, big.N)
 	}
 	if big.MustSize <= small.MustSize {
 		t.Error("index size did not grow with n")

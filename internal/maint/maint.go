@@ -51,10 +51,6 @@ type Config struct {
 	// TombstoneWatermark triggers a rebuild when a unit's tombstone
 	// ratio meets or exceeds it (default 0.20).
 	TombstoneWatermark float64
-	// Guard, when set, is held around every Rebuild call. mustd shares
-	// one guard between the maintenance loop and the periodic-snapshot
-	// loop so a snapshot never captures a unit mid-compaction.
-	Guard sync.Locker
 	// Logf, when set, receives one line per rebuild decision and error.
 	Logf func(format string, args ...any)
 	// Seed seeds the jitter source; 0 uses a fixed default, keeping the
@@ -229,10 +225,6 @@ func (m *Manager) pick() (int, bool) {
 }
 
 func (m *Manager) rebuild(unit int) {
-	if m.cfg.Guard != nil {
-		m.cfg.Guard.Lock()
-		defer m.cfg.Guard.Unlock()
-	}
 	m.logf("maint: rebuilding unit %d", unit)
 	if err := m.target.Rebuild(unit); err != nil {
 		m.failures.Add(1)

@@ -160,25 +160,6 @@ func TestManagerRebuildErrorCounted(t *testing.T) {
 	}
 }
 
-func TestManagerGuardHeldDuringRebuild(t *testing.T) {
-	var guard sync.Mutex
-	ft := &fakeTarget{samples: []Sample{{Unit: 0, OverlayRatio: 0.90}}}
-	m := NewManager(ft, Config{
-		Interval:      time.Millisecond,
-		MinRebuildGap: time.Hour,
-		Guard:         &guard,
-	})
-	defer m.Close()
-	// Holding the guard blocks the rebuild: simulate the snapshot loop.
-	guard.Lock()
-	time.Sleep(10 * time.Millisecond)
-	if got := m.Rebuilds(); got != 0 {
-		t.Fatalf("rebuild ran while guard was held externally")
-	}
-	guard.Unlock()
-	waitFor(t, "rebuild after guard release", func() bool { return m.Rebuilds() == 1 })
-}
-
 func TestManagerCloseStopsLoop(t *testing.T) {
 	ft := &fakeTarget{samples: []Sample{{Unit: 0, OverlayRatio: 0.90}}}
 	m := NewManager(ft, Config{Interval: time.Millisecond, MinRebuildGap: time.Millisecond})

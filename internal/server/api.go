@@ -129,8 +129,7 @@ type ServerStats struct {
 	// around a search, each answered 500.
 	PartialResults uint64 `json:"partial_results"`
 	BatchPanics    uint64 `json:"batch_panics"`
-	// WritesShed counts writes refused by overload protection: write
-	// admission rejections plus engine ErrOverloaded refusals, both
+	// WritesShed counts writes refused by write-class admission, each
 	// answered 429 + Retry-After.
 	WritesShed uint64 `json:"writes_shed"`
 }

@@ -36,9 +36,8 @@ type Metrics struct {
 	inFlight atomic.Int64
 	rejected atomic.Uint64
 
-	// writesShed counts write requests refused by overload protection:
-	// write-class admission rejections plus engine-level ErrOverloaded
-	// refusals mapped to 429.
+	// writesShed counts write requests refused by write-class admission
+	// (429 + Retry-After).
 	writesShed atomic.Uint64
 
 	// partialResults counts searches answered degraded (some shards
@@ -160,10 +159,6 @@ func (m *Metrics) ObserveBatchPanic() { m.batchPanics.Add(1) }
 // ObserveWriteShed records one write refused by overload protection.
 func (m *Metrics) ObserveWriteShed() { m.writesShed.Add(1) }
 
-// WritesShed returns the shed-write total (server-side refusals only;
-// the engine keeps its own count for direct callers).
-func (m *Metrics) WritesShed() uint64 { return m.writesShed.Load() }
-
 // WritePrometheus renders the registry — plus cache counters, engine
 // gauges, and maintenance counters sampled now — in Prometheus text
 // exposition format. maint may be nil (maintenance disabled).
@@ -237,12 +232,10 @@ func (m *Metrics) WritePrometheus(w io.Writer, eng must.Service, cache *resultCa
 	fmt.Fprintln(w, "# TYPE must_batch_panics_total counter")
 	fmt.Fprintf(w, "must_batch_panics_total %d\n", m.batchPanics.Load())
 
-	// Self-healing counters: shed writes combine server-side admission
-	// rejections with engine-level ErrOverloaded refusals, so one series
-	// answers "is backpressure firing".
-	fmt.Fprintln(w, "# HELP must_writes_shed_total Writes refused by overload protection (429 + Retry-After).")
+	// Self-healing counters.
+	fmt.Fprintln(w, "# HELP must_writes_shed_total Writes refused by write-class admission (429 + Retry-After).")
 	fmt.Fprintln(w, "# TYPE must_writes_shed_total counter")
-	fmt.Fprintf(w, "must_writes_shed_total %d\n", m.writesShed.Load()+eng.WritesShed())
+	fmt.Fprintf(w, "must_writes_shed_total %d\n", m.writesShed.Load())
 	if maint != nil {
 		st := maint.Stats()
 		fmt.Fprintln(w, "# HELP must_maintenance_rebuilds_total Background maintenance rebuilds completed.")

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -75,11 +74,6 @@ type Server struct {
 	maint *must.Maintainer
 
 	draining atomic.Bool
-
-	// rebuildMu serializes /v1/rebuild so two concurrent requests don't
-	// race Build vs Rebuild (the engine would reject one with a
-	// confusing error).
-	rebuildMu sync.Mutex
 
 	byName map[string]int
 	schema must.Schema
@@ -321,15 +315,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	for i, o := range objects {
 		id, err := s.eng.Insert(o)
 		if err != nil {
-			if errors.Is(err, must.ErrOverloaded) {
-				// Engine backpressure: the write budget (or maintenance
-				// debt) is exhausted. Inserts before the refusal stay
-				// inserted; tell the client so it can retry just the rest.
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests,
-					fmt.Sprintf("overloaded, write shed (inserted %d of %d; retry the rest)", len(ids), len(objects)))
-				return
-			}
 			// Inserts before the failure stay inserted; report both so
 			// the client can reconcile.
 			writeError(w, writeFailureStatus(err, http.StatusBadRequest),
@@ -353,12 +338,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	deleted := 0
 	for _, id := range req.IDs {
 		if err := s.eng.Delete(id); err != nil {
-			if errors.Is(err, must.ErrOverloaded) {
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests,
-					fmt.Sprintf("overloaded, write shed (deleted %d of %d; retry the rest)", deleted, len(req.IDs)))
-				return
-			}
 			code := http.StatusNotFound
 			if errors.Is(err, must.ErrNotBuilt) {
 				code = http.StatusConflict
@@ -372,23 +351,14 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
-	s.rebuildMu.Lock()
-	defer s.rebuildMu.Unlock()
 	start := time.Now()
-	_, statsErr := s.eng.Stats()
-	built := statsErr == nil
-	var err error
-	if built {
-		err = s.eng.Rebuild()
-	} else {
-		err = s.eng.Build()
-	}
+	built, err := must.BuildOrRebuild(s.eng)
 	if err != nil {
 		writeError(w, writeFailureStatus(err, http.StatusConflict), err.Error())
 		return
 	}
 	writeJSON(w, RebuildResponse{
-		Built:   !built,
+		Built:   built,
 		Objects: s.eng.Len(),
 		TookMS:  float64(time.Since(start)) / float64(time.Millisecond),
 	})
@@ -440,7 +410,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Rejected:       s.metrics.rejected.Load(),
 			PartialResults: s.metrics.partialResults.Load(),
 			BatchPanics:    s.metrics.batchPanics.Load(),
-			WritesShed:     s.metrics.writesShed.Load() + s.eng.WritesShed(),
+			WritesShed:     s.metrics.writesShed.Load(),
 		},
 		Shards:      shards,
 		Maintenance: maintStats,

@@ -1,7 +1,6 @@
 package must
 
 import (
-	"sync"
 	"time"
 
 	"must/internal/maint"
@@ -21,10 +20,6 @@ type MaintenanceOptions struct {
 	// TombstoneWatermark triggers a rebuild when a unit's tombstone
 	// ratio reaches it (default 0.20).
 	TombstoneWatermark float64
-	// Guard, when set, is held around every maintenance rebuild. mustd
-	// shares one guard between maintenance and the periodic-snapshot
-	// loop so a snapshot never captures a shard mid-compaction.
-	Guard sync.Locker
 	// Logf, when set, receives one line per rebuild decision and error.
 	Logf func(format string, args ...any)
 	// Seed seeds the scheduling jitter (0 = fixed default).
@@ -94,7 +89,6 @@ func StartMaintenance(svc Service, o MaintenanceOptions) *Maintainer {
 		MinRebuildGap:      o.MinRebuildGap,
 		OverlayWatermark:   o.OverlayWatermark,
 		TombstoneWatermark: o.TombstoneWatermark,
-		Guard:              o.Guard,
 		Logf:               o.Logf,
 		Seed:               o.Seed,
 	})}

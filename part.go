@@ -3,7 +3,6 @@ package must
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +16,7 @@ import (
 // part is one shard of an Engine: a collection, the fused proximity graph
 // over it, its tombstones and its IDs. Every Engine operation that touches
 // vectors runs on one part under that part's two locks; the Engine only
-// routes, gates, orchestrates builds and merges.
+// routes, orchestrates builds and merges.
 type part struct {
 	// schema and byName are the engine's, shared read-only.
 	schema Schema
@@ -33,10 +32,6 @@ type part struct {
 	// only under it (and read lock-free).
 	buildMu sync.Mutex
 	state   atomic.Uint32
-	// debt caches max(overlay ratio, tombstone ratio) as float64 bits,
-	// refreshed under mu by updateDebtLocked, so write admission costs
-	// one atomic load per part.
-	debt atomic.Uint64
 
 	mu sync.RWMutex
 	c  *collection
@@ -123,7 +118,6 @@ func (p *part) insert(o Object) (int64, error) {
 		// The graph and object slice grew; pooled searchers sized to the
 		// old vertex count must not be reused.
 		p.resetSearchersLocked()
-		p.updateDebtLocked()
 	}
 	return id, nil
 }
@@ -141,7 +135,6 @@ func (p *part) delete(id int64) error {
 		p.deadCount++
 	}
 	p.epoch++
-	p.updateDebtLocked()
 	return nil
 }
 
@@ -238,7 +231,6 @@ func (p *part) buildGraph() error {
 	p.f = f
 	p.epoch++
 	p.resetSearchersLocked()
-	p.updateDebtLocked()
 	return nil
 }
 
@@ -341,24 +333,8 @@ func (p *part) rebuild() error {
 	p.c.store.SyncSQ8()
 	p.epoch++
 	p.resetSearchersLocked()
-	p.updateDebtLocked()
 	return nil
 }
-
-// updateDebtLocked refreshes the cached maintenance debt — max(overlay
-// ratio, tombstone ratio) — that write admission reads. Callers must hold
-// the write lock.
-func (p *part) updateDebtLocked() {
-	var debt float64
-	if p.f != nil {
-		if n := p.f.Graph.NumVertices(); n > 0 {
-			debt = max(float64(p.f.Graph.OverlayVertices())/float64(n), float64(p.deadCount)/float64(n))
-		}
-	}
-	p.debt.Store(math.Float64bits(debt))
-}
-
-func (p *part) debtRatio() float64 { return math.Float64frombits(p.debt.Load()) }
 
 // resetSearchersLocked replaces the searcher pool after any change to the
 // graph topology or object slice. Callers must hold the write lock.

@@ -678,7 +678,6 @@ func readPart(r io.Reader, j, n int) (*part, error) {
 			}
 		}
 		p.resetSearchersLocked()
-		p.updateDebtLocked()
 	}
 	return p, nil
 }

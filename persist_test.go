@@ -459,3 +459,82 @@ func TestEarlyTerminationTradeoff(t *testing.T) {
 		t.Errorf("early termination lost too much recall: %v vs %v", eager, full)
 	}
 }
+
+// A snapshot taken while RebuildShard compacts sees each shard either
+// wholly before or wholly after the compaction: a shard is written under
+// its read lock and a rebuild swaps under its write lock, so no lock
+// outside the engine is needed to serialize the two.
+func TestSnapshotDuringRebuildShard(t *testing.T) {
+	const (
+		n    = 3000
+		dead = 600
+	)
+	e := newSharded(t, shardedObjects(n, 17), 2, true)
+	// Shard 0 holds the even IDs; tombstone the first dead of them.
+	for id := int64(0); id < 2*dead; id += 2 {
+		if err := e.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := shardedQueries(4, 18)
+	want := make([][]ScoredMatch, len(queries))
+	for i, q := range queries {
+		resp, err := e.ExactSearch(context.Background(), Query{Vectors: q, K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = resp.Matches
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		for range 3 {
+			if err := e.RebuildShard(0); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	snapshots := 0
+	for rebuilding := true; rebuilding || snapshots < 2; snapshots++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			rebuilding = false
+		default:
+		}
+		var buf bytes.Buffer
+		if err := e.SaveTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readEngineBytes(buf.Bytes())
+		if err != nil {
+			t.Fatalf("snapshot %d: %v", snapshots, err)
+		}
+		if got.Len() != n-dead {
+			t.Fatalf("snapshot %d holds %d live objects, want %d", snapshots, got.Len(), n-dead)
+		}
+		if d := got.ShardStats()[0].Deleted; d != dead && d != 0 {
+			t.Fatalf("snapshot %d caught shard 0 mid-compaction: %d tombstones, want %d or 0", snapshots, d, dead)
+		}
+		for i, q := range queries {
+			resp, err := got.ExactSearch(context.Background(), Query{Vectors: q, K: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := slices.EqualFunc(resp.Matches, want[i], func(a, b ScoredMatch) bool {
+				return a.ID == b.ID && a.Similarity == b.Similarity
+			})
+			if !same {
+				t.Fatalf("snapshot %d, query %d: exact search differs from the live engine's", snapshots, i)
+			}
+		}
+	}
+	if e.Deleted() != 0 {
+		t.Fatalf("%d tombstones left after RebuildShard(0)", e.Deleted())
+	}
+	t.Logf("%d snapshots restored during three RebuildShard(0) calls", snapshots)
+}

@@ -2,6 +2,7 @@ package must
 
 import (
 	"context"
+	"errors"
 	"io"
 )
 
@@ -10,7 +11,9 @@ import (
 // it, and DurableService wraps any Service with a write-ahead log. Use
 // LoadService to restore a snapshot of any shard count.
 type Service interface {
-	// Schema and lifecycle.
+	// Schema and lifecycle. Build makes the first index and returns
+	// ErrBuilt, changing nothing, once one exists; Rebuild compacts and
+	// re-optimizes a built index. BuildOrRebuild calls whichever applies.
 	Schema() Schema
 	Build() error
 	Rebuild() error
@@ -38,17 +41,6 @@ type Service interface {
 	Delete(id int64) error
 	Object(id int64) (NamedVectors, error)
 
-	// Admission. SetAdmission installs (or clears, with the zero value)
-	// the write-path gate: once configured, Insert/InsertObject/Delete
-	// past the budget fail fast with ErrOverloaded instead of queueing.
-	// Reads are never gated. WritesShed counts refusals since creation.
-	//
-	// A DurableService must be configured only after OpenDurable returns:
-	// WAL replay re-applies already-acked writes through this same path,
-	// and shedding one would silently drop durable data.
-	SetAdmission(o AdmissionOptions) error
-	WritesShed() uint64
-
 	// Weights.
 	Weights() Weights
 	SetWeights(w Weights) error
@@ -61,6 +53,18 @@ type Service interface {
 	// Persistence. SaveTo streams a snapshot; WriteSnapshot is the one
 	// way to write it to a file (temp file, fsync, rename, directory fsync).
 	SaveTo(w io.Writer) error
+}
+
+// BuildOrRebuild builds svc if it has no index yet and rebuilds it
+// otherwise, reporting whether this call made the first build. Build
+// decides under the engine's build lock, so of concurrent calls on an
+// unbuilt engine exactly one reports built; the others rebuild after it.
+func BuildOrRebuild(svc Service) (built bool, err error) {
+	err = svc.Build()
+	if errors.Is(err, ErrBuilt) {
+		return false, svc.Rebuild()
+	}
+	return err == nil, err
 }
 
 var (
