@@ -1,5 +1,5 @@
 // Command mustbench regenerates the tables and figures of the MUST paper;
-// the -exp list below is the experiment index. Examples:
+// the table below is the experiment index. Examples:
 //
 //	mustbench -exp t3 -scale 1        # Tab. III accuracy on MIT-States
 //	mustbench -exp f6 -scale 0.5      # Fig. 6 QPS-vs-recall panels
@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -21,9 +22,57 @@ import (
 	"must/internal/experiments"
 )
 
+// experiment is one -exp id with the function that prints it.
+type experiment struct {
+	ids string // the id and its aliases, comma separated
+	run func(experiments.Options) error
+}
+
+// table lists every experiment in the order "all" runs them. It is the one
+// source of -exp's help text, the "all" list and the dispatch.
+var table = []experiment{
+	{"t3", func(o experiments.Options) error {
+		return accuracyTable("Tab. III: MIT-States", "mitstates", []int{1, 5, 10}, o)
+	}},
+	{"t4", func(o experiments.Options) error {
+		return accuracyTable("Tab. IV: CelebA", "celeba", []int{1, 5, 10}, o)
+	}},
+	{"t5", func(o experiments.Options) error {
+		return accuracyTable("Tab. V: Shopping (T-shirt)", "shopping", []int{1, 5, 10}, o)
+	}},
+	{"t21", func(o experiments.Options) error {
+		return accuracyTable("Tab. XXI: Shopping (Bottoms)", "shopping-bottoms", []int{1, 5, 10}, o)
+	}},
+	{"t6", func(o experiments.Options) error {
+		return accuracyTable("Tab. VI: MS-COCO", "mscoco", []int{10, 50, 100}, o)
+	}},
+	{"f5", caseStudy},
+	{"f6", qpsRecall},
+	{"t7,f7", scaleSweep},
+	{"f8", kSweep},
+	{"t8", modalityCount},
+	{"t10", singleModality},
+	{"f9", weightLearning},
+	{"f13", negativeCount},
+	{"t9", userWeights},
+	{"f10a,f10b", graphComparison},
+	{"f10c", multiVectorOpt},
+	{"f11", neighborAudit},
+	{"t11", graphQuality},
+	{"t12", beamSweep},
+	{"f14,f15", gammaSweep},
+	{"t19", singleModalityAppendix},
+	{"weights", learnedWeights},
+	{"stats", indexStats},
+}
+
 func main() {
+	ids := make([]string, len(table))
+	for i, e := range table {
+		ids[i] = e.ids
+	}
 	var (
-		exp   = flag.String("exp", "", "experiment id (t3,t4,t5,t6,t8,t9,t10,t11,t12,t21,f5,f6,f7,f8,f9,f10a,f10b,f10c,f11,f13,f14,t19,weights,all)")
+		exp   = flag.String("exp", "", "experiment id ("+strings.Join(ids, ",")+",all)")
 		scale = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = the internal/dataset preset sizes)")
 		seed  = flag.Int64("seed", 7, "random seed namespace")
 		beam  = flag.Int("beam", 0, "accuracy-evaluation beam width l (0 = default)")
@@ -36,71 +85,24 @@ func main() {
 	}
 	opt := experiments.Options{Scale: *scale, Seed: *seed, Beam: *beam, Gamma: *gamma}
 
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = []string{"t3", "t4", "t5", "t21", "t6", "f5", "f6", "t7", "f8", "t8", "t10",
-			"f9", "f13", "t9", "f10a", "f10c", "f11", "t11", "t12", "f14", "t19", "weights"}
-	}
-	for _, id := range ids {
-		start := time.Now()
-		if err := run(id, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "mustbench: %s: %v\n", id, err)
+	runs := table
+	if *exp != "all" {
+		i := slices.IndexFunc(table, func(e experiment) bool {
+			return slices.Contains(strings.Split(e.ids, ","), *exp)
+		})
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "mustbench: unknown experiment %q\n", *exp)
 			os.Exit(1)
 		}
-		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+		runs = table[i : i+1]
 	}
-}
-
-func run(id string, opt experiments.Options) error {
-	switch id {
-	case "t3":
-		return accuracyTable("Tab. III: MIT-States", "mitstates", []int{1, 5, 10}, opt)
-	case "t4":
-		return accuracyTable("Tab. IV: CelebA", "celeba", []int{1, 5, 10}, opt)
-	case "t5":
-		return accuracyTable("Tab. V: Shopping (T-shirt)", "shopping", []int{1, 5, 10}, opt)
-	case "t21":
-		return accuracyTable("Tab. XXI: Shopping (Bottoms)", "shopping-bottoms", []int{1, 5, 10}, opt)
-	case "t6":
-		return accuracyTable("Tab. VI: MS-COCO", "mscoco", []int{10, 50, 100}, opt)
-	case "f5":
-		return caseStudy(opt)
-	case "f6":
-		return qpsRecall(opt)
-	case "t7", "f7":
-		return scaleSweep(opt)
-	case "f8":
-		return kSweep(opt)
-	case "t8":
-		return modalityCount(opt)
-	case "t10":
-		return singleModality(opt)
-	case "t19":
-		return singleModalityAppendix(opt)
-	case "f9":
-		return weightLearning(opt)
-	case "f13":
-		return negativeCount(opt)
-	case "t9":
-		return userWeights(opt)
-	case "f10a", "f10b":
-		return graphComparison(opt)
-	case "f10c":
-		return multiVectorOpt(opt)
-	case "f11":
-		return neighborAudit(opt)
-	case "t11":
-		return graphQuality(opt)
-	case "t12":
-		return beamSweep(opt)
-	case "f14", "f15":
-		return gammaSweep(opt)
-	case "weights":
-		return learnedWeights(opt)
-	case "stats":
-		return indexStats(opt)
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
+	for _, e := range runs {
+		start := time.Now()
+		if err := e.run(opt); err != nil {
+			fmt.Fprintf(os.Stderr, "mustbench: %s: %v\n", e.ids, err)
+			os.Exit(1)
+		}
+		fmt.Printf("[%s completed in %v]\n\n", e.ids, time.Since(start).Round(time.Millisecond))
 	}
 }
 
@@ -387,9 +389,9 @@ func beamSweep(opt experiments.Options) error {
 		return err
 	}
 	fmt.Println("Tab. XII: beam size l sweep on ImageText")
-	fmt.Println("l      Recall@10(10)  latency")
+	fmt.Println("l      Recall@10(10)  fullEvals  latency")
 	for _, r := range rows {
-		fmt.Printf("%-5d  %12.4f  %v\n", r.L, r.Recall, r.Latency.Round(time.Microsecond))
+		fmt.Printf("%-5d  %12.4f  %9.1f  %v\n", r.L, r.Recall, r.Evals, r.Latency.Round(time.Microsecond))
 	}
 	return nil
 }

@@ -1,9 +1,7 @@
 package dataset
 
 import (
-	"bytes"
 	"math"
-	"path/filepath"
 	"testing"
 
 	"must/internal/encoder"
@@ -294,83 +292,6 @@ func TestPresetsScale(t *testing.T) {
 		if err := cfg.validate(); err != nil {
 			t.Errorf("%s: %v", cfg.Name, err)
 		}
-	}
-}
-
-func TestIORoundTrip(t *testing.T) {
-	raw, err := GenerateSemantic(smallSemantic())
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := MustEncode(raw, tinyEncoderSet(raw, true))
-	var buf bytes.Buffer
-	if err := WriteEncoded(&buf, enc); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadEncoded(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != enc.Name || got.EncoderLabel != enc.EncoderLabel || got.M != enc.M {
-		t.Fatalf("header mismatch: %+v", got)
-	}
-	if len(got.Objects) != len(enc.Objects) || len(got.Queries) != len(enc.Queries) {
-		t.Fatal("cardinality mismatch after round trip")
-	}
-	for i := range enc.Objects {
-		for j := range enc.Objects[i] {
-			for k := range enc.Objects[i][j] {
-				if got.Objects[i][j][k] != enc.Objects[i][j][k] {
-					t.Fatal("object vectors mismatch after round trip")
-				}
-			}
-		}
-	}
-	for i := range enc.Queries {
-		if len(got.Queries[i].GroundTruth) != len(enc.Queries[i].GroundTruth) {
-			t.Fatal("ground truth mismatch after round trip")
-		}
-		for j := range enc.Queries[i].GroundTruth {
-			if got.Queries[i].GroundTruth[j] != enc.Queries[i].GroundTruth[j] {
-				t.Fatal("ground truth ids mismatch after round trip")
-			}
-		}
-	}
-}
-
-func TestIOFileRoundTrip(t *testing.T) {
-	raw, err := GenerateSemantic(smallSemantic())
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := MustEncode(raw, tinyEncoderSet(raw, false))
-	path := filepath.Join(t.TempDir(), "ds.bin")
-	if err := SaveEncoded(path, enc); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadEncoded(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Objects) != len(enc.Objects) {
-		t.Fatal("file round trip lost objects")
-	}
-}
-
-func TestReadEncodedRejectsGarbage(t *testing.T) {
-	if _, err := ReadEncoded(bytes.NewReader([]byte("not a dataset at all"))); err == nil {
-		t.Error("garbage input did not error")
-	}
-	// Truncated valid prefix.
-	raw, _ := GenerateSemantic(smallSemantic())
-	enc := MustEncode(raw, tinyEncoderSet(raw, false))
-	var buf bytes.Buffer
-	if err := WriteEncoded(&buf, enc); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadEncoded(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated input did not error")
 	}
 }
 

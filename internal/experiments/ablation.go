@@ -460,13 +460,14 @@ func RunGraphQuality(iters []int, opt Options) ([]GraphQualityRow, error) {
 	return rows, nil
 }
 
-// BeamRow is one column of Tab. XII: recall and response time at one l.
+// BeamRow is one column of Tab. XII: recall, response time and full
+// evaluations per query at one l.
 type BeamRow struct {
-	L        int
-	Recall   float64
-	Latency  time.Duration
-	QPS      float64
-	Frontier bool
+	L       int
+	Recall  float64
+	Latency time.Duration
+	QPS     float64
+	Evals   float64
 }
 
 // RunBeamSweep reproduces Tab. XII: Recall@10(10) and response time as l
@@ -498,7 +499,11 @@ func RunBeamSweep(beams []int, opt Options) ([]BeamRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, BeamRow{L: l, Recall: rec, Latency: lat, QPS: qps})
+		evals, err := meanFullEvals(fused.NewSearcher(), enc.Queries, k, l)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, BeamRow{L: l, Recall: rec, Latency: lat, QPS: qps, Evals: evals})
 	}
 	return rows, nil
 }

@@ -132,7 +132,9 @@ func RunQPSRecall(name FeatureName, k int, opt Options) ([]Curve, error) {
 	mrBrute := baseline.NewMRBrute(enc.Objects)
 
 	curves := make([]Curve, 0, 4)
-	sweep := func(label string, fn searchFunc) error {
+	// sweep traces one curve over DefaultBeams; a non-nil s also counts
+	// its full evaluations per query at each point.
+	sweep := func(label string, fn searchFunc, s *search.Searcher) error {
 		var pts []metrics.Point
 		for _, l := range DefaultBeams {
 			if l < k {
@@ -142,15 +144,21 @@ func RunQPSRecall(name FeatureName, k int, opt Options) ([]Curve, error) {
 			if err != nil {
 				return err
 			}
-			pts = append(pts, metrics.Point{Param: l, Recall: rec, QPS: qps, Latency: lat})
+			p := metrics.Point{Param: l, Recall: rec, QPS: qps, Latency: lat}
+			if s != nil {
+				if p.Evals, err = meanFullEvals(s, enc.Queries, k, l); err != nil {
+					return err
+				}
+			}
+			pts = append(pts, p)
 		}
 		curves = append(curves, Curve{Name: label, Points: pts})
 		return nil
 	}
-	if err := sweep("MUST", mustSearcherFunc(fused.NewSearcher())); err != nil {
+	if err := sweep("MUST", mustSearcherFunc(fused.NewSearcher()), fused.NewSearcher()); err != nil {
 		return nil, err
 	}
-	if err := sweep("MR", mrFunc(mr.NewSearcher())); err != nil {
+	if err := sweep("MR", mrFunc(mr.NewSearcher()), nil); err != nil {
 		return nil, err
 	}
 	// Brute-force methods: one point each (no beam knob); MR-- still

@@ -13,7 +13,6 @@ import (
 
 	"must/internal/baseline"
 	"must/internal/dataset"
-	"must/internal/encoder"
 	"must/internal/graph"
 	"must/internal/index"
 	"must/internal/metrics"
@@ -66,50 +65,6 @@ func (o Options) pipeline(name string) graph.Pipeline {
 	p := graph.Ours(o.Gamma, o.Iters, o.Seed)
 	p.Name = name
 	return p
-}
-
-// Pipeline exposes the default "Ours" assembly configured by these
-// options, for callers outside this package (cmd/mustsearch).
-func (o Options) Pipeline(name string) graph.Pipeline {
-	return o.withDefaults().pipeline(name)
-}
-
-// EncodeDefault encodes a raw dataset with the standard encoder layout
-// (content → ResNet50, attribute → ordinal Encoding, extra content
-// modalities → ResNet variants), mirroring cmd/mustgen's default.
-func EncodeDefault(raw *dataset.Raw, seed int64) (*dataset.Encoded, error) {
-	set := dataset.EncoderSet{Unimodal: []encoder.Encoder{
-		encoder.NewResNet50(raw.ContentDim, seed),
-		encoder.NewOrdinal(raw.AttrDim, seed),
-	}}
-	for i := 2; i < raw.M; i++ {
-		if i%2 == 0 {
-			set.Unimodal = append(set.Unimodal, encoder.NewResNet17(raw.ContentDim, seed^int64(i)))
-		} else {
-			set.Unimodal = append(set.Unimodal, encoder.NewResNet50(raw.ContentDim, seed^int64(i)))
-		}
-	}
-	return dataset.Encode(raw, set)
-}
-
-// LearnWeightsAuto learns modality weights for an encoded dataset: it uses
-// the planted ground truth when present (semantic datasets) and falls back
-// to the uniform-weight exact top-1 protocol otherwise (feature datasets).
-func LearnWeightsAuto(enc *dataset.Encoded, opt Options) (vec.Weights, error) {
-	opt = opt.withDefaults()
-	hasGT := false
-	for _, q := range enc.Queries {
-		if len(q.GroundTruth) > 0 {
-			hasGT = true
-			break
-		}
-	}
-	if hasGT {
-		w, _, err := learnWeightsFor(enc, opt)
-		return w, err
-	}
-	w, _, err := LearnFeatureWeights(enc, vec.FlatFromMulti(enc.Objects), opt)
-	return w, err
 }
 
 // splitTrainEval reserves up to 20% of queries (capped at 300) for weight

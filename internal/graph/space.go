@@ -27,8 +27,8 @@ import (
 // rows — slightly more arithmetic per call, paid only by the rare
 // incremental-insert path.
 //
-// Spaces created from raw vectors (NewSpace, NewModalitySpace) own their
-// buffer outright; Release is a no-op for them.
+// Spaces created from raw vectors (NewSpace) own their buffer outright;
+// Release is a no-op for them.
 //
 // All vectors in a Space must have the same self-inner-product (true for
 // weighted concatenations of unit vectors, where IP(ô,ô) = Σω_i²); several
@@ -141,16 +141,6 @@ func (s *Space) packRow(i int, dst []float32) {
 			dst[d] = wi * row[d]
 		}
 	}
-}
-
-// NewModalitySpace builds a single-modality space over multi-vector
-// objects, as MR's per-modality indexes require.
-func NewModalitySpace(objects []vec.Multi, modality int) *Space {
-	data := make([][]float32, len(objects))
-	for i, o := range objects {
-		data[i] = o[modality]
-	}
-	return NewSpace(data)
 }
 
 // Release drops the materialized fused buffer of a store-backed space,

@@ -29,22 +29,6 @@ func Recall(result, truth []int) float64 {
 	return float64(hits) / float64(len(truth))
 }
 
-// MeanRecall averages Recall over a batch; results and truths must have
-// equal length.
-func MeanRecall(results, truths [][]int) float64 {
-	if len(results) != len(truths) {
-		panic("metrics: results/truths length mismatch")
-	}
-	if len(results) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range results {
-		s += Recall(results[i], truths[i])
-	}
-	return s / float64(len(results))
-}
-
 // SME computes the similarity measurement error of Eq. 4 for one query:
 // 1 − IP(ϕ0(a0), ϕ0(r0)), where aSim is the target-modality inner product
 // between the ground-truth object and the returned object. Callers pass
@@ -73,6 +57,9 @@ type Point struct {
 	QPS float64
 	// Latency is the mean per-query response time.
 	Latency time.Duration
+	// Evals is the mean number of full joint evaluations per query, a
+	// count of work that machine load cannot move (0 where not counted).
+	Evals float64
 }
 
 // Frontier sorts points by recall and removes points that are dominated

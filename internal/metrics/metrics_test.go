@@ -28,25 +28,6 @@ func TestRecall(t *testing.T) {
 	}
 }
 
-func TestMeanRecall(t *testing.T) {
-	got := MeanRecall([][]int{{1}, {9}}, [][]int{{1}, {2}})
-	if got != 0.5 {
-		t.Errorf("MeanRecall = %v, want 0.5", got)
-	}
-	if MeanRecall(nil, nil) != 0 {
-		t.Error("empty MeanRecall should be 0")
-	}
-}
-
-func TestMeanRecallPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched lengths did not panic")
-		}
-	}()
-	MeanRecall([][]int{{1}}, nil)
-}
-
 func TestSME(t *testing.T) {
 	if got := SME(1); got != 0 {
 		t.Errorf("SME(1) = %v, want 0", got)

@@ -156,9 +156,6 @@ func (m *Metrics) ObservePartial() { m.partialResults.Add(1) }
 // ObserveBatchPanic records one engine panic recovered around a search.
 func (m *Metrics) ObserveBatchPanic() { m.batchPanics.Add(1) }
 
-// ObserveWriteShed records one write refused by overload protection.
-func (m *Metrics) ObserveWriteShed() { m.writesShed.Add(1) }
-
 // WritePrometheus renders the registry — plus cache counters, engine
 // gauges, and maintenance counters sampled now — in Prometheus text
 // exposition format. maint may be nil (maintenance disabled).
