@@ -53,10 +53,13 @@ func featureFixture(tb testing.TB, n int) fixture {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	enc := dataset.MustEncode(raw, dataset.EncoderSet{Unimodal: []encoder.Encoder{
+	enc, err := dataset.Encode(raw, dataset.EncoderSet{Unimodal: []encoder.Encoder{
 		encoder.NewResNet50(raw.ContentDim, 7),
 		encoder.NewOrdinal(raw.AttrDim, 7),
 	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	w := vec.Weights{0.8, 0.6}
 	st := vec.FlatFromMulti(enc.Objects)
 	experiments.FillGroundTruth(enc, st, w, 10)
@@ -100,10 +103,13 @@ func clipFixture(tb testing.TB, n int) fixture {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	enc := dataset.MustEncode(raw, dataset.EncoderSet{Unimodal: []encoder.Encoder{
+	enc, err := dataset.Encode(raw, dataset.EncoderSet{Unimodal: []encoder.Encoder{
 		encoder.New(encoder.Spec{Name: "CLIP-ViT", LatentDim: raw.ContentDim, Dim: 512, Sigma: encoder.SigmaResNet50, Seed: 7 ^ 0xc11b}),
 		encoder.New(encoder.Spec{Name: "Transformer", LatentDim: raw.AttrDim, Dim: 256, Sigma: encoder.SigmaTransformer, Seed: 7 ^ 0x7f5}),
 	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	w := vec.Weights{0.8, 0.6}
 	st := vec.FlatFromMulti(enc.Objects)
 	experiments.FillGroundTruth(enc, st, w, 10)
@@ -133,11 +139,14 @@ func getCoco(b *testing.B) *fixture {
 		if err != nil {
 			b.Fatal(err)
 		}
-		enc := dataset.MustEncode(raw, dataset.EncoderSet{Unimodal: []encoder.Encoder{
+		enc, err := dataset.Encode(raw, dataset.EncoderSet{Unimodal: []encoder.Encoder{
 			encoder.NewResNet50(raw.ContentDim, 7),
 			encoder.NewGRU(raw.AttrDim, 7),
 			encoder.NewResNet50(raw.ContentDim, 9),
 		}})
+		if err != nil {
+			b.Fatal(err)
+		}
 		w := vec.Weights{0.7, 0.8, 0.5}
 		fused, err := index.BuildFusedStore(vec.FlatFromMulti(enc.Objects), w, graph.Ours(24, 3, 7))
 		if err != nil {
@@ -240,10 +249,13 @@ func BenchmarkTable3MITStatesMUSTSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	enc := dataset.MustEncode(raw, dataset.EncoderSet{Unimodal: []encoder.Encoder{
+	enc, err := dataset.Encode(raw, dataset.EncoderSet{Unimodal: []encoder.Encoder{
 		encoder.NewResNet50(raw.ContentDim, 7),
 		encoder.NewLSTM(raw.AttrDim, 7),
 	}})
+	if err != nil {
+		b.Fatal(err)
+	}
 	w := vec.Weights{0.8, 0.9}
 	fused, err := index.BuildFusedStore(vec.FlatFromMulti(enc.Objects), w, graph.Ours(24, 3, 7))
 	if err != nil {

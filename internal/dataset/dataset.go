@@ -160,13 +160,3 @@ func Encode(raw *Raw, set EncoderSet) (*Encoded, error) {
 	})
 	return enc, nil
 }
-
-// MustEncode is Encode but panics on configuration errors; used by
-// experiment code where the encoder sets are statically correct.
-func MustEncode(raw *Raw, set EncoderSet) *Encoded {
-	e, err := Encode(raw, set)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}

@@ -182,11 +182,17 @@ func TestEncodeShapesAndComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := MustEncode(raw, tinyEncoderSet(raw, false))
+	plain, err := Encode(raw, tinyEncoderSet(raw, false))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if plain.EncoderLabel != "ResNet50+LSTM" {
 		t.Errorf("label = %q", plain.EncoderLabel)
 	}
-	comp := MustEncode(raw, tinyEncoderSet(raw, true))
+	comp, err := Encode(raw, tinyEncoderSet(raw, true))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if comp.EncoderLabel != "CLIP+LSTM" {
 		t.Errorf("label = %q", comp.EncoderLabel)
 	}
@@ -235,7 +241,10 @@ func TestEncodedVectorsAreUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := MustEncode(raw, tinyEncoderSet(raw, true))
+	enc, err := Encode(raw, tinyEncoderSet(raw, true))
+	if err != nil {
+		t.Fatal(err)
+	}
 	check := func(mv vec.Multi) {
 		for _, v := range mv {
 			if n := float64(vec.Norm(v)); math.Abs(n-1) > 1e-3 {

@@ -3,10 +3,7 @@
 // Eq. 4, and queries-per-second accounting (§VIII-A).
 package metrics
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Recall computes Recall@k(k') = |R ∩ G| / k' for one query, where result
 // holds the returned object IDs (R, len ≤ k) and truth the ground-truth
@@ -60,32 +57,4 @@ type Point struct {
 	// Evals is the mean number of full joint evaluations per query, a
 	// count of work that machine load cannot move (0 where not counted).
 	Evals float64
-}
-
-// Frontier sorts points by recall and removes points that are dominated
-// (another point has both ≥ recall and ≥ QPS), yielding the Pareto
-// frontier that the paper's QPS-vs-recall plots trace.
-func Frontier(points []Point) []Point {
-	sorted := append([]Point(nil), points...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Recall != sorted[j].Recall {
-			return sorted[i].Recall < sorted[j].Recall
-		}
-		return sorted[i].QPS > sorted[j].QPS
-	})
-	out := make([]Point, 0, len(sorted))
-	bestQPS := -1.0
-	// Walk from the high-recall end so we keep the highest-QPS point for
-	// every recall level.
-	for i := len(sorted) - 1; i >= 0; i-- {
-		if sorted[i].QPS > bestQPS {
-			out = append(out, sorted[i])
-			bestQPS = sorted[i].QPS
-		}
-	}
-	// Reverse back to ascending recall.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
 }

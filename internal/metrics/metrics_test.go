@@ -45,39 +45,3 @@ func TestQPS(t *testing.T) {
 		t.Errorf("QPS with zero elapsed = %v, want 0", got)
 	}
 }
-
-func TestFrontier(t *testing.T) {
-	pts := []Point{
-		{Param: 1, Recall: 0.5, QPS: 1000},
-		{Param: 2, Recall: 0.7, QPS: 500},
-		{Param: 3, Recall: 0.6, QPS: 300}, // dominated by param 2
-		{Param: 4, Recall: 0.9, QPS: 100},
-	}
-	f := Frontier(pts)
-	if len(f) != 3 {
-		t.Fatalf("frontier size = %d, want 3: %+v", len(f), f)
-	}
-	for i := 1; i < len(f); i++ {
-		if f[i].Recall < f[i-1].Recall {
-			t.Error("frontier not sorted by recall")
-		}
-		if f[i].QPS > f[i-1].QPS {
-			t.Error("frontier QPS must be non-increasing in recall")
-		}
-	}
-	for _, p := range f {
-		if p.Param == 3 {
-			t.Error("dominated point survived")
-		}
-	}
-}
-
-func TestFrontierEmptyAndSingle(t *testing.T) {
-	if f := Frontier(nil); len(f) != 0 {
-		t.Error("empty frontier not empty")
-	}
-	f := Frontier([]Point{{Recall: 0.1, QPS: 1}})
-	if len(f) != 1 {
-		t.Error("single-point frontier lost its point")
-	}
-}

@@ -29,8 +29,8 @@ type SearchRequest struct {
 	// context deadline. 0 uses the server default; values above the
 	// server maximum are clamped.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// NoCache bypasses the result cache for this request (the response
-	// is still cached for later requests).
+	// NoCache bypasses the result cache for this request: it is searched
+	// afresh and its response is not stored.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
@@ -54,7 +54,8 @@ type SearchResponse struct {
 	// Cached reports the response was served from the result cache.
 	Cached bool `json:"cached,omitempty"`
 	// DecodeMS is the time spent reading and parsing the request body,
-	// in milliseconds; on a cache hit it is most of QueryTimeMS.
+	// in milliseconds; a cache hit is not parsed, so there it is the
+	// body read alone.
 	DecodeMS float64 `json:"decode_ms,omitempty"`
 	// BatchSize is always 0 since the batcher was removed, so it never
 	// reaches the wire; kept until the benchmark ladder stops reading it.

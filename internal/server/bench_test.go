@@ -177,8 +177,8 @@ func BenchmarkDecodeSearchRequest(b *testing.B) {
 
 // BenchmarkHandleSearch is one /v1/search through the whole handler
 // stack on a recorder (no socket): hit is answered from the result
-// cache, so it is body read + decode + cache key + response encode;
-// miss has the cache disabled and adds an engine slot and the engine.
+// cache, so it is body read + cache lookup + response encode; miss has
+// the cache disabled and adds the decode, an engine slot and the engine.
 func BenchmarkHandleSearch(b *testing.B) {
 	eng, body := clipSetup(b)
 	for _, tc := range []struct {

@@ -2,22 +2,21 @@ package server
 
 import (
 	"container/list"
-	"encoding/binary"
 	"hash/maphash"
-	"math"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"must"
 )
 
-// resultCache is a sharded LRU over search responses, keyed on a
-// canonical serialization of the query and stamped with the engine
-// mutation epoch at lookup time. Invalidation is O(1) and global: any
-// insert, delete, weight change, or rebuild bumps the engine epoch, so
-// every entry stamped with an older epoch reads as a miss (and is
+// resultCache is a sharded LRU over search responses, keyed on the
+// exact bytes of the request body and stamped with the engine mutation
+// epoch at lookup time. A hit needs no decode: a stored body was valid
+// when it was stored, and the schema does not change. Only
+// byte-identical bodies share an entry; re-spaced JSON or reordered
+// keys miss and are searched afresh. Invalidation is O(1) and global:
+// any insert, delete, weight change, or rebuild bumps the engine epoch,
+// so every entry stamped with an older epoch reads as a miss (and is
 // evicted on touch). Sharding keeps the per-shard mutex off the hot
 // path under concurrent load.
 type resultCache struct {
@@ -25,9 +24,12 @@ type resultCache struct {
 	// perShard is the entry capacity of each shard (total/cacheShards,
 	// min 1); 0 disables the cache entirely.
 	perShard int
-	seed     maphash.Seed // picks a key's shard
-	hits     atomic.Uint64
-	misses   atomic.Uint64
+	// maxKey bounds a key's length: a longer body misses and is never
+	// stored, so whitespace padding cannot make a key of megabytes.
+	maxKey int
+	seed   maphash.Seed // picks a key's shard
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 const cacheShards = 16
@@ -44,10 +46,29 @@ type cacheEntry struct {
 	resp  *must.Response
 }
 
+// A search body spends about 12 bytes per dimension as json.Marshal
+// writes float32s and about 21 as Python's json.dumps does;
+// keyBytesPerDim leaves room for either, and keyBytesSlack for the
+// scalar fields, the weights and whitespace.
+const (
+	keyBytesPerDim = 32
+	keyBytesSlack  = 4 << 10
+)
+
+// maxCacheKey is the longest body a cache over schema stores.
+func maxCacheKey(schema must.Schema) int {
+	n := keyBytesSlack
+	for _, m := range schema {
+		n += keyBytesPerDim*m.Dim + 2*len(m.Name)
+	}
+	return n
+}
+
 // newResultCache builds a cache holding ~capacity responses across all
-// shards; capacity ≤ 0 returns a disabled cache (every lookup misses).
-func newResultCache(capacity int) *resultCache {
-	c := &resultCache{}
+// shards, each under a key of at most maxKey bytes; capacity ≤ 0
+// returns a disabled cache (every lookup misses).
+func newResultCache(capacity, maxKey int) *resultCache {
+	c := &resultCache{maxKey: maxKey}
 	if capacity <= 0 {
 		return c
 	}
@@ -61,16 +82,17 @@ func newResultCache(capacity int) *resultCache {
 }
 
 // Get returns the cached response for key if it was stored at the
-// current engine epoch. Stale entries are evicted on touch. The
-// returned response is shared and must be treated as read-only.
-func (c *resultCache) Get(key string, epoch uint64) (*must.Response, bool) {
-	if c.perShard == 0 {
+// current engine epoch; key is not retained. Stale entries are evicted
+// on touch. The returned response is shared and must be treated as
+// read-only.
+func (c *resultCache) Get(key []byte, epoch uint64) (*must.Response, bool) {
+	if c.perShard == 0 || len(key) > c.maxKey {
 		c.misses.Add(1)
 		return nil, false
 	}
-	sh := &c.shards[maphash.String(c.seed, key)%cacheShards]
+	sh := &c.shards[maphash.Bytes(c.seed, key)%cacheShards]
 	sh.mu.Lock()
-	el, ok := sh.m[key]
+	el, ok := sh.m[string(key)] // no copy: the conversion is only compared
 	if !ok {
 		sh.mu.Unlock()
 		c.misses.Add(1)
@@ -79,7 +101,7 @@ func (c *resultCache) Get(key string, epoch uint64) (*must.Response, bool) {
 	ent := el.Value.(*cacheEntry)
 	if ent.epoch != epoch {
 		sh.ll.Remove(el)
-		delete(sh.m, key)
+		delete(sh.m, ent.key)
 		sh.mu.Unlock()
 		c.misses.Add(1)
 		return nil, false
@@ -91,25 +113,27 @@ func (c *resultCache) Get(key string, epoch uint64) (*must.Response, bool) {
 	return resp, true
 }
 
-// Put stores a response computed at the given engine epoch. If the
-// engine has mutated since the caller read the epoch, the entry is
-// stored stamped with the old epoch and the next Get evicts it — stale
-// results are never served.
-func (c *resultCache) Put(key string, epoch uint64, resp *must.Response) {
-	if c.perShard == 0 {
+// Put stores a response computed at the given engine epoch under a copy
+// of key; a key longer than maxKey is not stored. If the engine has
+// mutated since the caller read the epoch, the entry is stored stamped
+// with the old epoch and the next Get evicts it — stale results are
+// never served.
+func (c *resultCache) Put(key []byte, epoch uint64, resp *must.Response) {
+	if c.perShard == 0 || len(key) > c.maxKey {
 		return
 	}
-	sh := &c.shards[maphash.String(c.seed, key)%cacheShards]
+	sh := &c.shards[maphash.Bytes(c.seed, key)%cacheShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.m[key]; ok {
+	if el, ok := sh.m[string(key)]; ok {
 		ent := el.Value.(*cacheEntry)
 		ent.epoch = epoch
 		ent.resp = resp
 		sh.ll.MoveToFront(el)
 		return
 	}
-	sh.m[key] = sh.ll.PushFront(&cacheEntry{key: key, epoch: epoch, resp: resp})
+	k := string(key)
+	sh.m[k] = sh.ll.PushFront(&cacheEntry{key: k, epoch: epoch, resp: resp})
 	if sh.ll.Len() > c.perShard {
 		lru := sh.ll.Back()
 		sh.ll.Remove(lru)
@@ -136,70 +160,4 @@ func (c *resultCache) Len() int {
 // Counters returns the lifetime hit/miss totals.
 func (c *resultCache) Counters() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
-}
-
-// cacheKey canonicalizes a search request into a byte-exact string key:
-// scalar parameters, then weight overrides sorted by name, then vectors
-// sorted by name with raw IEEE-754 bits. Two requests that search
-// identically always produce the same key; any parameter that changes
-// results changes the key: k, l and patience are written whole, as 64
-// bits. The key (~3 KB at 768 dimensions) is computed on every search,
-// hit or miss, so it is written once into a builder grown to its exact
-// size: no regrowth and no []byte-to-string copy.
-func cacheKey(req *SearchRequest) string {
-	names := make([]string, 0, len(req.Vectors))
-	size := 3*8 + 3*4 // k, l, patience; flags, two counts
-	for name, v := range req.Vectors {
-		names = append(names, name)
-		size += 4 + len(name) + 4 + 4*len(v)
-	}
-	sort.Strings(names)
-	wnames := make([]string, 0, len(req.Weights))
-	for name := range req.Weights {
-		wnames = append(wnames, name)
-		size += 4 + len(name) + 4
-	}
-	sort.Strings(wnames)
-
-	var b strings.Builder
-	b.Grow(size)
-	var scratch [8]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:], v)
-		b.Write(scratch[:4])
-	}
-	u64 := func(v int) {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(v))
-		b.Write(scratch[:])
-	}
-	str := func(s string) {
-		u32(uint32(len(s)))
-		b.WriteString(s)
-	}
-
-	u64(req.K)
-	u64(req.L)
-	u64(req.Patience)
-	flags := uint32(0)
-	if req.DisableOptimization {
-		flags = 1
-	}
-	u32(flags)
-
-	u32(uint32(len(wnames)))
-	for _, name := range wnames {
-		str(name)
-		u32(math.Float32bits(req.Weights[name]))
-	}
-
-	u32(uint32(len(names)))
-	for _, name := range names {
-		str(name)
-		v := req.Vectors[name]
-		u32(uint32(len(v)))
-		for _, x := range v {
-			u32(math.Float32bits(x))
-		}
-	}
-	return b.String()
 }

@@ -18,7 +18,9 @@ import (
 // slots, each one Engine.Search on the request's own goroutine.
 type Config struct {
 	// CacheSize is the result-cache capacity in responses (default
-	// 4096; negative disables the cache).
+	// 4096; negative disables the cache). An entry holds one response
+	// under a copy of its search body, ~9.4 KB at 768 dimensions; a body
+	// over 32 bytes per dimension plus 4 KiB is answered but not stored.
 	CacheSize int
 	// MaxInFlight bounds admitted read requests (search); excess get
 	// 429 + Retry-After (default 256). Admitted searches beyond the
@@ -96,7 +98,7 @@ func New(eng must.Service, cfg Config) *Server {
 		eng:     eng,
 		cfg:     cfg,
 		metrics: NewMetrics(),
-		cache:   newResultCache(cfg.CacheSize),
+		cache:   newResultCache(cfg.CacheSize, maxCacheKey(eng.Schema())),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		wsem:    make(chan struct{}, cfg.MaxInFlightWrites),
 		slots:   make(chan struct{}, runtime.GOMAXPROCS(0)),
@@ -169,7 +171,24 @@ func (s *Server) validateSearch(req *SearchRequest) error {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	req, decoded, ok := decodeRequest(s, w, r, scanSearch)
+	buf, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	defer releaseBody(buf)
+	body := buf.Bytes()
+	read := time.Since(start)
+
+	// The epoch is read before the search so a mutation that lands
+	// mid-flight stamps the cached entry stale, never fresh. A hit is
+	// answered before any decode: its body was valid when stored.
+	epoch := s.eng.Epoch()
+	if resp, ok := s.cache.Get(body, epoch); ok {
+		s.writeSearch(w, s.searchResponse(resp, start, read, 0, true))
+		return
+	}
+
+	req, decoded, ok := decodeBody(s, w, body, start, scanSearch)
 	if !ok {
 		return
 	}
@@ -189,38 +208,27 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	q := must.Query{
+	resp, queued, err := s.search(ctx, must.Query{
 		Vectors:             req.Vectors,
 		K:                   req.K,
 		L:                   req.L,
 		Weights:             req.Weights,
 		Patience:            req.Patience,
 		DisableOptimization: req.DisableOptimization,
-	}
-
-	// The epoch is read before the search so a mutation that lands
-	// mid-flight stamps the cached entry stale, never fresh.
-	key := cacheKey(&req)
-	epoch := s.eng.Epoch()
-	if !req.NoCache {
-		if resp, ok := s.cache.Get(key, epoch); ok {
-			s.writeSearch(w, s.searchResponse(resp, start, decoded, 0, true))
-			return
-		}
-	}
-
-	resp, queued, err := s.search(ctx, q)
+	})
 	if err != nil {
 		s.writeSearchError(w, err)
 		return
 	}
-	if resp.Partial {
+	switch {
+	case resp.Partial:
 		// A degraded answer must not outlive the sick shard that caused
 		// it: serving it from the cache would turn a transient blip into
 		// sticky recall loss for the epoch.
 		s.metrics.ObservePartial()
-	} else {
-		s.cache.Put(key, epoch, resp)
+	case !req.NoCache:
+		// An opted-out body is never stored: its next send would hit.
+		s.cache.Put(body, epoch, resp)
 	}
 	s.writeSearch(w, s.searchResponse(resp, start, decoded, queued, false))
 }
@@ -299,7 +307,7 @@ func writeFailureStatus(err error, fallback int) int {
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	req, _, ok := decodeRequest(s, w, r, scanInsert)
+	req, ok := decodeRequest(s, w, r, scanInsert)
 	if !ok {
 		return
 	}
@@ -327,7 +335,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	req, _, ok := decodeRequest(s, w, r, scanDelete)
+	req, ok := decodeRequest(s, w, r, scanDelete)
 	if !ok {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -114,7 +115,8 @@ func TestServerSearchEndToEnd(t *testing.T) {
 	if sr2.Matches[0].ID != sr.Matches[0].ID {
 		t.Fatal("cached response differs")
 	}
-	// A hit skips the engine slots but not the decoder.
+	// A hit skips the decoder and the engine slots: decode_ms is the
+	// body read alone.
 	if sr2.DecodeMS <= 0 || sr2.DecodeMS > sr2.QueryTimeMS {
 		t.Fatalf("cache hit: decode_ms %v of query_time_ms %v", sr2.DecodeMS, sr2.QueryTimeMS)
 	}
@@ -145,6 +147,139 @@ func TestServerCacheKeyFullWidth(t *testing.T) {
 		}
 		if got := matchIDs(t, string(data)); l > 160 && !reflect.DeepEqual(got, want) {
 			t.Errorf("search %d, l=%d: ids %v, ExactSearch %v", i, l, got, want)
+		}
+	}
+}
+
+// TestServerCacheBodyKey: the result cache is keyed on a search body's
+// exact bytes. Each body is sent twice; every 200 reply must carry the
+// matches of a fresh no_cache search of the same request at the same
+// epoch, and only a stored miss adds an entry.
+func TestServerCacheBodyKey(t *testing.T) {
+	eng, queries, _ := testEngine(t, 500)
+	s := New(eng, Config{})
+	defer s.Close()
+	h := s.Handler()
+	vecs, err := json.Marshal(queries[2].Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := func(body string) (int, SearchResponse) {
+		t.Helper()
+		code, reply := postRaw(t, h, "/v1/search", body)
+		var sr SearchResponse
+		if code == http.StatusOK {
+			if err := json.Unmarshal([]byte(reply), &sr); err != nil {
+				t.Fatalf("%v: %s", err, reply)
+			}
+		}
+		return code, sr
+	}
+	fresh := func(body string) []SearchMatch {
+		t.Helper()
+		var req SearchRequest
+		if err := decodeStd([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		req.NoCache = true
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, sr := search(string(raw))
+		if code != http.StatusOK || sr.Cached {
+			t.Fatalf("fresh search of %s: %d, cached %v", raw, code, sr.Cached)
+		}
+		return sr.Matches
+	}
+	base := fmt.Sprintf(`{"vectors":%s,"k":3}`, vecs)
+	if code, _ := search(base); code != http.StatusOK {
+		t.Fatalf("base search: %d", code)
+	}
+
+	cases := []struct {
+		name      string
+		body      string
+		code      int
+		hit, next bool // the first send, the second send is served from the cache
+	}{
+		{"identical", base, http.StatusOK, true, true},
+		{"re-spaced", pythonStyle(base), http.StatusOK, false, true},
+		{"reordered keys", fmt.Sprintf(`{"k":3,"vectors":%s}`, vecs), http.StatusOK, false, true},
+		{"timeout_ms", fmt.Sprintf(`{"vectors":%s,"k":3,"timeout_ms":1500}`, vecs), http.StatusOK, false, true},
+		{"no_cache", fmt.Sprintf(`{"vectors":%s,"k":3,"no_cache":true}`, vecs), http.StatusOK, false, false},
+		{"refused by the decoder", fmt.Sprintf(`{"vectors":%s,"k":3,"kk":1}`, vecs), http.StatusBadRequest, false, false},
+		{"refused by validation", fmt.Sprintf(`{"vectors":%s,"k":-3}`, vecs), http.StatusBadRequest, false, false},
+		{"padded past the key bound", base + strings.Repeat(" ", maxCacheKey(eng.Schema())), http.StatusOK, false, false},
+	}
+	for _, tc := range cases {
+		for send, hit := range []bool{tc.hit, tc.next} {
+			n := s.cache.Len()
+			code, sr := search(tc.body)
+			if code != tc.code {
+				t.Errorf("%s, send %d: status %d, want %d", tc.name, send, code, tc.code)
+				continue
+			}
+			wantAdded := 0
+			if send == 0 && !tc.hit && tc.next {
+				wantAdded = 1
+			}
+			if added := s.cache.Len() - n; added != wantAdded {
+				t.Errorf("%s, send %d: %d entries added, want %d", tc.name, send, added, wantAdded)
+			}
+			if code != http.StatusOK {
+				continue
+			}
+			if sr.Cached != hit {
+				t.Errorf("%s, send %d: cached %v, want %v", tc.name, send, sr.Cached, hit)
+			}
+			if want := fresh(tc.body); !reflect.DeepEqual(sr.Matches, want) {
+				t.Errorf("%s, send %d: matches %+v, a fresh search %+v", tc.name, send, sr.Matches, want)
+			}
+		}
+	}
+
+	// An epoch bump turns the stored base body into a miss.
+	obj, err := eng.Object(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Insert(obj); err != nil {
+		t.Fatal(err)
+	}
+	if _, sr := search(base); sr.Cached || !reflect.DeepEqual(sr.Matches, fresh(base)) {
+		t.Errorf("after an insert: cached %v, matches %+v", sr.Cached, sr.Matches)
+	}
+}
+
+// TestServerCacheNoCacheNotStored: "no_cache": true skips the store as
+// well as the lookup, so an opted-out body evicts no live entry and is
+// searched afresh every time it is sent.
+func TestServerCacheNoCacheNotStored(t *testing.T) {
+	_, ts, queries, _ := testServer(t, Config{})
+	entries := func() int {
+		t.Helper()
+		_, data := getBody(t, ts.URL+"/v1/stats")
+		var st StatsResponse
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Server.CacheEntries
+	}
+	req := searchBody(queries[4])
+	req.NoCache = true
+	for send := 0; send < 2; send++ {
+		before := entries()
+		resp, data := postJSON(t, ts.URL+"/v1/search", req)
+		var sr SearchResponse
+		if err := json.Unmarshal(data, &sr); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("send %d: %d %s", send, resp.StatusCode, data)
+		}
+		if sr.Cached {
+			t.Errorf("send %d: a no_cache search was served from the cache", send)
+		}
+		if after := entries(); after != before {
+			t.Errorf("send %d: cache_entries %d -> %d", send, before, after)
 		}
 	}
 }
@@ -337,8 +472,8 @@ func TestServerStatsAndMetrics(t *testing.T) {
 		"mustd_cache_hits_total 1",
 		"mustd_engine_objects 500",
 		"must_batch_queue_seconds_count 1\n", // the cache hit never queued
-		"must_decode_seconds_count 2\n",      // but its body was decoded
-		`must_decode_total{path="fast"} 2`,
+		"must_decode_seconds_count 1\n",      // nor was it decoded
+		`must_decode_total{path="fast"} 1`,
 		`must_decode_total{path="std"} 0`,
 		"mustd_in_flight_requests",
 	} {
@@ -583,7 +718,7 @@ func TestMetricsHistogramRendering(t *testing.T) {
 	m.ObserveQueueWait(2 * time.Second)
 	eng, _, _ := testEngine(t, 60)
 	var sb strings.Builder
-	m.WritePrometheus(&sb, eng, newResultCache(4), nil)
+	m.WritePrometheus(&sb, eng, newResultCache(4, 1<<10), nil)
 	out := sb.String()
 	for _, want := range []string{
 		`mustd_requests_total{endpoint="search",code="200"} 2`,
@@ -602,7 +737,7 @@ func TestMetricsHistogramRendering(t *testing.T) {
 	}
 	// Scrapes are deterministic: same registry renders identically.
 	var sb2 strings.Builder
-	m.WritePrometheus(&sb2, eng, newResultCache(4), nil)
+	m.WritePrometheus(&sb2, eng, newResultCache(4, 1<<10), nil)
 	if sb2.String() != out {
 		t.Error("two scrapes of an idle registry differ")
 	}

@@ -25,23 +25,31 @@ const maxPooledBody = 64 << 10
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // readBody reads the whole request body, at most maxBodyBytes of it,
-// into a pooled buffer the caller hands back with releaseBody.
-func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+// into a pooled buffer the caller hands back with releaseBody. On
+// failure it writes the error reply and ok is false.
+func readBody(w http.ResponseWriter, r *http.Request) (buf *bytes.Buffer, ok bool) {
 	// MaxBytesReader marks the connection to close after an oversized
 	// body only on net/http's own writer, not on a wrapper around it.
-	if rec, ok := w.(*statusRecorder); ok {
-		w = rec.ResponseWriter
+	mw := w
+	if rec, isRec := w.(*statusRecorder); isRec {
+		mw = rec.ResponseWriter
 	}
-	buf := bodyPool.Get().(*bytes.Buffer)
+	buf = bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	if n := min(r.ContentLength, maxBodyBytes); n > 0 {
 		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF without growing
 	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(mw, r.Body, maxBodyBytes)); err != nil {
 		releaseBody(buf)
-		return nil, err
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err.Error())
+		return nil, false
 	}
-	return buf, nil
+	return buf, true
 }
 
 func releaseBody(buf *bytes.Buffer) {
@@ -50,29 +58,33 @@ func releaseBody(buf *bytes.Buffer) {
 	}
 }
 
-// decodeRequest reads the request body once and decodes it with scan,
-// the request type's fast scanner. A body the scanner declines goes to
-// decodeStd over the same bytes, so what is rejected, and with which
-// message, is always encoding/json's decision. On failure the error
-// reply has been written and ok is false. took covers read and parse.
-func decodeRequest[T any](s *Server, w http.ResponseWriter, r *http.Request, scan func([]byte) (T, bool)) (req T, took time.Duration, ok bool) {
+// decodeRequest reads the request body once and decodes it with
+// decodeBody. On failure the error reply has been written and ok is
+// false.
+func decodeRequest[T any](s *Server, w http.ResponseWriter, r *http.Request, scan func([]byte) (T, bool)) (req T, ok bool) {
 	start := time.Now()
-	buf, err := readBody(w, r)
-	if err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, err.Error())
-		return req, 0, false
+	buf, ok := readBody(w, r)
+	if !ok {
+		return req, false
 	}
 	defer releaseBody(buf)
-	req, fast := scan(buf.Bytes())
+	req, _, ok = decodeBody(s, w, buf.Bytes(), start, scan)
+	return req, ok
+}
+
+// decodeBody decodes a request body with scan, the request type's fast
+// scanner. A body the scanner declines goes to decodeStd over the same
+// bytes, so what is rejected, and with which message, is always
+// encoding/json's decision. On failure the error reply has been written
+// and ok is false. took runs from start, when the body read began, so
+// it covers read and parse.
+func decodeBody[T any](s *Server, w http.ResponseWriter, body []byte, start time.Time, scan func([]byte) (T, bool)) (req T, took time.Duration, ok bool) {
+	req, fast := scan(body)
+	var err error
 	if !fast {
 		var zero T // the scan may have filled fields before it declined
 		req = zero
-		err = decodeStd(buf.Bytes(), &req)
+		err = decodeStd(body, &req)
 	}
 	took = time.Since(start)
 	s.metrics.ObserveDecode(fast, took)

@@ -66,8 +66,12 @@ expect "$out" '"query_time_ms"' "query_time_ms missing"
 expect "$out" '"queue_ms":' "lone search reported no queue_ms"
 if grep -q '"batch_size"' <<<"$out"; then fail "search reply still carries batch_size: $out"; fi
 
-# The identical repeat must come from the result cache.
+# The identical repeat must come from the result cache, which answers
+# it without decoding the body.
+decoded() { local m; m=$(get /metrics); sed -n "s/^must_decode_total{path=\"$1\"} //p" <<<"$m"; }
+fast0=$(decoded fast)
 out=$(post /v1/search "$search"); expect "$out" '"cached":true' "repeat search was not served from cache"
+[ "$(decoded fast)" = "$fast0" ] || fail "the cached repeat was decoded: fast $fast0 -> $(decoded fast)"
 
 out=$(get /v1/stats); expect "$out" '"cache_hits":1' "stats did not count the cache hit"
 metrics=$(get /metrics)
@@ -84,7 +88,6 @@ grep -q 'errors 0' "$workdir/load.log" || fail "load run saw errors: $(cat "$wor
 # so is a body spelled the way Python's json.dumps spells it. The same
 # query with an escaped key ("\u0069mage" is "image") is outside it:
 # encoding/json decodes that one, to the same answer.
-decoded() { local m; m=$(get /metrics); sed -n "s/^must_decode_total{path=\"$1\"} //p" <<<"$m"; }
 matches() { grep -o '"matches":\[[^]]*\]' <<<"$1"; }
 fast0=$(decoded fast)
 [ "$(decoded std)" = 0 ] || fail "a smoke or mustload body missed the fast decoder: std=$(decoded std)"
