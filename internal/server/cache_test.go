@@ -113,3 +113,65 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Fatalf("cache exceeded capacity under concurrency: %d", c.Len())
 	}
 }
+
+// TestCacheKeyCanonical: the cache key is the body's bytes. The same
+// bytes in another buffer find the stored entry, and a body that
+// differs in any result-affecting parameter (full-width k, l and
+// patience included) is an entry of its own.
+func TestCacheKeyCanonical(t *testing.T) {
+	const vecs = `"vectors":{"image":[1,2],"text":[3]},"weights":{"image":0.5,"text":0.25}`
+	base := `{` + vecs + `,"k":7,"l":40}`
+	bodies := []string{
+		base,
+		`{` + vecs + `,"k":8,"l":40}`,
+		`{` + vecs + `,"k":7,"l":41}`,
+		`{` + vecs + `,"k":7,"l":40,"patience":3}`,
+		`{` + vecs + `,"k":7,"l":40,"disable_optimization":true}`,
+		`{"vectors":{"image":[1,2],"text":[3]},"weights":{"image":0.5},"k":7,"l":40}`,
+		`{"vectors":{"image":[1,2]},"weights":{"image":0.5,"text":0.25},"k":7,"l":40}`,
+		`{"vectors":{"image":[1,2.5],"text":[3]},"weights":{"image":0.5,"text":0.25},"k":7,"l":40}`,
+		fmt.Sprintf(`{%s,"k":%d,"l":40}`, vecs, 7+1<<32),
+		fmt.Sprintf(`{%s,"k":7,"l":%d}`, vecs, 40+1<<32),
+		fmt.Sprintf(`{%s,"k":7,"l":40,"patience":%d}`, vecs, 1<<32),
+	}
+	c := newResultCache(1024, 1<<10)
+	for i, b := range bodies {
+		if _, ok := c.Get([]byte(b), 1); ok {
+			t.Fatalf("body %d hit before any body like it was stored", i)
+		}
+		c.Put([]byte(b), 1, &must.Response{Latency: time.Duration(i)})
+	}
+	if got := c.Len(); got != len(bodies) {
+		t.Fatalf("%d distinct bodies made %d entries", len(bodies), got)
+	}
+	for i, b := range bodies {
+		key := append(make([]byte, 0, len(b)), b...)
+		if resp, ok := c.Get(key, 1); !ok || resp.Latency != time.Duration(i) {
+			t.Errorf("body %d: hit %v, entry %v", i, ok, resp)
+		}
+	}
+}
+
+// TestCacheKeyDistinctAcrossDims: bodies that split the same characters
+// differently across modalities, or differ only in a vector's length,
+// are distinct keys, as is a key that is a prefix of another.
+func TestCacheKeyDistinctAcrossDims(t *testing.T) {
+	bodies := []string{
+		`{"vectors":{"ab":[1],"c":[2]}}`,
+		`{"vectors":{"a":[1],"bc":[2]}}`,
+		`{"vectors":{"m":[]}}`,
+		`{"vectors":{"m":[0]}}`,
+		`{"vectors":{"m":[0,0]}}`,
+		`{"vectors":{"m":[0,0,0]}}`,
+		`{"vectors":{"m":[0,0,0]}}  `,
+	}
+	c := newResultCache(1024, 1<<10)
+	for i, b := range bodies {
+		c.Put([]byte(b), 1, &must.Response{Latency: time.Duration(i)})
+	}
+	for i, b := range bodies {
+		if resp, ok := c.Get([]byte(b), 1); !ok || resp.Latency != time.Duration(i) {
+			t.Errorf("body %d %s: hit %v, entry %v", i, b, ok, resp)
+		}
+	}
+}
